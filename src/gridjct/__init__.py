@@ -47,6 +47,7 @@ from .grid import (
     EdgeSequence,
     EdgeSet,
     GridPoint,
+    Instance,
     SidePair,
     connects,
     degree,
@@ -68,7 +69,6 @@ from .jordan import (
     side_sequences,
 )
 from .jsonio import (
-    Instance,
     edge_sequence_from_json,
     edge_sequence_to_json,
     edge_set_from_json,
@@ -90,7 +90,6 @@ from .parity import (
     parity_profile,
 )
 from .reduce import (
-    JctInstance,
     StConnInstance,
     edge_at,
     jct_to_stconn_seq,

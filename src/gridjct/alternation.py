@@ -164,13 +164,20 @@ class ColumnAlternation:
         return alternate(self.left_ys, self.right_ys)
 
 
-def column_sets(seq: EdgeSequence, m: int) -> ColumnAlternation:
-    """Direct scan of the directed horizontal edges in column m."""
-    left, right = set(), set()
+def _scan_columns(seq: EdgeSequence) -> Dict[int, ColumnAlternation]:
+    """Every occupied column's directed horizontal edges, in one pass."""
+    cols: Dict[int, Tuple[Set[int], Set[int]]] = {}
     for e in seq.edges:
-        if e.src.y == e.dst.y and min(e.src.x, e.dst.x) == m:
-            (left if e.dst.x < e.src.x else right).add(e.src.y)
-    return ColumnAlternation(m, frozenset(left), frozenset(right))
+        if e.src.y == e.dst.y:
+            ls, rs = cols.setdefault(min(e.src.x, e.dst.x), (set(), set()))
+            (ls if e.dst.x < e.src.x else rs).add(e.src.y)
+    return {k: ColumnAlternation(k, frozenset(ls), frozenset(rs)) for k, (ls, rs) in cols.items()}
+
+
+def column_sets(seq: EdgeSequence, m: int) -> ColumnAlternation:
+    """Directed horizontal edges in column m, by the same scan as
+    :func:`check_edge_alternation`."""
+    return _scan_columns(seq).get(m, ColumnAlternation(m, frozenset(), frozenset()))
 
 
 def column_sets_from_segments(seq: EdgeSequence, m: int) -> ColumnAlternation:
@@ -195,15 +202,4 @@ def check_edge_alternation(seq: EdgeSequence) -> bool:
     for i in range(len(seq.edges)):
         if seq.edges[i].dst != seq.edges[(i + 1) % len(seq.edges)].src:
             raise PreconditionViolation("chained closed sequence")
-    cols: Dict[int, Tuple[Set[int], Set[int]]] = {}
-    for e in seq.edges:
-        if e.src.y == e.dst.y:
-            k = min(e.src.x, e.dst.x)
-            ls, rs = cols.setdefault(k, (set(), set()))
-            (ls if e.dst.x < e.src.x else rs).add(e.src.y)
-    for ls, rs in cols.values():
-        if ls & rs:
-            return False
-        if not alternate(ls, rs):
-            return False
-    return True
+    return all(col.alternates() for col in _scan_columns(seq).values())

@@ -14,13 +14,13 @@ import sys
 from . import cnf, generate, jordan, parity, reduce as reductions
 from .alternation import check_edge_alternation
 from .errors import GridJctError, InvalidInstance, LemmaViolation, PreconditionViolation, TheoremViolation
-from .grid import EdgeSequence, EdgeSet, GridPoint, side_pair
+from .grid import EdgeSequence, GridPoint, Instance, side_pair
 from .jsonio import (
-    Instance,
     edge_sequence_from_json,
     edge_sequence_to_json,
     instance_to_json,
     load_instance,
+    read_json,
     save_instance,
 )
 from .render import RenderSpec, render_svg
@@ -39,17 +39,11 @@ def _need(inst: Instance, *fields):
             raise InvalidInstance(f'instance is missing "{f}"')
 
 
-def _as_sets(inst: Instance):
-    blue = inst.blue if isinstance(inst.blue, EdgeSet) else inst.blue.to_edge_set()
-    red = inst.red if isinstance(inst.red, EdgeSet) else inst.red.to_edge_set()
-    return blue, red
-
-
 def cmd_validate(args) -> int:
+    # loading checks each payload; a complete crossing instance is checked whole
     inst = load_instance(args.instance)
-    for payload in (inst.blue, inst.red):
-        if isinstance(payload, EdgeSequence):
-            payload.validate()
+    if None not in (inst.blue, inst.red, inst.sides):
+        inst.validate()
     _emit(args, {"valid": True, "n": inst.n, "form": inst.form},
           f"valid instance: n={inst.n} form={inst.form}")
     return 0
@@ -58,7 +52,7 @@ def cmd_validate(args) -> int:
 def cmd_parity(args) -> int:
     inst = load_instance(args.instance)
     _need(inst, "blue", "red")
-    blue, red = _as_sets(inst)
+    blue, red = inst.blue.to_edge_set(), inst.red.to_edge_set()
     if args.witness:
         _need(inst, "sides")
         w = parity.find_intersection_set(blue, red, inst.sides)
@@ -101,7 +95,11 @@ def cmd_connect(args) -> int:
     _need(inst, "blue", "sides")
     if not isinstance(inst.blue, EdgeSequence):
         raise InvalidInstance("connect needs a sequence-form instance")
-    x, y = (int(v) for v in args.point.split(","))
+    try:
+        x, y = (int(v) for v in args.point.split(","))
+    except ValueError:
+        raise InvalidInstance(
+            f"--point must be X,Y with integer coordinates: {args.point!r}") from None
     path = jordan.region_connect(inst.blue, GridPoint(x, y), inst.sides)
     payload = edge_sequence_to_json(path)
     _emit(args, payload, json.dumps(payload, sort_keys=True))
@@ -115,14 +113,13 @@ def cmd_connect(args) -> int:
 def _load_sequence_file(path) -> EdgeSequence:
     # chain-level validation happens inside merge_paths; revisiting chains are
     # legitimate diagnostic inputs here
-    with open(path, "r", encoding="utf-8") as fh:
-        return edge_sequence_from_json(json.load(fh), validate=False)
+    return edge_sequence_from_json(read_json(path), validate=False)
 
 
 def cmd_merge(args) -> int:
     blue = _load_sequence_file(args.blue)
-    red = _load_sequence_file(args.red)
-    sides = side_pair(red.edges[0].src, red.edges[-1].dst)
+    red = _load_sequence_file(args.red).check_chain()
+    sides = side_pair(red.start, red.end)
     merged = jordan.merge_paths(blue, red, sides)
     ok = check_edge_alternation(merged)
     if args.svg:
@@ -148,19 +145,15 @@ def cmd_reduce(args) -> int:
     if args.source == "stconn":
         src = reductions.StConnInstance(n=inst.n, blue=inst.blue, red=inst.red)
         if args.form == "set":
-            out = reductions.stconn_to_jct_set(src)
+            result = reductions.stconn_to_jct_set(src)
         else:
-            out = reductions.stconn_to_jct_seq(src).instance
-        result = Instance(n=out.n, form=args.form, blue=out.blue, red=out.red,
-                          sides=out.sides, offset=out.offset)
+            result = reductions.stconn_to_jct_seq(src)
     else:
         _need(inst, "sides")
-        src = reductions.JctInstance(n=inst.n, blue=inst.blue, red=inst.red, sides=inst.sides)
         if args.form == "set":
-            out = reductions.jct_to_stconn_set(src)
-            result = Instance(n=out.n, form="set", blue=out.blue, red=out.red)
+            out = reductions.jct_to_stconn_set(inst)
         else:
-            handle = reductions.jct_to_stconn_seq(src)
+            handle = reductions.jct_to_stconn_seq(inst)
             if args.edge_at is not None:
                 e = reductions.edge_at(handle, args.edge_at)
                 payload = {"edge": [e.src.x, e.src.y, e.dst.x, e.dst.y],
@@ -168,7 +161,7 @@ def cmd_reduce(args) -> int:
                 _emit(args, payload, json.dumps(payload, sort_keys=True))
                 return 0
             out = handle.instance
-            result = Instance(n=out.n, form="seq", blue=out.blue, red=out.red)
+        result = Instance(n=out.n, form=args.form, blue=out.blue, red=out.red)
     if args.out:
         save_instance(result, args.out)
         _emit(args, {"n": result.n, "out": args.out}, f"wrote n={result.n} instance to {args.out}")

@@ -14,8 +14,7 @@ from collections import deque
 from typing import List, Optional, Set, Tuple
 
 from .errors import PreconditionViolation
-from .grid import CLOSED, OPEN, EdgeSequence, GridPoint, SidePair
-from .reduce import JctInstance
+from .grid import CLOSED, OPEN, EdgeSequence, GridPoint, Instance, SidePair
 
 _RING8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
@@ -129,7 +128,7 @@ def _bfs_path(n: int, src: GridPoint, dst: GridPoint, rng: random.Random,
     return None
 
 
-def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) -> JctInstance:
+def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) -> Instance:
     """Random curve plus a red path between a valid different-sides pair.
 
     The path is found by breadth-first search and may touch the curve (the
@@ -156,6 +155,5 @@ def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) ->
         if pts is None or (avoid_midpoint and mid in pts):
             continue
         red = EdgeSequence.from_points(pts, n, OPEN)
-        inst = JctInstance(n=n, blue=curve, red=red, sides=SidePair(p1, p2, mid))
-        inst.validate()
-        return inst
+        return Instance(n=n, form="seq", blue=curve, red=red,
+                        sides=SidePair(p1, p2, mid)).validate()

@@ -4,14 +4,15 @@ Lattice points ``(x, y)`` with ``0 <= x, y <= n``; unit edges between
 adjacent points.  A *curve* is an edge set in which every point has degree
 0 or 2 (possibly several disjoint loops); a set *connects* two points when
 exactly those two have degree 1; two collections *intersect* when they share
-a grid point.  Everything is immutable and pure.
+a grid point.  An :class:`Instance` bundles a curve, a path and the side pair
+the path joins, in either form.  Everything is immutable and pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInstance, PreconditionViolation
 
@@ -158,6 +159,9 @@ class EdgeSet:
         """Edges in canonical order: lexicographic on endpoint pair codes."""
         return sorted(self.edges, key=lambda e: (pair_code(*e.a), pair_code(*e.b)))
 
+    def to_edge_set(self) -> "EdgeSet":
+        return self
+
 
 CLOSED = "closed"
 OPEN = "open"
@@ -200,26 +204,14 @@ class EdgeSequence:
     def validate(self) -> "EdgeSequence":
         if self.kind not in (CLOSED, OPEN):
             raise InvalidInstance(f"unknown sequence kind {self.kind!r}")
-        if not self.edges:
-            raise InvalidInstance("empty edge sequence")
         for i, e in enumerate(self.edges):
             _check_point(e.src, self.n, index=i)
             _check_point(e.dst, self.n, index=i)
             if abs(e.dst.x - e.src.x) + abs(e.dst.y - e.src.y) != 1:
                 raise InvalidInstance(f"edge {i} endpoints not adjacent", edge_index=i)
-        for i in range(len(self.edges) - 1):
-            if self.edges[i].dst != self.edges[i + 1].src:
-                raise InvalidInstance(
-                    f"edge {i + 1} does not chain: {tuple(self.edges[i].dst)} != "
-                    f"{tuple(self.edges[i + 1].src)}",
-                    edge_index=i + 1,
-                )
+        self.check_chain()
         pts = self.points()
         if self.kind == CLOSED:
-            if self.edges[-1].dst != self.edges[0].src:
-                raise InvalidInstance("closed sequence does not return to its start")
-            if len(self.edges) < 4:
-                raise InvalidInstance("closed curve needs at least 4 edges")
             if len(set(pts)) != len(pts):
                 raise InvalidInstance("closed curve revisits a point")
         else:
@@ -227,6 +219,26 @@ class EdgeSequence:
                 raise InvalidInstance("open path revisits a point")
             if self.edges[0].src == self.edges[-1].dst:
                 raise InvalidInstance("open path endpoints coincide")
+        return self
+
+    def check_chain(self) -> "EdgeSequence":
+        """Nonempty, each edge starting where the previous one ends, and a
+        closed sequence returning to its start after at least 4 edges.
+        Points may repeat: :meth:`validate` adds simplicity."""
+        if not self.edges:
+            raise InvalidInstance("empty edge sequence")
+        for i in range(len(self.edges) - 1):
+            if self.edges[i].dst != self.edges[i + 1].src:
+                raise InvalidInstance(
+                    f"edge {i + 1} does not chain: {tuple(self.edges[i].dst)} != "
+                    f"{tuple(self.edges[i + 1].src)}",
+                    edge_index=i + 1,
+                )
+        if self.kind == CLOSED:
+            if self.edges[-1].dst != self.edges[0].src:
+                raise InvalidInstance("closed sequence does not return to its start")
+            if len(self.edges) < 4:
+                raise InvalidInstance("closed curve needs at least 4 edges")
         return self
 
     def points(self) -> list:
@@ -260,13 +272,6 @@ class EdgeSequence:
 
     def to_edge_set(self) -> EdgeSet:
         return EdgeSet.of((e.undirected() for e in self.edges), self.n)
-
-    def is_simple(self) -> bool:
-        try:
-            self.validate()
-        except InvalidInstance:
-            return False
-        return True
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -330,6 +335,58 @@ def on_different_sides(edge_set: EdgeSet, p1, p2) -> bool:
     mid = GridPoint(p1.x, (p1.y + p2.y) // 2)
     dm = edge_set.degree_map
     return dm.get(p1, 0) == 0 and dm.get(p2, 0) == 0 and dm.get(mid, 0) == 2
+
+
+def _form_of(obj: GridObject) -> str:
+    return "set" if isinstance(obj, EdgeSet) else "seq"
+
+
+def _joins(obj: GridObject, p1, p2) -> bool:
+    """The set connects p1 and p2, or the sequence is a simple open path
+    between them."""
+    if isinstance(obj, EdgeSet):
+        return connects(obj, p1, p2)
+    obj.validate()
+    return obj.kind == OPEN and {obj.start, obj.end} == {GridPoint(*p1), GridPoint(*p2)}
+
+
+@dataclass(frozen=True)
+class Instance:
+    """Side-crossing instance: a blue curve and a red path between two points
+    on different sides of it, both payloads in one form.
+
+    Parsed files may leave payloads or the side pair out; :meth:`validate`
+    checks a complete instance.  ``offset`` records a coordinate shift
+    applied by a reduction.
+    """
+
+    n: int
+    form: str  # "set" | "seq"
+    blue: Optional[GridObject] = None
+    red: Optional[GridObject] = None
+    sides: Optional[SidePair] = None
+    offset: tuple = (0, 0)
+
+    def validate(self) -> "Instance":
+        if self.blue is None or self.red is None or self.sides is None:
+            raise InvalidInstance('a crossing instance needs "blue", "red" and "sides"')
+        for name, payload in (("blue", self.blue), ("red", self.red)):
+            if _form_of(payload) != self.form:
+                raise InvalidInstance(f"{name} payload is not in {self.form} form")
+            if payload.n != self.n:
+                raise InvalidInstance("payload grid parameter mismatch")
+        if self.form == "seq":
+            self.blue.validate()
+            if self.blue.kind != CLOSED:
+                raise InvalidInstance("blue must be a closed curve")
+        elif not is_curve(self.blue):
+            raise InvalidInstance("blue is not a curve")
+        p1, p2 = self.sides.p1, self.sides.p2
+        if not _joins(self.red, p1, p2):
+            raise InvalidInstance("red path endpoints are not the designated side pair")
+        if not on_different_sides(self.blue.to_edge_set(), p1, p2):
+            raise InvalidInstance("side points are not on different sides of the curve")
+        return self
 
 
 def refine(obj: GridObject, factor: int) -> GridObject:

@@ -30,27 +30,7 @@ from .grid import (
     pair_code,
     refine,
 )
-from .parity import IntersectionWitness
-
-
-def _check_chain(seq: EdgeSequence, closed: bool):
-    if not seq.edges:
-        raise InvalidInstance("empty sequence")
-    for i in range(len(seq.edges) - 1):
-        if seq.edges[i].dst != seq.edges[i + 1].src:
-            raise InvalidInstance(f"edge {i + 1} does not chain", edge_index=i + 1)
-    if closed:
-        if seq.edges[-1].dst != seq.edges[0].src:
-            raise InvalidInstance("closed sequence does not return to its start")
-        if len(seq.edges) < 4:
-            raise InvalidInstance("closed sequence needs at least 4 edges")
-
-
-def _seq_points(seq: EdgeSequence, closed: bool) -> List[GridPoint]:
-    pts = [e.src for e in seq.edges]
-    if not closed:
-        pts.append(seq.edges[-1].dst)
-    return pts
+from .parity import IntersectionWitness, find_intersection_set
 
 
 def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeSequence:
@@ -64,10 +44,10 @@ def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeS
     re-routed or the splice point is occupied.
     """
     _check_same_n(blue, red)
-    _check_chain(blue, closed=True)
-    _check_chain(red, closed=False)
-    bpts = set(_seq_points(blue, True))
-    rpts = set(_seq_points(red, False))
+    if blue.kind != CLOSED or red.kind != OPEN:
+        raise PreconditionViolation("closed chain and open path")
+    bpts = set(blue.check_chain().points())
+    rpts = set(red.check_chain().points())
     if bpts & rpts:
         raise InvalidInstance("blue and red share a grid point; merge undefined")
 
@@ -81,7 +61,7 @@ def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeS
     u = GridPoint(lower.x + 1, lower.y)
     if not (_left_approach(red, lower, upper) and u not in bpts and u not in rpts):
         blue, red, lower, upper, mid = _double_and_fix_ends(blue, red, lower, upper, mid)
-        bpts = set(_seq_points(blue, True))
+        bpts = set(blue.points())
         u = GridPoint(lower.x + 1, lower.y)
 
     # Orient the curve so some pass through the midpoint runs east -> mid -> west.
@@ -100,9 +80,7 @@ def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeS
               + [DirectedEdge(east, u), DirectedEdge(u, lower)]
               + list(red.edges)
               + [DirectedEdge(upper, mid)])
-    out = EdgeSequence(tuple(merged), blue.n, CLOSED)
-    _check_chain(out, closed=True)
-    return out
+    return EdgeSequence(tuple(merged), blue.n, CLOSED).check_chain()
 
 
 def _find_splice(blue: EdgeSequence, b1: DirectedEdge, e_in: DirectedEdge):
@@ -156,8 +134,7 @@ def _double_and_fix_ends(blue, red, lower, upper, mid):
                 DirectedEdge(GridPoint(e1.x - 1, e1.y), GridPoint(e1.x - 1, e1.y - 1)),
                 DirectedEdge(GridPoint(e1.x - 1, e1.y - 1), p2)]
 
-    red_out = EdgeSequence(tuple(head + red2 + tail), n2, OPEN)
-    _check_chain(red_out, closed=False)
+    red_out = EdgeSequence(tuple(head + red2 + tail), n2, OPEN).check_chain()
     mid2 = GridPoint(2 * mid.x, 2 * mid.y)
     if not _left_approach(red_out, p1, p2):
         raise TheoremViolation("end fix failed to establish left approach (bug)")
@@ -177,15 +154,7 @@ def find_intersection_seq(blue: EdgeSequence, red: EdgeSequence,
         raise PreconditionViolation("closed curve and open path")
     if {red.start, red.end} != {sides.p1, sides.p2}:
         raise PreconditionViolation("red path connects p1 and p2")
-    bset = blue.to_edge_set()
-    if not on_different_sides(bset, sides.p1, sides.p2):
-        raise PreconditionViolation("on_different_sides(B, p1, p2)")
-    shared = blue.point_set & red.point_set
-    if not shared:
-        raise TheoremViolation("no shared grid point found on a valid instance (bug)")
-    w = min(shared, key=lambda p: pair_code(*p))
-    rset = red.to_edge_set()
-    return IntersectionWitness(w, bset.degree(w), rset.degree(w))
+    return find_intersection_set(blue.to_edge_set(), red.to_edge_set(), sides)
 
 
 @dataclass(frozen=True)
@@ -201,12 +170,17 @@ def _normal(d: Tuple[int, int], side: int) -> Tuple[int, int]:
     return (-dy, dx) if side > 0 else (dy, -dx)
 
 
-def _require_interior(curve: EdgeSequence):
+def _refined_interior_curve(curve: EdgeSequence) -> EdgeSequence:
+    """The x3 refinement of a simple closed curve with no point on the grid border."""
+    curve.validate()
+    if curve.kind != CLOSED:
+        raise PreconditionViolation("closed curve")
     n = curve.n
     for p in curve.points():
         if p.x in (0, n) or p.y in (0, n):
             raise PreconditionViolation(
                 "curve off the grid border", f"curve touches the border at {tuple(p)}")
+    return refine(curve, 3)
 
 
 def _offset_ring(p3: EdgeSequence, side: int) -> EdgeSequence:
@@ -247,11 +221,10 @@ def side_sequences(curve: EdgeSequence) -> SideSequences:
     fill-in points of the outward ring sit at Manhattan distance 2 from the
     curve; every other ring point is at distance exactly 1.
     """
-    curve.validate()
-    if curve.kind != CLOSED:
-        raise PreconditionViolation("closed curve")
-    _require_interior(curve)
-    p3 = refine(curve, 3)
+    return _side_rings(_refined_interior_curve(curve))
+
+
+def _side_rings(p3: EdgeSequence) -> SideSequences:
     q1 = _offset_ring(p3, +1)
     q2 = _offset_ring(p3, -1)
     if not q1.point_set.isdisjoint(q2.point_set):
@@ -261,11 +234,7 @@ def side_sequences(curve: EdgeSequence) -> SideSequences:
 
 def count_regions(curve: EdgeSequence) -> int:
     """Connected components of refined-grid points off the x3-refined curve."""
-    curve.validate()
-    if curve.kind != CLOSED:
-        raise PreconditionViolation("closed curve")
-    _require_interior(curve)
-    p3 = refine(curve, 3)
+    p3 = _refined_interior_curve(curve)
     blocked = p3.point_set
     n3 = p3.n
     seen = set()
@@ -312,12 +281,8 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     then follows that ring to its side point.  ``p`` and ``sides`` live on
     the refined grid.
     """
-    curve.validate()
-    if curve.kind != CLOSED:
-        raise PreconditionViolation("closed curve")
-    _require_interior(curve)
+    p3 = _refined_interior_curve(curve)
     p = GridPoint(*p)
-    p3 = refine(curve, 3)
     n3 = p3.n
     if not (0 <= p.x <= n3 and 0 <= p.y <= n3):
         raise PreconditionViolation("point inside the refined grid")
@@ -328,7 +293,7 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     if p == sides.p1 or p == sides.p2:
         return EdgeSequence((), n3, OPEN)  # trivial zero-length connection
 
-    rings = side_sequences(curve)
+    rings = _side_rings(p3)
     ring_pts = [rings.q1.points(), rings.q2.points()]
     ring_sets = [frozenset(ring_pts[0]), frozenset(ring_pts[1])]
     homes = {}

@@ -11,8 +11,6 @@ Validation errors carry the index of the offending edge entry.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Union
 
 from .errors import FormatError, InvalidInstance
 from .grid import (
@@ -23,33 +21,46 @@ from .grid import (
     EdgeSequence,
     EdgeSet,
     GridPoint,
-    SidePair,
+    Instance,
     side_pair,
 )
 
 
-def _parse_quad(entry, index) -> tuple:
+def _parse_quad(entry, index, n) -> tuple:
+    # "type(v) is int" because JSON true/false parse to bool, a subclass of int
     if (not isinstance(entry, (list, tuple)) or len(entry) != 4
-            or not all(isinstance(v, int) for v in entry)):
+            or not all(type(v) is int for v in entry)):
         raise FormatError(f"edge {index}: expected [x1,y1,x2,y2] of ints", edge_index=index)
-    return GridPoint(entry[0], entry[1]), GridPoint(entry[2], entry[3])
+    x1, y1, x2, y2 = entry
+    if not (0 <= x1 <= n and 0 <= y1 <= n and 0 <= x2 <= n and 0 <= y2 <= n):
+        raise FormatError(f"edge {index}: endpoint outside grid [0,{n}]^2", edge_index=index)
+    return GridPoint(x1, y1), GridPoint(x2, y2)
+
+
+def _parse_n(n) -> int:
+    if type(n) is not int or n < 1:
+        raise FormatError(f"bad grid parameter: {n!r}")
+    return n
+
+
+def _edge_entries(obj, key) -> list:
+    entries = obj[key]
+    if not isinstance(entries, (list, tuple)):
+        raise FormatError(f'"{key}" must be a list of [x1,y1,x2,y2] entries')
+    return entries
 
 
 def edge_set_from_json(obj) -> EdgeSet:
     if not isinstance(obj, dict) or "n" not in obj or "set" not in obj:
         raise FormatError('edge set payload needs keys "n" and "set"')
-    n = obj["n"]
-    if not isinstance(n, int) or n < 1:
-        raise FormatError(f"bad grid parameter: {n!r}")
+    n = _parse_n(obj["n"])
     edges = set()
-    for i, entry in enumerate(obj["set"]):
-        p, q = _parse_quad(entry, i)
+    for i, entry in enumerate(_edge_entries(obj, "set")):
+        p, q = _parse_quad(entry, i, n)
         try:
             e = Edge.of(p, q)
         except InvalidInstance as exc:
             raise FormatError(f"edge {i}: {exc}", edge_index=i) from None
-        if not (0 <= e.a.x <= n and 0 <= e.a.y <= n and 0 <= e.b.x <= n and 0 <= e.b.y <= n):
-            raise FormatError(f"edge {i}: endpoint outside grid [0,{n}]^2", edge_index=i)
         if e in edges:
             raise FormatError(f"edge {i}: duplicate edge", edge_index=i)
         edges.add(e)
@@ -61,18 +72,17 @@ def edge_set_to_json(es: EdgeSet) -> dict:
 
 
 def edge_sequence_from_json(obj, *, validate: bool = True) -> EdgeSequence:
-    """Parse a sequence payload.  ``validate=False`` skips the simplicity
-    invariants (the merge diagnostics feed deliberately revisiting chains)."""
+    """Parse a sequence payload.  Coordinates are always checked against the
+    grid; ``validate=False`` skips the chain and simplicity invariants (the
+    merge diagnostics feed deliberately revisiting chains)."""
     if not isinstance(obj, dict) or "n" not in obj or "seq" not in obj or "kind" not in obj:
         raise FormatError('edge sequence payload needs keys "n", "seq" and "kind"')
-    n, kind = obj["n"], obj["kind"]
-    if not isinstance(n, int) or n < 1:
-        raise FormatError(f"bad grid parameter: {n!r}")
+    n, kind = _parse_n(obj["n"]), obj["kind"]
     if kind not in (CLOSED, OPEN):
         raise FormatError(f'kind must be "closed" or "open", got {kind!r}')
     edges = []
-    for i, entry in enumerate(obj["seq"]):
-        p, q = _parse_quad(entry, i)
+    for i, entry in enumerate(_edge_entries(obj, "seq")):
+        p, q = _parse_quad(entry, i, n)
         try:
             edges.append(DirectedEdge.of(p, q))
         except InvalidInstance as exc:
@@ -94,25 +104,18 @@ def edge_sequence_to_json(seq: EdgeSequence) -> dict:
     }
 
 
-Payload = Union[EdgeSet, EdgeSequence]
-
-
-@dataclass(frozen=True)
-class Instance:
-    """CLI-level container: grid metadata plus blue/red payloads and sides."""
-
-    n: int
-    form: str  # "set" | "seq"
-    blue: Optional[Payload] = None
-    red: Optional[Payload] = None
-    sides: Optional[SidePair] = None
-    offset: tuple = (0, 0)
+def _parse_int_pair(raw, what) -> tuple:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2 or not all(type(v) is int for v in raw):
+        raise FormatError(f"{what} must be [int, int]")
+    return tuple(raw)
 
 
 def instance_from_json(obj) -> Instance:
+    """Parse an instance document.  Payloads are checked on their own; a
+    complete crossing instance is checked by :meth:`Instance.validate`."""
     if not isinstance(obj, dict) or "n" not in obj or "form" not in obj:
         raise FormatError('instance needs keys "n" and "form"')
-    n, form = obj["n"], obj["form"]
+    n, form = _parse_n(obj["n"]), obj["form"]
     if form not in ("set", "seq"):
         raise FormatError(f'form must be "set" or "seq", got {form!r}')
     loader = edge_set_from_json if form == "set" else edge_sequence_from_json
@@ -130,16 +133,14 @@ def instance_from_json(obj) -> Instance:
     sides = None
     if obj.get("sides") is not None:
         raw = obj["sides"]
-        if (not isinstance(raw, list) or len(raw) != 2
-                or any(len(p) != 2 for p in raw)):
+        if not isinstance(raw, (list, tuple)) or len(raw) != 2:
             raise FormatError('"sides" must be [[x,y],[x,y]]')
+        pts = [_parse_int_pair(p, '"sides" point') for p in raw]
         try:
-            sides = side_pair(tuple(raw[0]), tuple(raw[1]))
+            sides = side_pair(*pts)
         except InvalidInstance as exc:
             raise FormatError(str(exc)) from None
-    offset = tuple(obj.get("offset", (0, 0)))
-    if len(offset) != 2 or not all(isinstance(v, int) for v in offset):
-        raise FormatError('"offset" must be [dx,dy]')
+    offset = _parse_int_pair(obj.get("offset", (0, 0)), '"offset"')
     return Instance(n=n, form=form, blue=blue, red=red, sides=sides, offset=offset)
 
 
@@ -157,13 +158,19 @@ def instance_to_json(inst: Instance) -> dict:
     return out
 
 
-def load_instance(path) -> Instance:
+def read_json(path):
+    """Parse a JSON file; bytes that are not UTF-8 or not JSON raise FormatError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # ValueError: bad JSON, bytes that are not UTF-8, or an integer too
+            # long to convert; RecursionError: very deep nesting
             raise FormatError(f"invalid JSON: {exc}") from None
-    return instance_from_json(obj)
+
+
+def load_instance(path) -> Instance:
+    return instance_from_json(read_json(path))
 
 
 def save_instance(inst: Instance, path):

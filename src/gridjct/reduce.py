@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .errors import GridJctError, InvalidInstance, PreconditionViolation
 from .grid import (
@@ -24,29 +24,23 @@ from .grid import (
     Edge,
     EdgeSequence,
     EdgeSet,
+    GridObject,
     GridPoint,
+    Instance,
     SidePair,
-    connects,
-    is_curve,
-    on_different_sides,
+    _form_of,
+    _joins,
     refine,
     translate,
 )
-
-Payload = Union[EdgeSet, EdgeSequence]
-
-
-def _form_of(obj: Payload) -> str:
-    return "set" if isinstance(obj, EdgeSet) else "seq"
-
 
 @dataclass(frozen=True)
 class StConnInstance:
     """Blue joins the upper-left and lower-right corners, red the other two."""
 
     n: int
-    blue: Payload
-    red: Payload
+    blue: GridObject
+    red: GridObject
 
     @property
     def form(self) -> str:
@@ -62,61 +56,10 @@ class StConnInstance:
             raise InvalidInstance("blue and red must share a form")
         if self.blue.n != self.n or self.red.n != self.n:
             raise InvalidInstance("payload grid parameter mismatch")
-        if self.form == "set":
-            if not connects(self.blue, ul, lr):
-                raise InvalidInstance(f"blue does not connect {tuple(ul)} and {tuple(lr)}")
-            if not connects(self.red, ll, ur):
-                raise InvalidInstance(f"red does not connect {tuple(ll)} and {tuple(ur)}")
-        else:
-            self.blue.validate()
-            self.red.validate()
-            if self.blue.kind != OPEN or {self.blue.start, self.blue.end} != {ul, lr}:
-                raise InvalidInstance(f"blue path must join {tuple(ul)} and {tuple(lr)}")
-            if self.red.kind != OPEN or {self.red.start, self.red.end} != {ll, ur}:
-                raise InvalidInstance(f"red path must join {tuple(ll)} and {tuple(ur)}")
-        return self
-
-
-@dataclass(frozen=True)
-class JctInstance:
-    """Blue curve, red path between two points on different sides of it."""
-
-    n: int
-    blue: Payload
-    red: Payload
-    sides: SidePair
-    offset: tuple = (0, 0)
-
-    @property
-    def form(self) -> str:
-        return _form_of(self.blue)
-
-    def blue_set(self) -> EdgeSet:
-        return self.blue if isinstance(self.blue, EdgeSet) else self.blue.to_edge_set()
-
-    def red_set(self) -> EdgeSet:
-        return self.red if isinstance(self.red, EdgeSet) else self.red.to_edge_set()
-
-    def validate(self) -> "JctInstance":
-        if _form_of(self.blue) != _form_of(self.red):
-            raise InvalidInstance("blue and red must share a form")
-        if self.blue.n != self.n or self.red.n != self.n:
-            raise InvalidInstance("payload grid parameter mismatch")
-        p1, p2 = self.sides.p1, self.sides.p2
-        if self.form == "seq":
-            self.blue.validate()
-            self.red.validate()
-            if self.blue.kind != CLOSED:
-                raise InvalidInstance("blue must be a closed curve")
-            if self.red.kind != OPEN or {self.red.start, self.red.end} != {p1, p2}:
-                raise InvalidInstance("red path endpoints are not the designated side pair")
-        else:
-            if not is_curve(self.blue):
-                raise InvalidInstance("blue is not a curve")
-            if not connects(self.red, p1, p2):
-                raise InvalidInstance("red path endpoints are not the designated side pair")
-        if not on_different_sides(self.blue_set(), p1, p2):
-            raise InvalidInstance("side points are not on different sides of the curve")
+        if not _joins(self.blue, ul, lr):
+            raise InvalidInstance(f"blue path must join {tuple(ul)} and {tuple(lr)}")
+        if not _joins(self.red, ll, ur):
+            raise InvalidInstance(f"red path must join {tuple(ll)} and {tuple(ur)}")
         return self
 
 
@@ -165,7 +108,7 @@ def _stconn_sides(n: int) -> SidePair:
     return SidePair(GridPoint(n + 1, 0), GridPoint(n + 1, 2), GridPoint(n + 1, 1))
 
 
-def stconn_to_jct_set(inst: StConnInstance) -> JctInstance:
+def stconn_to_jct_set(inst: StConnInstance) -> Instance:
     """Embed a set-form st-connectivity instance as a side-crossing instance
     on the (n+2) grid; intersection status is preserved point for point."""
     inst.validate()
@@ -178,46 +121,15 @@ def stconn_to_jct_set(inst: StConnInstance) -> JctInstance:
     red = set(translate(inst.red, 0, 1, n_out).edges)
     red.update(e.undirected() for e in _added_stconn_red_prefix(n))
     red.update(e.undirected() for e in _added_stconn_red_suffix(n))
-    out = JctInstance(n=n_out, blue=EdgeSet(frozenset(blue), n_out),
-                      red=EdgeSet(frozenset(red), n_out),
-                      sides=_stconn_sides(n), offset=(0, 1))
+    out = Instance(n=n_out, form="set", blue=EdgeSet(frozenset(blue), n_out),
+                   red=EdgeSet(frozenset(red), n_out),
+                   sides=_stconn_sides(n), offset=(0, 1))
     return out.validate()
 
 
-class JctSeqReduction:
-    """Sequence-form embedding with constant-time access to any output edge."""
-
-    def __init__(self, instance: JctInstance, blue_core: EdgeSequence,
-                 red_core: EdgeSequence, n_in: int):
-        self.instance = instance
-        self._blue_core = blue_core
-        self._red_core = red_core
-        self._blue_added = _added_stconn_blue(n_in)
-        self._red_prefix = _added_stconn_red_prefix(n_in)
-        self._red_suffix = _added_stconn_red_suffix(n_in)
-
-    def blue_edge_at(self, j: int) -> DirectedEdge:
-        t = len(self._blue_core.edges)
-        if 0 <= j < t:
-            return self._blue_core.edges[j]
-        if j < t + len(self._blue_added):
-            return self._blue_added[j - t]
-        raise PreconditionViolation("edge index in range", f"blue index {j} out of range")
-
-    def red_edge_at(self, j: int) -> DirectedEdge:
-        p, t = len(self._red_prefix), len(self._red_core.edges)
-        if 0 <= j < p:
-            return self._red_prefix[j]
-        if j < p + t:
-            return self._red_core.edges[j - p]
-        if j < p + t + len(self._red_suffix):
-            return self._red_suffix[j - p - t]
-        raise PreconditionViolation("edge index in range", f"red index {j} out of range")
-
-
-def stconn_to_jct_seq(inst: StConnInstance) -> JctSeqReduction:
+def stconn_to_jct_seq(inst: StConnInstance) -> Instance:
     """Sequence analogue of :func:`stconn_to_jct_set`: same geometry, with
-    ordered output sequences indexable without materialization."""
+    the added runs spliced into the ordered output sequences."""
     inst.validate()
     if inst.form != "seq":
         raise PreconditionViolation("seq-form instance")
@@ -232,9 +144,8 @@ def stconn_to_jct_seq(inst: StConnInstance) -> JctSeqReduction:
                             n_out, CLOSED)
     red_seq = EdgeSequence(tuple(_added_stconn_red_prefix(n)) + tuple(red_core.edges)
                            + tuple(_added_stconn_red_suffix(n)), n_out, OPEN)
-    out = JctInstance(n=n_out, blue=blue_seq, red=red_seq,
-                      sides=_stconn_sides(n), offset=(0, 1)).validate()
-    return JctSeqReduction(out, blue_core, red_core, n)
+    return Instance(n=n_out, form="seq", blue=blue_seq, red=red_seq,
+                    sides=_stconn_sides(n), offset=(0, 1)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +153,7 @@ def stconn_to_jct_seq(inst: StConnInstance) -> JctSeqReduction:
 # midpoint-centered grid outward.
 # ---------------------------------------------------------------------------
 
-def _centering(inst: JctInstance) -> Tuple[int, int, int]:
+def _centering(inst: Instance) -> Tuple[int, int, int]:
     """Big-grid parameters: (N, dx, dy) with the midpoint landing at (N, N)
     of the 2N grid and the input grid inside [N/2, 3N/2]^2."""
     mid, n = inst.sides.mid, inst.n
@@ -335,14 +246,14 @@ def _reflect_color_set(es: EdgeSet, big_n: int, skip_center: bool) -> set:
     return out
 
 
-def _check_red_clear_of_mid(inst: JctInstance):
-    if inst.red_set().degree(inst.sides.mid) > 0:
+def _check_red_clear_of_mid(inst: Instance):
+    if inst.red.to_edge_set().degree(inst.sides.mid) > 0:
         raise InvalidInstance(
             "red path touches the side-pair midpoint; the reflection "
             "reduction is undefined for this degenerate (already touching) case")
 
 
-def jct_to_stconn_set(inst: JctInstance) -> StConnInstance:
+def jct_to_stconn_set(inst: Instance) -> StConnInstance:
     """Reflect a set-form side-crossing instance into a corner-to-corner
     instance on the 2N grid (N = centered grid parameter)."""
     inst.validate()
@@ -369,7 +280,7 @@ def jct_to_stconn_set(inst: JctInstance) -> StConnInstance:
     return out.validate()
 
 
-def jct_witness_to_stconn(inst: JctInstance, w, *, scale: int = 1) -> GridPoint:
+def jct_witness_to_stconn(inst: Instance, w, *, scale: int = 1) -> GridPoint:
     """Map a shared input point to a shared output point of the reflection
     reduction (optionally scaled, for the refined sequence form)."""
     w = GridPoint(*w)
@@ -385,8 +296,8 @@ def jct_witness_to_stconn(inst: JctInstance, w, *, scale: int = 1) -> GridPoint:
                 out.add(_edge_quarter(ea, eb, big_n))
         return out
 
-    bq = quarters_at(inst.blue_set())
-    rq = quarters_at(inst.red_set())
+    bq = quarters_at(inst.blue.to_edge_set())
+    rq = quarters_at(inst.red.to_edge_set())
     if not bq or not rq:
         raise PreconditionViolation("shared point", f"{tuple(w)} is not shared")
     common = sorted(bq & rq)
@@ -413,15 +324,6 @@ class ExpansionBlock:
     direction: Tuple[int, int]
     detour_len: int  # connector length following the image edge (0 = inward)
     runs: Tuple[Tuple[GridPoint, Tuple[int, int], int], ...]
-
-    @property
-    def outward(self) -> bool:
-        return self.detour_len > 0
-
-    @property
-    def kind(self) -> str:
-        """"outward" edges are the ones followed by connector runs."""
-        return "outward" if self.outward else "inward"
 
 
 def _seq_blocks(edges: List[DirectedEdge], big_n: int) -> List[ExpansionBlock]:
@@ -464,7 +366,7 @@ class StConnSeqReduction:
     lengths.
     """
 
-    def __init__(self, source: JctInstance, big_n: int,
+    def __init__(self, source: Instance, big_n: int,
                  red_blocks: List[ExpansionBlock], blue_blocks: List[ExpansionBlock],
                  red_prefix, red_suffix, blue_prefix, blue_suffix):
         self.source = source
@@ -541,14 +443,11 @@ class StConnSeqReduction:
         return StConnInstance(n=self.n_out, blue=self.materialize("blue"),
                               red=self.materialize("red")).validate()
 
-    def to_instance(self) -> StConnInstance:
-        return self.instance
-
     def witness_point(self, w) -> GridPoint:
         return jct_witness_to_stconn(self.source, w, scale=self.factor)
 
 
-def jct_to_stconn_seq(inst: JctInstance) -> StConnSeqReduction:
+def jct_to_stconn_seq(inst: Instance) -> StConnSeqReduction:
     """Reflect a sequence-form side-crossing instance and refine 8N-fold so
     every input edge expands to exactly 16N^2 output edges."""
     inst.validate()

@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from .grid import EdgeSet, GridPoint
-from .jsonio import Instance
+from .grid import EdgeSet, GridPoint, Instance
 
 
 @dataclass(frozen=True)

@@ -169,3 +169,109 @@ def test_module_entry_point(instance_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid instance" in proc.stdout
+
+
+# A 2x2 square with the side pair flanking its bottom-middle point and the
+# red path running through that point: a valid seq-form crossing instance.
+_SQUARE = [[1, 1, 2, 1], [2, 1, 3, 1], [3, 1, 3, 2], [3, 2, 3, 3],
+           [3, 3, 2, 3], [2, 3, 1, 3], [1, 3, 1, 2], [1, 2, 1, 1]]
+_GOOD = {"n": 4, "form": "seq",
+         "blue": {"n": 4, "kind": "closed", "seq": _SQUARE},
+         "red": {"n": 4, "kind": "open", "seq": [[2, 0, 2, 1], [2, 1, 2, 2]]},
+         "sides": [[2, 0], [2, 2]]}
+_GOOD_SET = {"n": 4, "form": "set",
+             "blue": {"n": 4, "set": _SQUARE},
+             "red": {"n": 4, "set": [[2, 0, 2, 1], [2, 1, 2, 2]]},
+             "sides": [[2, 0], [2, 2]]}
+
+
+def _doc(base=_GOOD, **changes):
+    doc = json.loads(json.dumps(base))
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def _exits_1_with_one_line(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1, captured.err
+
+
+MALFORMED = {
+    "offset-int": _doc(offset=5),
+    "sides-ints": _doc(sides=[5, 6]),
+    "sides-string-coordinate": _doc(sides=[[1, "a"], [1, 3]]),
+    "set-not-a-list": _doc(_GOOD_SET, blue={"n": 4, "set": 5}),
+    "seq-null": _doc(blue={"n": 4, "kind": "closed", "seq": None}),
+    "boolean-coordinate": _doc(blue={"n": 4, "kind": "closed",
+                                     "seq": [[True, 1, 2, 1]] + _SQUARE[1:]}),
+    # without payloads, only the instance-level "n" can be wrong
+    "boolean-n": json.dumps({"n": True, "form": "seq"}),
+    "string-n": json.dumps({"n": "4", "form": "seq"}),
+    "negative-n": json.dumps({"n": -3, "form": "seq"}),
+    "set-form-not-a-curve": _doc(_GOOD_SET, blue={"n": 4, "set": [[1, 1, 2, 1]]}),
+    "seq-red-misses-side-pair": _doc(red={"n": 4, "kind": "open",
+                                          "seq": [[2, 0, 2, 1], [2, 1, 3, 1]]}),
+    "not-json": '{"n": 4, "form": ',
+    "integer-too-long": '{"n": ' + "9" * 5000 + "}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED) + ["not-utf8"])
+def test_malformed_instance_exits_1_with_one_line(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    if name == "not-utf8":
+        path.write_bytes(b'{"n": 4, "form": "\xff\xfe"}')
+    else:
+        path.write_text(MALFORMED[name])
+    _exits_1_with_one_line(capsys, ["validate", "--instance", str(path)])
+
+
+def test_validate_accepts_complete_and_partial_instances(tmp_path, capsys):
+    for base in (_GOOD, _GOOD_SET):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(base))
+        assert main(["validate", "--instance", str(path)]) == 0
+    # a connect file: no red path, side pair on the x3 grid
+    path.write_text(json.dumps({"n": 4, "form": "seq", "blue": _GOOD["blue"],
+                                "sides": [[6, 2], [6, 4]]}))
+    assert main(["validate", "--instance", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("point", ["a,b", "1,2,3", "1"])
+def test_connect_rejects_bad_point(tmp_path, capsys, point):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"n": 4, "form": "seq", "blue": _GOOD["blue"],
+                                "sides": [[6, 2], [6, 4]]}))
+    _exits_1_with_one_line(capsys, ["connect", "--instance", str(path), "--point", point])
+
+
+def test_merge_rejects_empty_red(tmp_path, capsys):
+    bluef, redf = tmp_path / "b.json", tmp_path / "r.json"
+    bluef.write_text(json.dumps(_GOOD["blue"]))
+    redf.write_text(json.dumps({"n": 4, "kind": "open", "seq": []}))
+    _exits_1_with_one_line(capsys, ["merge", "--blue", str(bluef), "--red", str(redf)])
+
+
+def test_merge_rejects_non_json(tmp_path, capsys):
+    bluef, redf = tmp_path / "b.json", tmp_path / "r.json"
+    bluef.write_text(json.dumps(_GOOD["blue"]))
+    redf.write_text("not json")
+    _exits_1_with_one_line(capsys, ["merge", "--blue", str(bluef), "--red", str(redf)])
+
+
+def test_merge_rejects_points_outside_grid(tmp_path, capsys):
+    # merge skips the simplicity checks on its inputs, not the grid bounds:
+    # this retraced arc reaches x = 5 on the n = 3 grid
+    n = 3
+    fwd = [(x, 2) for x in range(5, 0, -1)]
+    pts = fwd + fwd[-2:0:-1]
+    bluef, redf = tmp_path / "b.json", tmp_path / "r.json"
+    bluef.write_text(json.dumps({"n": n, "kind": "closed", "seq": [
+        [*pts[i], *pts[(i + 1) % len(pts)]] for i in range(len(pts))]}))
+    red = EdgeSequence.from_points(
+        [(3, 1), (2, 1), (1, 1), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3)], n, OPEN)
+    redf.write_text(json.dumps(edge_sequence_to_json(red)))
+    _exits_1_with_one_line(capsys, ["merge", "--blue", str(bluef), "--red", str(redf)])
