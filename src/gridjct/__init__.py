@@ -32,6 +32,7 @@ from .cnf import (
 )
 from .errors import (
     FormatError,
+    GenerationExhausted,
     GridJctError,
     InvalidInstance,
     LemmaViolation,

@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: validate, parity, alternation, regions, connect, merge, reduce,
-gen, render, fuzz.  Exit codes: 0 success, 1 invalid instance, 2 theorem
-violation (always a bug report, never a property of a valid input).
+gen, render, fuzz.  Exit codes: 0 success, 1 invalid instance or usage, 2
+theorem violation (always a bug report, never a property of a valid input).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import sys
 
 from . import cnf, generate, jordan, parity, reduce as reductions
 from .alternation import check_edge_alternation
-from .errors import GridJctError, InvalidInstance, LemmaViolation, PreconditionViolation, TheoremViolation
+from .errors import GridJctError, InvalidInstance, LemmaViolation, TheoremViolation
 from .grid import EdgeSequence, GridPoint, Instance, side_pair
 from .jsonio import (
     edge_sequence_from_json,
@@ -215,11 +215,18 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are invalid input: one ``error:`` line and exit 1 (argparse
+    would print the usage too and exit 2, the code for theorem violations)."""
+
+    def error(self, message):
+        raise GridJctError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gridjct",
-                                description="Grid-curve crossing toolkit: parity and "
-                                            "alternation checks, region labeling, "
-                                            "st-connectivity reductions, CNF generators.")
+    p = _Parser(prog="gridjct",
+                description="Grid-curve crossing toolkit: parity and alternation checks, "
+                            "region labeling, st-connectivity reductions, CNF generators.")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):
@@ -280,13 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (TheoremViolation, LemmaViolation) as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 2
-    except (InvalidInstance, PreconditionViolation, GridJctError, OSError) as exc:
+    except (GridJctError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

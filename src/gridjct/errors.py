@@ -30,6 +30,10 @@ class PreconditionViolation(GridJctError, ValueError):
         self.condition = condition
 
 
+class GenerationExhausted(GridJctError):
+    """A seeded generator hit its attempt cap without producing an output."""
+
+
 class TheoremViolation(GridJctError, RuntimeError):
     """A theorem-guaranteed witness could not be produced (implementation bug)."""
 

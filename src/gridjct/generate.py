@@ -10,22 +10,38 @@ seed; identical seeds give identical outputs.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from typing import List, Optional, Set, Tuple
 
-from .errors import PreconditionViolation
+from .errors import GenerationExhausted, PreconditionViolation
 from .grid import CLOSED, OPEN, EdgeSequence, GridPoint, Instance, SidePair
 
 _RING8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
+MAX_ATTEMPTS = 1000  # tries per generator call before GenerationExhausted
 
-def _can_add(cells: Set[Tuple[int, int]], c: Tuple[int, int]) -> bool:
-    """Occupied cells among the 8 neighbors must form one contiguous arc."""
-    occ = [(c[0] + dx, c[1] + dy) in cells for dx, dy in _RING8]
+
+def _one_arc(mask: int) -> bool:
+    """Occupied cells among the 8 neighbors (bit i set when the cell at
+    ``_RING8[i]`` is occupied) form one contiguous arc with an edge-neighbor."""
+    occ = [mask >> i & 1 for i in range(8)]
     if not (occ[0] or occ[2] or occ[4] or occ[6]):  # needs an edge-neighbor
         return False
     transitions = sum(occ[i] != occ[(i + 1) % 8] for i in range(8))
     return transitions == 2
+
+
+_ONE_ARC = tuple(_one_arc(mask) for mask in range(256))
+
+
+def _can_add(cells: Set[Tuple[int, int]], c: Tuple[int, int]) -> bool:
+    """Whether ``c``'s occupied 8 neighbors pass :func:`_one_arc`."""
+    x, y = c
+    return _ONE_ARC[((x + 1, y) in cells) | ((x + 1, y + 1) in cells) << 1
+                    | ((x, y + 1) in cells) << 2 | ((x - 1, y + 1) in cells) << 3
+                    | ((x - 1, y) in cells) << 4 | ((x - 1, y - 1) in cells) << 5
+                    | ((x, y - 1) in cells) << 6 | ((x + 1, y - 1) in cells) << 7]
 
 
 def _grow_polyomino(n: int, rng: random.Random, margin: int,
@@ -34,19 +50,29 @@ def _grow_polyomino(n: int, rng: random.Random, margin: int,
     span = hi - lo + 1
     min_cells = min(min_cells, span * span)
     target = rng.randint(min_cells, max(min_cells, (span * span) // 3))
-    start = (rng.randint(lo, hi), rng.randint(lo, hi))
-    cells = {start}
+    added = (rng.randint(lo, hi), rng.randint(lo, hi))
+    cells = {added}
+    # Sorted in-bounds free cells that _can_add accepts.  Adding a cell
+    # changes the 8-neighborhood only of the 8 cells around it, so only
+    # those are re-tested.
+    candidates: List[Tuple[int, int]] = []
     while len(cells) < target:
-        frontier = set()
-        for (i, j) in cells:
-            for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                c = (i + di, j + dj)
-                if lo <= c[0] <= hi and lo <= c[1] <= hi and c not in cells:
-                    frontier.add(c)
-        candidates = sorted(c for c in frontier if _can_add(cells, c))
+        for dx, dy in _RING8:
+            c = (added[0] + dx, added[1] + dy)
+            if not (lo <= c[0] <= hi and lo <= c[1] <= hi) or c in cells:
+                continue
+            k = bisect_left(candidates, c)
+            listed = k < len(candidates) and candidates[k] == c
+            if _can_add(cells, c):
+                if not listed:
+                    candidates.insert(k, c)
+            elif listed:
+                del candidates[k]
         if not candidates:
             break
-        cells.add(rng.choice(candidates))
+        added = rng.choice(candidates)
+        cells.add(added)
+        del candidates[bisect_left(candidates, added)]
     return cells
 
 
@@ -88,11 +114,13 @@ def gen_random_curve(n: int, seed: int, *, margin: int = 0,
     if n - 2 * margin < 1:
         raise PreconditionViolation("margin leaves room for at least one cell")
     rng = random.Random(seed)
-    while True:
+    for _ in range(MAX_ATTEMPTS):
         cells = _grow_polyomino(n, rng, margin, min_cells)
         seq = _trace_boundary(cells, n)
         if seq is not None:
             return seq
+    raise GenerationExhausted(
+        f"no polyomino with a one-loop boundary in {MAX_ATTEMPTS} attempts (n={n}, seed={seed})")
 
 
 def _side_candidates(curve: EdgeSequence) -> List[GridPoint]:
@@ -139,7 +167,7 @@ def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) ->
     if n < 4:
         raise PreconditionViolation("n >= 4")
     rng = random.Random(seed)
-    while True:
+    for _ in range(MAX_ATTEMPTS):
         # a side pair needs an interior lattice point, hence at least a 2x2 block
         curve = gen_random_curve(n, rng.getrandbits(32), margin=1, min_cells=4)
         mids = _side_candidates(curve)
@@ -157,3 +185,5 @@ def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) ->
         red = EdgeSequence.from_points(pts, n, OPEN)
         return Instance(n=n, form="seq", blue=curve, red=red,
                         sides=SidePair(p1, p2, mid)).validate()
+    raise GenerationExhausted(
+        f"no crossing instance in {MAX_ATTEMPTS} attempts (n={n}, seed={seed})")

@@ -1,11 +1,14 @@
 """CLI behavior: subcommands, exit codes, machine-readable output."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import gridjct
+from gridjct import generate
 from gridjct.cli import main
 from gridjct.errors import TheoremViolation
 from gridjct.generate import gen_crossing_instance
@@ -164,9 +167,13 @@ def test_fuzz_subcommand(capsys):
 
 
 def test_module_entry_point(instance_file):
+    # the child imports the same gridjct as this process, installed or not
+    src = os.path.dirname(os.path.dirname(gridjct.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "gridjct", "validate",
                            "--instance", instance_file],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "valid instance" in proc.stdout
 
@@ -275,3 +282,24 @@ def test_merge_rejects_points_outside_grid(tmp_path, capsys):
         [(3, 1), (2, 1), (1, 1), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3)], n, OPEN)
     redf.write_text(json.dumps(edge_sequence_to_json(red)))
     _exits_1_with_one_line(capsys, ["merge", "--blue", str(bluef), "--red", str(redf)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["connect", "--instance", "curve.json", "--point", "-1,-1"],  # read as an option
+    ["frobnicate"],  # unknown subcommand
+    ["validate"],  # missing required --instance
+], ids=["negative-point", "unknown-subcommand", "missing-flag"])
+def test_usage_error_exits_1_with_one_line(capsys, argv):
+    _exits_1_with_one_line(capsys, argv)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_fuzz_generation_exhausted_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(generate, "_trace_boundary", lambda cells, n: None)
+    _exits_1_with_one_line(capsys, ["fuzz", "--count", "1", "--n", "4"])
