@@ -50,6 +50,7 @@ from .grid import (
     GridPoint,
     Instance,
     SidePair,
+    check_crossing,
     connects,
     degree,
     intersects,

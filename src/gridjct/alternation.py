@@ -105,8 +105,7 @@ def reindex_canonical(seq: EdgeSequence) -> EdgeSequence:
     of the lowest such edge; otherwise index 0 is the lowest point on the
     line.  Either way no segment examined from the left ever spans the wrap.
     """
-    seq.validate()
-    if seq.kind != CLOSED:
+    if seq.validate().kind != CLOSED:
         raise PreconditionViolation("closed sequence")
     pts = seq.points()
     xmax = max(p.x for p in pts)
@@ -129,8 +128,7 @@ def _require_canonical(pts: List[GridPoint]):
 
 def minimal_segments(seq: EdgeSequence, m: int) -> List[Segment]:
     """All minimal segments sticking to x = m, in index order (pairwise disjoint)."""
-    seq.validate()
-    if seq.kind != CLOSED:
+    if seq.validate().kind != CLOSED:
         raise PreconditionViolation("closed sequence")
     pts = seq.points()
     _require_canonical(pts)
@@ -183,8 +181,9 @@ def column_sets(seq: EdgeSequence, m: int) -> ColumnAlternation:
 def column_sets_from_segments(seq: EdgeSequence, m: int) -> ColumnAlternation:
     """Column sets recovered from the minimal segments sticking to x = m+1:
     their first edges point left in column m and their last edges point right."""
-    pts = reindex_canonical(seq).points()
-    segs = minimal_segments(reindex_canonical(seq), m + 1)
+    canonical = reindex_canonical(seq)
+    pts = canonical.points()
+    segs = minimal_segments(canonical, m + 1)
     left = frozenset(pts[s.a].y for s in segs)
     right = frozenset(pts[s.b].y for s in segs)
     return ColumnAlternation(m, left, right)

@@ -70,7 +70,6 @@ def cmd_alternation(args) -> int:
     _need(inst, "blue")
     if not isinstance(inst.blue, EdgeSequence):
         raise InvalidInstance("alternation needs a sequence-form instance")
-    inst.blue.validate()
     ok = check_edge_alternation(inst.blue)
     _emit(args, {"alternates": ok}, "alternates" if ok else "ALTERNATION VIOLATED")
     if not ok:
@@ -101,12 +100,12 @@ def cmd_connect(args) -> int:
         raise InvalidInstance(
             f"--point must be X,Y with integer coordinates: {args.point!r}") from None
     path = jordan.region_connect(inst.blue, GridPoint(x, y), inst.sides)
+    if args.svg:
+        svg = render_svg(Instance(n=path.n, form="seq", red=path if path.edges else None))
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(svg)
     payload = edge_sequence_to_json(path)
     _emit(args, payload, json.dumps(payload, sort_keys=True))
-    if args.svg:
-        refined = Instance(n=path.n, form="seq", blue=None, red=path if path.edges else None)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(refined))
     return 0
 
 
@@ -123,8 +122,9 @@ def cmd_merge(args) -> int:
     merged = jordan.merge_paths(blue, red, sides)
     ok = check_edge_alternation(merged)
     if args.svg:
+        svg = render_svg(Instance(n=merged.n, form="seq", blue=merged))
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(Instance(n=merged.n, form="seq", blue=merged)))
+            fh.write(svg)
     payload = {"merged": edge_sequence_to_json(merged), "alternates": ok}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -189,9 +189,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_render(args) -> int:
-    inst = load_instance(args.instance)
+    svg = render_svg(load_instance(args.instance), RenderSpec())
     with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(inst, RenderSpec()))
+        fh.write(svg)
     _emit(args, {"svg": args.svg}, f"wrote {args.svg}")
     return 0
 

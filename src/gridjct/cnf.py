@@ -4,7 +4,8 @@
 edge of its color, every other node has per-color degree 0 or 2 and may not
 touch both colors.  ``gen_stseq(n)`` encodes indexed edge sequences: one
 variable per (edge, color, position), positions chain into a simple path
-from corner to corner, and the two colors share no grid point.  Both are
+from corner to corner that touches its corners only at its ends and never
+the other color's corners, and the two colors share no grid point.  Both are
 negations of tautologies, hence unsatisfiable; dropping the cross-color
 clauses makes them satisfiable with models that decode to genuine crossing
 configurations.
@@ -181,6 +182,17 @@ def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
         for i in range(s):  # the last position, if used, must reach the goal
             if goal not in (slots[i].a, slots[i].b):
                 clauses.append((-var(i, color, length),))
+        for pos in range(1, length):  # touching the goal corner ends the path
+            for i in at[goal]:
+                for k in range(s):
+                    clauses.append((-var(i, color, pos), -var(k, color, pos + 1)))
+        for i in at[start]:  # the start corner is touched by the first edge only
+            for pos in range(2, length + 1):
+                clauses.append((-var(i, color, pos),))
+        for corner in ends[RED if color == BLUE else BLUE]:  # off the other color's corners
+            for i in at[corner]:
+                for pos in range(1, length + 1):
+                    clauses.append((-var(i, color, pos),))
         for pos in range(1, length + 1):  # simple path: no revisited points
             for pos2 in range(pos + 2, length + 1):
                 for i in range(s):

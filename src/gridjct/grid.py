@@ -173,7 +173,9 @@ class EdgeSequence:
 
     The plain constructor performs no validation (diagnostic work needs
     sequences that revisit points); use :meth:`closed` / :meth:`open_path`
-    or call :meth:`validate` when the spec invariants are required.
+    or call :meth:`validate` when the spec invariants are required.  The
+    object is frozen, so :meth:`validate` checks it once and
+    :meth:`to_edge_set` builds its set once; a failed check raises again.
     """
 
     edges: tuple
@@ -182,15 +184,11 @@ class EdgeSequence:
 
     @classmethod
     def closed(cls, edges, n: int) -> "EdgeSequence":
-        seq = cls(tuple(_directed(e) for e in edges), n, CLOSED)
-        seq.validate()
-        return seq
+        return cls(tuple(_directed(e) for e in edges), n, CLOSED).validate()
 
     @classmethod
     def open_path(cls, edges, n: int) -> "EdgeSequence":
-        seq = cls(tuple(_directed(e) for e in edges), n, OPEN)
-        seq.validate()
-        return seq
+        return cls(tuple(_directed(e) for e in edges), n, OPEN).validate()
 
     @classmethod
     def from_points(cls, pts: Sequence, n: int, kind: str) -> "EdgeSequence":
@@ -202,6 +200,12 @@ class EdgeSequence:
         return cls.open_path(edges, n)
 
     def validate(self) -> "EdgeSequence":
+        """Bounds, adjacency, chaining and simplicity, checked once per object."""
+        self._checked  # cached on success only, so a failed check raises again
+        return self
+
+    @cached_property
+    def _checked(self) -> bool:
         if self.kind not in (CLOSED, OPEN):
             raise InvalidInstance(f"unknown sequence kind {self.kind!r}")
         for i, e in enumerate(self.edges):
@@ -210,16 +214,11 @@ class EdgeSequence:
             if abs(e.dst.x - e.src.x) + abs(e.dst.y - e.src.y) != 1:
                 raise InvalidInstance(f"edge {i} endpoints not adjacent", edge_index=i)
         self.check_chain()
-        pts = self.points()
-        if self.kind == CLOSED:
-            if len(set(pts)) != len(pts):
-                raise InvalidInstance("closed curve revisits a point")
-        else:
-            if len(set(pts)) != len(pts):
-                raise InvalidInstance("open path revisits a point")
-            if self.edges[0].src == self.edges[-1].dst:
-                raise InvalidInstance("open path endpoints coincide")
-        return self
+        pts = self.points()  # an open path whose ends coincide revisits its start
+        if len(set(pts)) != len(pts):
+            what = "closed curve" if self.kind == CLOSED else "open path"
+            raise InvalidInstance(f"{what} revisits a point")
+        return True
 
     def check_chain(self) -> "EdgeSequence":
         """Nonempty, each edge starting where the previous one ends, and a
@@ -271,6 +270,10 @@ class EdgeSequence:
         return EdgeSequence(self.edges[k:] + self.edges[:k], self.n, self.kind)
 
     def to_edge_set(self) -> EdgeSet:
+        return self._edge_set
+
+    @cached_property
+    def _edge_set(self) -> EdgeSet:
         return EdgeSet.of((e.undirected() for e in self.edges), self.n)
 
     def __len__(self) -> int:
@@ -350,13 +353,34 @@ def _joins(obj: GridObject, p1, p2) -> bool:
     return obj.kind == OPEN and {obj.start, obj.end} == {GridPoint(*p1), GridPoint(*p2)}
 
 
+def check_crossing(blue: GridObject, red: GridObject, sides: SidePair) -> None:
+    """The crossing precondition, the same in both forms: blue is a curve (a
+    closed sequence in the sequence form), red joins the side pair, and the
+    pair lies on different sides of blue.  A failure raises
+    :class:`PreconditionViolation` naming the condition."""
+    _check_same_n(blue, red)
+    p1, p2 = sides.p1, sides.p2
+    if isinstance(blue, EdgeSet):
+        if not is_curve(blue):
+            raise PreconditionViolation("is_curve(B)", "blue is not a curve")
+    elif blue.validate().kind != CLOSED:
+        raise PreconditionViolation("is_curve(B)", "blue must be a closed curve")
+    if not _joins(red, p1, p2):
+        raise PreconditionViolation("connects(R, p1, p2)",
+                                    "red path endpoints are not the designated side pair")
+    if not on_different_sides(blue.to_edge_set(), p1, p2):
+        raise PreconditionViolation("on_different_sides(B, p1, p2)",
+                                    "side points are not on different sides of the curve")
+
+
 @dataclass(frozen=True)
 class Instance:
     """Side-crossing instance: a blue curve and a red path between two points
     on different sides of it, both payloads in one form.
 
     Parsed files may leave payloads or the side pair out; :meth:`validate`
-    checks a complete instance.  ``offset`` records a coordinate shift
+    checks a complete instance's forms and grid parameters, then
+    :func:`check_crossing`.  ``offset`` records a coordinate shift
     applied by a reduction.
     """
 
@@ -375,17 +399,7 @@ class Instance:
                 raise InvalidInstance(f"{name} payload is not in {self.form} form")
             if payload.n != self.n:
                 raise InvalidInstance("payload grid parameter mismatch")
-        if self.form == "seq":
-            self.blue.validate()
-            if self.blue.kind != CLOSED:
-                raise InvalidInstance("blue must be a closed curve")
-        elif not is_curve(self.blue):
-            raise InvalidInstance("blue is not a curve")
-        p1, p2 = self.sides.p1, self.sides.p2
-        if not _joins(self.red, p1, p2):
-            raise InvalidInstance("red path endpoints are not the designated side pair")
-        if not on_different_sides(self.blue.to_edge_set(), p1, p2):
-            raise InvalidInstance("side points are not on different sides of the curve")
+        check_crossing(self.blue, self.red, self.sides)
         return self
 
 

@@ -145,16 +145,10 @@ def find_intersection_seq(blue: EdgeSequence, red: EdgeSequence,
                           sides: SidePair) -> IntersectionWitness:
     """Shared grid point of a closed curve and a path joining its two sides.
 
-    Guaranteed to exist on valid inputs; not finding one is a bug.
+    Guaranteed to exist on valid inputs; not finding one is a bug.  The
+    sequence form of :func:`~gridjct.parity.find_intersection_set`.
     """
-    _check_same_n(blue, red)
-    blue.validate()
-    red.validate()
-    if blue.kind != CLOSED or red.kind != OPEN:
-        raise PreconditionViolation("closed curve and open path")
-    if {red.start, red.end} != {sides.p1, sides.p2}:
-        raise PreconditionViolation("red path connects p1 and p2")
-    return find_intersection_set(blue.to_edge_set(), red.to_edge_set(), sides)
+    return find_intersection_set(blue, red, sides)
 
 
 @dataclass(frozen=True)
@@ -172,8 +166,7 @@ def _normal(d: Tuple[int, int], side: int) -> Tuple[int, int]:
 
 def _refined_interior_curve(curve: EdgeSequence) -> EdgeSequence:
     """The x3 refinement of a simple closed curve with no point on the grid border."""
-    curve.validate()
-    if curve.kind != CLOSED:
+    if curve.validate().kind != CLOSED:
         raise PreconditionViolation("closed curve")
     n = curve.n
     for p in curve.points():
@@ -233,14 +226,21 @@ def _side_rings(p3: EdgeSequence) -> SideSequences:
 
 
 def count_regions(curve: EdgeSequence) -> int:
-    """Connected components of refined-grid points off the x3-refined curve."""
+    """Connected components of refined-grid points off the x3-refined curve.
+
+    Only the curve's bounding box and the one-unit ring around it are
+    flooded, so the work follows the curve, not the grid: the curve is off
+    the border, so the ring lies inside the grid, is free, and joins every
+    point outside it into one region.
+    """
     p3 = _refined_interior_curve(curve)
     blocked = p3.point_set
-    n3 = p3.n
+    x0, x1 = min(p.x for p in blocked) - 1, max(p.x for p in blocked) + 1
+    y0, y1 = min(p.y for p in blocked) - 1, max(p.y for p in blocked) + 1
     seen = set()
     comps = 0
-    for x in range(n3 + 1):
-        for y in range(n3 + 1):
+    for x in range(x0, x1 + 1):
+        for y in range(y0, y1 + 1):
             start = GridPoint(x, y)
             if start in blocked or start in seen:
                 continue
@@ -250,7 +250,7 @@ def count_regions(curve: EdgeSequence) -> int:
             while queue:
                 cx, cy = queue.popleft()
                 for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
-                    if 0 <= nx <= n3 and 0 <= ny <= n3:
+                    if x0 <= nx <= x1 and y0 <= ny <= y1:
                         np = GridPoint(nx, ny)
                         if np not in blocked and np not in seen:
                             seen.add(np)

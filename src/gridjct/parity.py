@@ -18,12 +18,13 @@ from .errors import PreconditionViolation, TheoremViolation
 from .grid import (
     Edge,
     EdgeSet,
+    GridObject,
     GridPoint,
     SidePair,
     _check_same_n,
+    check_crossing,
     connects,
     intersects,
-    is_curve,
     on_different_sides,
     pair_code,
     refine,
@@ -164,11 +165,6 @@ def approaches_from_left(red: EdgeSet, sides: SidePair) -> bool:
     return True
 
 
-def _require(cond: bool, name: str):
-    if not cond:
-        raise PreconditionViolation(name)
-
-
 def normalize_instance(blue: EdgeSet, red: EdgeSet, sides: SidePair):
     """Double the grid density (with a margin shift) and reroute the red path
     ends so both approach the side points horizontally from the left.
@@ -178,10 +174,7 @@ def normalize_instance(blue: EdgeSet, red: EdgeSet, sides: SidePair):
     the doubled midpoint at distance one, and no edge of either color lies in
     the two outermost columns on each side.
     """
-    _check_same_n(blue, red)
-    _require(is_curve(blue), "is_curve(B)")
-    _require(connects(red, sides.p1, sides.p2), "connects(R, p1, p2)")
-    _require(on_different_sides(blue, sides.p1, sides.p2), "on_different_sides(B, p1, p2)")
+    check_crossing(blue, red, sides)
 
     n2 = 2 * blue.n + 4
     blue2 = translate(refine(blue, 2), 2, 2, n2)
@@ -242,14 +235,13 @@ def check_parity_lemma(blue: EdgeSet, red: EdgeSet, sides: SidePair) -> LemmaRep
     inputs cannot exist, so on real (intersecting) instances at least one
     part fails; the report says where.
     """
-    _check_same_n(blue, red)
-    _require(is_curve(blue), "is_curve(B)")
-    _require(connects(red, sides.p1, sides.p2), "connects(R, p1, p2)")
-    _require(on_different_sides(blue, sides.p1, sides.p2), "on_different_sides(B, p1, p2)")
-    _require(approaches_from_left(red, sides), "red path approaches p1, p2 from the left")
+    check_crossing(blue, red, sides)
+    if not approaches_from_left(red, sides):
+        raise PreconditionViolation("red path approaches p1, p2 from the left")
     m = sides.mid.x
     n = blue.n
-    _require(2 <= m <= n - 2, "2 <= m <= n-2")
+    if not 2 <= m <= n - 2:
+        raise PreconditionViolation("2 <= m <= n-2")
     profile = parity_profile(blue, red, m)
     part_a = profile.bits[m - 1] != profile.bits[m]
     violations = tuple(k for k in range(n - 1)
@@ -257,16 +249,15 @@ def check_parity_lemma(blue: EdgeSet, red: EdgeSet, sides: SidePair) -> LemmaRep
     return LemmaReport(m=m, profile=profile, part_a=part_a, part_b_violations=violations)
 
 
-def find_intersection_set(blue: EdgeSet, red: EdgeSet, sides: SidePair) -> IntersectionWitness:
-    """Return a grid point touched by both sets.
+def find_intersection_set(blue: GridObject, red: GridObject,
+                          sides: SidePair) -> IntersectionWitness:
+    """Return a grid point touched by both colors, given in either form.
 
     One exists for every valid input; failing to find one is a bug, reported
     as a theorem violation.
     """
-    _check_same_n(blue, red)
-    _require(is_curve(blue), "is_curve(B)")
-    _require(connects(red, sides.p1, sides.p2), "connects(R, p1, p2)")
-    _require(on_different_sides(blue, sides.p1, sides.p2), "on_different_sides(B, p1, p2)")
+    check_crossing(blue, red, sides)
+    blue, red = blue.to_edge_set(), red.to_edge_set()
     shared = blue.points & red.points
     if not shared:
         raise TheoremViolation("no shared grid point found on a valid instance (bug)")

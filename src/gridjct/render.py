@@ -5,7 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
+from .errors import PreconditionViolation
 from .grid import EdgeSet, GridPoint, Instance
+
+# Every grid dot is drawn, so time, memory and output grow as n^2.
+MAX_N = 512
 
 
 @dataclass(frozen=True)
@@ -38,9 +42,12 @@ def _edges_of(payload) -> Iterable[Tuple[GridPoint, GridPoint]]:
 
 
 def render_svg(inst: Instance, spec: RenderSpec = None, witnesses=()) -> str:
-    """SVG document for an instance; byte-identical for identical inputs."""
+    """SVG document for an instance; byte-identical for identical inputs.
+    Grids larger than ``MAX_N`` are rejected."""
     spec = spec or RenderSpec()
     n = inst.n
+    if n > MAX_N:
+        raise PreconditionViolation(f"n <= {MAX_N}", f"render needs n <= {MAX_N}, got n={n}")
     size = 2 * spec.margin + n * spec.cell
 
     def sx(x: int) -> float:

@@ -225,6 +225,19 @@ MALFORMED = {
 }
 
 
+def test_render_rejects_grid_over_cap(tmp_path, capsys):
+    path, svg = tmp_path / "big.json", tmp_path / "out.svg"
+    path.write_text(json.dumps({"n": 513, "form": "seq"}))
+    _exits_1_with_one_line(capsys, ["render", "--instance", str(path), "--svg", str(svg)])
+    assert not svg.exists()
+    # connect draws on the x3 grid: n = 171 gives 513
+    path.write_text(json.dumps({"n": 171, "form": "seq", "sides": [[6, 2], [6, 4]],
+                                "blue": {"n": 171, "kind": "closed", "seq": _SQUARE}}))
+    _exits_1_with_one_line(capsys, ["connect", "--instance", str(path), "--point", "0,0",
+                                    "--svg", str(svg)])
+    assert not svg.exists()
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED) + ["not-utf8"])
 def test_malformed_instance_exits_1_with_one_line(tmp_path, capsys, name):
     path = tmp_path / "bad.json"

@@ -15,7 +15,7 @@ from gridjct.cnf import (
     to_dimacs,
 )
 from gridjct.errors import InvalidInstance, PreconditionViolation
-from gridjct.grid import GridPoint, connects, intersects
+from gridjct.grid import Edge, GridPoint, connects, intersects
 
 
 def brute_unsat(f):
@@ -39,8 +39,9 @@ def test_clause_counts_pinned():
     assert len(gen_stconn(1).clauses) == 16
     assert len(gen_stconn(2).clauses) == 112
     assert len(gen_stconn(3).clauses) == 264
-    assert len(gen_stseq(1).clauses) == 34
-    assert len(gen_stseq(2).clauses) == 2706
+    assert len(gen_stseq(1).clauses) == 42
+    assert len(gen_stseq(2).clauses) == 2894
+    assert len(gen_stseq(3).clauses) == 33654
 
 
 def test_stconn_clause_tally_independent():
@@ -70,6 +71,65 @@ def test_stconn_clause_tally_independent():
                     both.add((a, b))
         expected += len(both)
         assert len(f.clauses) == expected
+
+
+def test_stseq_clause_tally_independent():
+    for n in (1, 2, 3):
+        f = gen_stseq(n)
+        slots = edge_slots(n)
+        s, length = len(slots), n * n
+        ends = {"blue": ((0, n), (n, 0)), "red": ((0, 0), (n, n))}
+        touching = {}
+        for e in slots:
+            for p in (tuple(e.a), tuple(e.b)):
+                touching[p] = touching.get(p, 0) + 1
+        pts = [{tuple(e.a), tuple(e.b)} for e in slots]
+        sharing = sum(1 for a in pts for b in pts if a & b)  # ordered, a == b included
+        apart = s * s - sharing
+        gaps = (length - 1) * (length - 2) // 2  # position pairs two or more apart
+        expected = 0
+        for color, (start, goal) in ends.items():
+            missing_goal = s - touching[goal]
+            expected += length * s * (s - 1) // 2  # at most one edge per position
+            expected += 1  # the first edge touches the start corner
+            expected += (length - 1) * s  # empty positions form a suffix
+            expected += (length - 1) * (s + apart)  # consecutive edges share one point
+            expected += (length - 1) * missing_goal + missing_goal  # ends at the goal
+            expected += gaps * sharing  # simple path
+            expected += (length - 1) * touching[goal] * s  # the goal ends the path
+            expected += (length - 1) * touching[start]  # the start is touched once
+            other = ends["red" if color == "blue" else "blue"]
+            expected += length * sum(touching[c] for c in other)  # off the other corners
+        expected += length * length * sum(k * k for k in touching.values())  # no shared point
+        assert len(f.clauses) == expected
+
+
+def _stseq_assignment(f, walks):
+    """Assignment setting the variable of each walk's i-th edge at position i."""
+    role_var = {(r.color, r.edge, r.position): v for v, r in f.var_map.items()}
+    model = {v: False for v in range(1, f.num_vars + 1)}
+    for color, pts in walks.items():
+        for pos in range(1, len(pts)):
+            model[role_var[(color, Edge.of(pts[pos - 1], pts[pos]), pos)]] = True
+    return model
+
+
+def test_stseq_corner_paths_only():
+    # Each blue walk below is a simple chain that a corner-to-corner path must
+    # not be: it runs on past its goal corner, crosses red's corner, or passes
+    # through its own start corner.  The weakened formula rejects each one and
+    # accepts a genuine corner path.
+    f = gen_stseq(3, intersection_clauses=False)
+    red = [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2), (3, 2), (3, 3)]
+    good = [(0, 3), (1, 3), (1, 2), (1, 1), (2, 1), (2, 0), (3, 0)]
+    blue, _ = decode_model(f, _stseq_assignment(f, {"blue": good, "red": red}))
+    assert [tuple(p) for p in blue.points()] == good
+    for bad in ([(0, 3), (1, 3), (2, 3), (2, 2), (2, 1), (3, 1), (3, 0), (2, 0)],
+                [(0, 3), (1, 3), (2, 3), (3, 3), (3, 2), (3, 1), (3, 0)],
+                [(1, 3), (0, 3), (0, 2), (1, 2), (1, 1), (1, 0), (2, 0), (3, 0)]):
+        with pytest.raises(InvalidInstance) as exc:
+            decode_model(f, _stseq_assignment(f, {"blue": bad, "red": red}))
+        assert "violates clause" in str(exc.value)
 
 
 def test_stconn_unsat_small():
@@ -125,17 +185,20 @@ def test_weakened_stconn_sat_and_decodes():
 
 
 def test_weakened_stseq_sat_and_decodes():
-    f = gen_stseq(2, intersection_clauses=False)
-    model = solve(f, "dpll")
-    assert model is not None
-    blue, red = decode_model(f, model)
-    blue.validate()
-    red.validate()
-    assert {blue.start, blue.end} == {GridPoint(0, 2), GridPoint(2, 0)}
-    assert {red.start, red.end} == {GridPoint(0, 0), GridPoint(2, 2)}
-    assert connects(blue.to_edge_set(), (0, 2), (2, 0))
-    assert connects(red.to_edge_set(), (0, 0), (2, 2))
-    assert intersects(blue, red)
+    for n in (2, 3):
+        f = gen_stseq(n, intersection_clauses=False)
+        model = solve(f, "dpll")
+        assert model is not None
+        blue, red = decode_model(f, model)
+        blue.validate()
+        red.validate()
+        assert (blue.start, blue.end) == (GridPoint(0, n), GridPoint(n, 0))
+        assert (red.start, red.end) == (GridPoint(0, 0), GridPoint(n, n))
+        assert connects(blue.to_edge_set(), (0, n), (n, 0))
+        assert connects(red.to_edge_set(), (0, 0), (n, n))
+        assert not {GridPoint(0, 0), GridPoint(n, n)} & blue.point_set
+        assert not {GridPoint(0, n), GridPoint(n, 0)} & red.point_set
+        assert intersects(blue, red)
 
 
 def test_decode_rejects_bad_assignment():

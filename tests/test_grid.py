@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from gridjct.alternation import minimal_segments, reindex_canonical
 from gridjct.errors import InvalidInstance, PreconditionViolation
 from gridjct.grid import (
     CLOSED,
     OPEN,
+    DirectedEdge,
     Edge,
     EdgeSequence,
     GridPoint,
@@ -21,7 +23,7 @@ from gridjct.grid import (
     rotate_90,
     side_pair,
 )
-from gridjct.generate import gen_crossing_instance
+from gridjct.generate import gen_crossing_instance, gen_random_curve
 
 from conftest import edge_set, rect_curve, rect_set
 
@@ -142,6 +144,48 @@ def test_sequence_validation():
     except InvalidInstance as exc:
         err = exc
     assert err is not None and err.edge_index == 1
+
+
+def _count_chain_checks(monkeypatch):
+    checked = []
+    real = EdgeSequence.check_chain
+
+    def counting(self):
+        checked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(EdgeSequence, "check_chain", counting)
+    return checked
+
+
+def test_validate_checks_each_object_once(monkeypatch):
+    curve = reindex_canonical(gen_random_curve(12, 3, margin=1))
+    checked = _count_chain_checks(monkeypatch)
+    for _ in range(3):
+        assert curve.validate() is curve
+    for m in range(13):
+        minimal_segments(curve, m)
+    assert len(checked) == 1 and checked[0] is curve
+    assert curve.to_edge_set() is curve.to_edge_set()
+
+
+def test_failed_validation_is_not_remembered():
+    broken = EdgeSequence((DirectedEdge.of((0, 0), (1, 0)), DirectedEdge.of((2, 0), (3, 0))),
+                          4, OPEN)  # the plain constructor checks nothing
+    for _ in range(2):
+        with pytest.raises(InvalidInstance):
+            broken.validate()
+
+
+def test_reverse_and_rotate_are_checked_afresh(monkeypatch):
+    curve = rect_curve(1, 1, 3, 3, 6)
+    checked = _count_chain_checks(monkeypatch)
+    curve.validate()
+    reversed_curve, rotated = curve.reverse(), curve.rotate(2)
+    reversed_curve.validate()
+    rotated.validate()
+    assert len(checked) == 2
+    assert checked[0] is reversed_curve and checked[1] is rotated
 
 
 def test_sequence_to_set_predicates():

@@ -133,6 +133,7 @@ def test_find_intersection_seq_agrees_with_set_form():
                                       inst.sides)
         assert w_seq.point == w_set.point
         assert w_seq.blue_degree == w_set.blue_degree
+        assert find_intersection_set(inst.blue, inst.red, inst.sides) == w_seq
 
 
 def test_side_sequences_rectangle_rings():
@@ -178,6 +179,14 @@ def test_count_regions_rectangle_and_random():
     assert count_regions(rect_curve(1, 1, 3, 3, 5)) == 2
     for seed in range(40):
         assert count_regions(gen_random_curve(8, seed, margin=1)) == 2
+    # the flood covers only the curve's box and ring: the whole-grid oracle
+    # agrees wherever the curve sits, and a small curve on a huge grid is cheap
+    for seed in range(30):
+        n = 8 + seed % 9
+        curve = gen_random_curve(n, seed, margin=1 + seed % (n // 3))
+        _, ncomp = flood_components(refine(curve, 3).point_set, 3 * n)
+        assert count_regions(curve) == ncomp == 2
+    assert count_regions(rect_curve(500, 500, 501, 501, 1000)) == 2
 
 
 def pocket_curve(n=7):

@@ -5,7 +5,19 @@ import random
 import pytest
 
 from gridjct.errors import PreconditionViolation
-from gridjct.grid import Edge, GridPoint, connects, intersects, is_curve, on_different_sides
+from gridjct.grid import (
+    OPEN,
+    Edge,
+    EdgeSequence,
+    GridPoint,
+    Instance,
+    check_crossing,
+    connects,
+    intersects,
+    is_curve,
+    on_different_sides,
+    side_pair,
+)
 from gridjct.generate import gen_crossing_instance
 from gridjct.parity import (
     approaches_from_left,
@@ -280,6 +292,32 @@ def test_parity_lemma_precondition_names():
     with pytest.raises(PreconditionViolation) as exc:
         check_parity_lemma(edge_set([((0, 0), (1, 0))], inst.n), red, inst.sides)
     assert "is_curve" in exc.value.condition
+
+
+def _broken_crossings(inst):
+    """One sequence-form instance per crossing condition, each breaking only it."""
+    n = inst.n
+    opened = EdgeSequence(inst.blue.edges[:-1], n, OPEN)  # a simple path, not a curve
+    short = EdgeSequence(inst.red.edges[:-1], n, OPEN)  # stops before p2
+    outside = side_pair((0, 0), (0, 2))  # the curve keeps off column 0
+    joined = EdgeSequence.from_points([(0, 0), (0, 1), (0, 2)], n, OPEN)
+    return [("is_curve(B)", opened, inst.red, inst.sides),
+            ("connects(R, p1, p2)", inst.blue, short, inst.sides),
+            ("on_different_sides(B, p1, p2)", inst.blue, joined, outside)]
+
+
+def test_crossing_check_names_the_same_condition_in_both_forms():
+    inst = gen_crossing_instance(8, 0)
+    for condition, blue, red, sides in _broken_crossings(inst):
+        for form, b, r in (("seq", blue, red), ("set", blue.to_edge_set(), red.to_edge_set())):
+            checks = [check_crossing, find_intersection_set,
+                      lambda b, r, s: Instance(inst.n, form, b, r, s).validate()]
+            if form == "set":
+                checks += [normalize_instance, check_parity_lemma]
+            for check in checks:
+                with pytest.raises(PreconditionViolation) as exc:
+                    check(b, r, sides)
+                assert exc.value.condition == condition
 
 
 def test_find_intersection_examples_and_scan():
