@@ -8,6 +8,7 @@ theorem violation (always a bug report, never a property of a valid input).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -21,7 +22,9 @@ from .jsonio import (
     instance_to_json,
     load_instance,
     read_json,
+    replacing,
     save_instance,
+    write_seq_instance,
 )
 from .render import RenderSpec, render_svg
 
@@ -160,13 +163,34 @@ def cmd_reduce(args) -> int:
                            "block_size": handle.block_size}
                 _emit(args, payload, json.dumps(payload, sort_keys=True))
                 return 0
-            out = handle.instance
+            return _write_seq_reduction(args, handle)
         result = Instance(n=out.n, form=args.form, blue=out.blue, red=out.red)
     if args.out:
         save_instance(result, args.out)
         _emit(args, {"n": result.n, "out": args.out}, f"wrote n={result.n} instance to {args.out}")
     else:
         print(json.dumps(instance_to_json(result), sort_keys=True))
+    return 0
+
+
+def _write_seq_reduction(args, handle) -> int:
+    """Stream both checked output paths of the 16N^2 reduction to JSON: the
+    bytes ``save_instance`` or ``print(json.dumps(...))`` would write, and
+    nothing at all if a check fails."""
+    n = handle.n_out
+
+    def write(fh, indent):
+        write_seq_instance(fh, n, handle.checked_edges("blue"), handle.checked_edges("red"),
+                           indent=indent)
+
+    if args.out:
+        with replacing(args.out) as fh:
+            write(fh, 2)
+        _emit(args, {"n": n, "out": args.out}, f"wrote n={n} instance to {args.out}")
+    else:
+        buf = io.StringIO()
+        write(buf, None)
+        sys.stdout.write(buf.getvalue())
     return 0
 
 

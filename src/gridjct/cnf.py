@@ -28,6 +28,9 @@ from .grid import (
 BLUE, RED = "blue", "red"
 EXHAUSTIVE, DPLL = "exhaustive", "dpll"
 _EXHAUSTIVE_CAP = 26
+# stseq clauses grow about as n^8: stseq(5) has 715,442 and stseq(8) would
+# have about 11.8 million, so larger n is rejected before any is built.
+MAX_STSEQ_N = 5
 
 
 class VarRole(NamedTuple):
@@ -141,9 +144,13 @@ def gen_stconn(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
 
 
 def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
-    """Indexed-sequence form: variables assert "edge e is the i-th edge"."""
+    """Indexed-sequence form: variables assert "edge e is the i-th edge".
+    Grids larger than ``MAX_STSEQ_N`` are rejected."""
     if n < 1:
         raise PreconditionViolation("n >= 1")
+    if n > MAX_STSEQ_N:
+        raise PreconditionViolation(f"n <= {MAX_STSEQ_N}",
+                                    f"stseq needs n <= {MAX_STSEQ_N}, got n={n}")
     slots = edge_slots(n)
     s = len(slots)
     at = _slots_at(slots)

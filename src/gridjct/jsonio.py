@@ -11,6 +11,12 @@ Validation errors carry the index of the offending edge entry.
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import stat
+import tempfile
+from contextlib import contextmanager
+from itertools import islice
 
 from .errors import FormatError, InvalidInstance
 from .grid import (
@@ -177,3 +183,74 @@ def save_instance(inst: Instance, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(instance_to_json(inst), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# How json.dumps(..., sort_keys=True) writes one [x1, y1, x2, y2] entry of a
+# sequence payload, by indent (None or 2): the opening, each of the first
+# three numbers, the last number, the closing, and the separator between
+# entries.
+_QUAD_PARTS = {None: ("[", "{}, ", "{}", "]", ", "),
+               2: ("[\n", "        {},\n", "        {}\n", "      ]", ",\n      ")}
+_BATCH = 4096
+
+
+def write_seq_instance(fh, n: int, blue, red, *, indent=None):
+    """Write a sequence-form instance whose two open paths stream from
+    nonempty iterables of ``(x1, y1, x2, y2)`` ints in [0, n], a batch at a
+    time (a number outside [0, n] raises ``KeyError``).
+
+    The text equals ``json.dumps(instance_to_json(inst), indent=indent,
+    sort_keys=True)`` plus a newline for the same edges, with ``indent`` None
+    or 2: what ``print`` and :func:`save_instance` write."""
+    payload = {"n": n, "kind": OPEN, "seq": ["\0"]}
+    doc = {"n": n, "form": "seq", "blue": payload, "red": payload}
+    head, middle, tail = json.dumps(doc, indent=indent, sort_keys=True).split('"\\u0000"')
+    opening, mid, last, closing, sep = _QUAD_PARTS[indent]
+    # the numbers' texts, looked up instead of formatted edge by edge
+    num = {i: mid.format(i) for i in range(n + 1)}
+    end = {i: last.format(i) for i in range(n + 1)}
+    fh.write(head)
+    for edges, after in ((blue, middle), (red, tail + "\n")):
+        edges, lead = iter(edges), ""
+        while batch := list(islice(edges, _BATCH)):
+            fh.write(lead + sep.join([opening + num[x1] + num[y1] + num[x2] + end[y2] + closing
+                                      for x1, y1, x2, y2 in batch]))
+            lead = sep
+        fh.write(after)
+
+
+@contextmanager
+def replacing(path):
+    """A text file open for writing whose text reaches ``path`` only when the
+    block completes; on an exception ``path`` is left as it was.
+
+    A new file, or a regular file with one link that this process owns, is
+    written beside its real path (so a symlink stays a link) and moved over
+    it, keeping an existing file's mode. Any other target (a device such as
+    ``os.devnull``, a pipe, a file with other hard links or another owner) is
+    written in place, as ``open(path, "w")`` would, from a spare copy once
+    the block completes."""
+    real = os.path.realpath(path)
+    try:
+        st = os.stat(real)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+                               and st.st_uid == os.geteuid()):
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as spare:
+            yield spare
+            spare.seek(0)
+            with open(path, "w", encoding="utf-8") as fh:
+                shutil.copyfileobj(spare, fh)
+        return
+    tmp = f"{real}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        if st is not None:
+            shutil.copymode(real, tmp)
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GridJctError, InvalidInstance, PreconditionViolation
@@ -30,9 +31,15 @@ from .grid import (
     SidePair,
     _form_of,
     _joins,
-    refine,
     translate,
 )
+
+
+def _corner_ends(n: int) -> dict:
+    """The corners each color's path joins on the n grid."""
+    return {"blue": (GridPoint(0, n), GridPoint(n, 0)),
+            "red": (GridPoint(0, 0), GridPoint(n, n))}
+
 
 @dataclass(frozen=True)
 class StConnInstance:
@@ -47,8 +54,8 @@ class StConnInstance:
         return _form_of(self.blue)
 
     def corners(self):
-        n = self.n
-        return (GridPoint(0, n), GridPoint(n, 0), GridPoint(0, 0), GridPoint(n, n))
+        ends = _corner_ends(self.n)
+        return ends["blue"] + ends["red"]
 
     def validate(self) -> "StConnInstance":
         ul, lr, ll, ur = self.corners()
@@ -357,13 +364,57 @@ def _seq_blocks(edges: List[DirectedEdge], big_n: int) -> List[ExpansionBlock]:
     return blocks
 
 
+def _unit_steps(x: int, y: int, dx: int, dy: int, k: int) -> list:
+    """The ``k`` unit edges from (x, y) in direction (dx, dy)."""
+    if dx:
+        return [(a, y, a + dx, y) for a in range(x, x + k * dx, dx)]
+    return [(x, b, x, b + dy) for b in range(y, y + k * dy, dy)]
+
+
+def checked_path(edges, n: int, ends, name: str):
+    """Yield ``(x1, y1, x2, y2)`` edges unchanged while checking them in one
+    pass as :meth:`StConnInstance.validate` checks a sequence payload: every
+    point in [0, n]^2, unit steps, each edge starting where the previous one
+    ends, no point visited twice, and the path joining the two ``ends``.
+
+    A failure raises :class:`InvalidInstance` when it is seen, so a consumer
+    that writes the edges must discard what it wrote."""
+    edges = iter(edges)
+    first = next(edges, None)
+    if first is None:
+        raise InvalidInstance("empty edge sequence")
+    x, y = first[0], first[1]
+    if not (0 <= x <= n and 0 <= y <= n):
+        raise InvalidInstance(f"point {(x, y)} outside grid [0,{n}]^2", edge_index=0)
+    m = n + 1
+    seen = {x * m + y}
+    for i, e in enumerate(chain((first,), edges)):
+        x1, y1, x2, y2 = e
+        if x1 != x or y1 != y:
+            raise InvalidInstance(f"edge {i} does not chain: {(x, y)} != {(x1, y1)}",
+                                  edge_index=i)
+        if not (0 <= x2 <= n and 0 <= y2 <= n):
+            raise InvalidInstance(f"point {(x2, y2)} outside grid [0,{n}]^2", edge_index=i)
+        if abs(x2 - x1) + abs(y2 - y1) != 1:
+            raise InvalidInstance(f"edge {i} endpoints not adjacent", edge_index=i)
+        code = x2 * m + y2
+        if code in seen:
+            raise InvalidInstance("open path revisits a point", edge_index=i)
+        seen.add(code)
+        x, y = x2, y2
+        yield e
+    if {(first[0], first[1]), (x, y)} != set(ends):
+        p1, p2 = ends
+        raise InvalidInstance(f"{name} path must join {tuple(p1)} and {tuple(p2)}")
+
+
 class StConnSeqReduction:
     """Handle over the refined sequence reduction.
 
     ``edge_at(j)`` resolves the j-th edge of the expanded core (the part
     between the image end points) from ``j // 16N^2`` alone; prefix and
     suffix boundary extensions are plain 8N-fold refinements with closed-form
-    lengths.
+    lengths.  ``iter_edges(color)`` walks a whole output path in order.
     """
 
     def __init__(self, source: Instance, big_n: int,
@@ -427,15 +478,43 @@ class StConnSeqReduction:
         base = i * self.block_size
         return [self.edge_at(base + r, color) for r in range(self.block_size)]
 
+    def iter_edges(self, color: str):
+        """The color's whole output path in order, as ``(x1, y1, x2, y2)``
+        ints: the 8N-fold refined prefix, every block, the refined suffix.
+
+        Each block is walked in closed form: 4N reps of one step forward and
+        ``h`` steps out to the right or back, the 4N straight steps to the
+        scaled image end, then the scaled connector runs.  :meth:`edge_at`
+        is the per-index specification of the same blocks."""
+        n, f = self.n_base, self.factor
+        for e in self._prefix[color]:
+            yield from _unit_steps(e.src.x * f, e.src.y * f, *e.direction, f)
+        for blk in self._blocks[color]:
+            h = 4 * n - 2 * blk.detour_len - 2
+            dx, dy = blk.direction
+            px, py = dy, -dx  # right of the direction of travel
+            x, y = blk.src.x * f, blk.src.y * f
+            for _ in range(4 * n):
+                yield x, y, x + dx, y + dy
+                x, y = x + dx, y + dy
+                yield from _unit_steps(x, y, px, py, h)
+                x, y = x + h * px, y + h * py
+                px, py = -px, -py  # out on even reps, back on odd ones
+            yield from _unit_steps(x, y, dx, dy, 4 * n)
+            for start, (rx, ry), length in blk.runs:
+                yield from _unit_steps(start.x * f, start.y * f, rx, ry, length * f)
+        for e in self._suffix[color]:
+            yield from _unit_steps(e.src.x * f, e.src.y * f, *e.direction, f)
+
+    def checked_edges(self, color: str):
+        """:meth:`iter_edges` passed through :func:`checked_path` against the
+        color's two corners of the output grid."""
+        return checked_path(self.iter_edges(color), self.n_out,
+                            _corner_ends(self.n_out)[color], color)
+
     def materialize(self, color: str) -> EdgeSequence:
-        pre = refine(EdgeSequence(tuple(self._prefix[color]), 2 * self.n_base, OPEN),
-                     self.factor)
-        suf = refine(EdgeSequence(tuple(self._suffix[color]), 2 * self.n_base, OPEN),
-                     self.factor)
-        core = []
-        for i in range(len(self._blocks[color])):
-            core.extend(self.block_edges(i, color))
-        return EdgeSequence(tuple(pre.edges) + tuple(core) + tuple(suf.edges),
+        return EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2))
+                                  for x1, y1, x2, y2 in self.iter_edges(color)),
                             self.n_out, OPEN)
 
     @cached_property

@@ -238,6 +238,13 @@ def test_render_rejects_grid_over_cap(tmp_path, capsys):
     assert not svg.exists()
 
 
+def test_gen_stseq_rejects_n_over_cap(tmp_path, capsys):
+    out = tmp_path / "f.cnf"
+    _exits_1_with_one_line(capsys, ["gen", "--family", "stseq", "--n", "6", "--out", str(out)])
+    assert not out.exists()
+    _exits_1_with_one_line(capsys, ["gen", "--family", "stseq", "--n", "6"])
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED) + ["not-utf8"])
 def test_malformed_instance_exits_1_with_one_line(tmp_path, capsys, name):
     path = tmp_path / "bad.json"

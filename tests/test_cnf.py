@@ -234,3 +234,11 @@ def test_solver_trivia():
                         for _ in range(rng.randint(2, 25)))
         f = CnfFormula(nv, clauses, {})
         assert check_unsat(f, "exhaustive") == check_unsat(f, "dpll") == brute_unsat(f)
+
+
+def test_stseq_rejects_n_over_cap():
+    from gridjct.cnf import MAX_STSEQ_N
+    with pytest.raises(PreconditionViolation, match=f"n <= {MAX_STSEQ_N}"):
+        gen_stseq(MAX_STSEQ_N + 1)
+    with pytest.raises(PreconditionViolation):
+        gen_stseq(MAX_STSEQ_N + 1, intersection_clauses=False)

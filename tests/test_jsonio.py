@@ -1,5 +1,6 @@
 """JSON round-trips and error reporting with edge indexes."""
 
+import io
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from gridjct.jsonio import (
     instance_to_json,
     load_instance,
     save_instance,
+    write_seq_instance,
 )
 from gridjct.generate import gen_crossing_instance
 
@@ -69,3 +71,17 @@ def test_instance_n_mismatch():
     blob = {"n": 9, "form": "seq", "blue": edge_sequence_to_json(seq)}
     with pytest.raises(FormatError):
         instance_from_json(blob)
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_write_seq_instance_matches_json_dumps(indent):
+    from gridjct.grid import EdgeSequence
+    blue = EdgeSequence.open_path([((0, 3), (0, 2)), ((0, 2), (1, 2)), ((1, 2), (1, 1))], 3)
+    red = EdgeSequence.open_path([((0, 0), (1, 0))], 3)
+    quads = [[(e.src.x, e.src.y, e.dst.x, e.dst.y) for e in p.edges] for p in (blue, red)]
+    fh = io.StringIO()
+    write_seq_instance(fh, 3, *quads, indent=indent)
+    doc = instance_to_json(Instance(n=3, form="seq", blue=blue, red=red))
+    assert fh.getvalue() == json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    with pytest.raises(KeyError):
+        write_seq_instance(io.StringIO(), 3, [(0, 3, 0, 4)], quads[1], indent=indent)

@@ -1,0 +1,235 @@
+"""The streamed sequence reduction: pinned output bytes, the closed-form
+edge walk against the ``edge_at`` oracle, and the one-pass output check."""
+
+import dataclasses
+import hashlib
+import os
+import stat
+
+import pytest
+
+from gridjct import reduce as reduce_module
+from gridjct.cli import main
+from gridjct.errors import GridJctError, InvalidInstance
+from gridjct.generate import gen_crossing_instance
+from gridjct.grid import OPEN, DirectedEdge, EdgeSequence, GridPoint, refine
+from gridjct.jsonio import Instance, save_instance
+from gridjct.reduce import checked_path, jct_to_stconn_seq
+
+# SHA-256 of `reduce --from jct --form seq` output for seeded avoid_midpoint
+# inputs: (n, seed) -> (the --out file, stdout).
+PINNED_REDUCE = {
+    (6, 1): ("320f5739afe8906fd6344e5a3cfda29a15313ad16ed2385429974315ab8900d0",
+             "ddecfdce641ff30aefe26b9db7531b7c4bc459c515487ab8ee5706a40f45548d"),
+    (6, 3): ("4ee1c169c474b8d83df721e7edb22806807e198aba8bc59a66913fa149d8ebb3",
+             "c7e6de24b0737feb8afd8aa9c47fbee0056d413a032b436ff67a99b90b66a3b8"),
+    (8, 0): ("d1b1f1d6c8243d2516fdaa1a561418ae9ed3335c456112d2c7defc7fc836127e",
+             "601a11ff5f96f3d25a214b027791f1da3e5630f130e8fc22901cfdccdfacefda"),
+    (8, 3): ("1d36955e6c71adc8b798a934804096350d31f15b94e09c4c0e6461975ce0e98d",
+             "09d8f6561bcf388469525cda87cf5ab9ccb64c53162190e11a6cf1c1533847ee"),
+    (10, 2): ("d084c0443b27150e06a444088ad5692298f233c081049ec87be19539706f130b",
+              "1616ff0b703bdd92dd3e95b906d14d5348a3ec986d2c469480507f6375ba5d84"),
+}
+
+
+def _input_file(tmp_path, n, seed):
+    inst = gen_crossing_instance(n, seed, avoid_midpoint=True)
+    path = tmp_path / f"in-{n}-{seed}.json"
+    save_instance(Instance(n=n, form="seq", blue=inst.blue, red=inst.red, sides=inst.sides),
+                  path)
+    return str(path)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("n,seed", sorted(PINNED_REDUCE))
+def test_reduce_seq_output_pinned(tmp_path, capsys, n, seed):
+    src = _input_file(tmp_path, n, seed)
+    out = tmp_path / "out.json"
+    argv = ["reduce", "--from", "jct", "--form", "seq", "--instance", src]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert (_sha(out.read_bytes()), _sha(stdout.encode())) == PINNED_REDUCE[(n, seed)]
+
+
+# --- the closed-form walk against the edge_at oracle -----------------------
+
+def _quad(e):
+    return (e.src.x, e.src.y, e.dst.x, e.dst.y)
+
+
+@pytest.mark.parametrize("n,seed", [(4, 0), (5, 2), (6, 3), (6, 7)])
+def test_iter_edges_matches_edge_at_and_refined_ends(n, seed):
+    handle = jct_to_stconn_seq(gen_crossing_instance(n, seed, avoid_midpoint=True))
+    for color in ("red", "blue"):
+        walked = list(handle.iter_edges(color))
+        pre = refine(EdgeSequence(tuple(handle._prefix[color]), 2 * handle.n_base, OPEN),
+                     handle.factor)
+        suf = refine(EdgeSequence(tuple(handle._suffix[color]), 2 * handle.n_base, OPEN),
+                     handle.factor)
+        core = handle.core_length(color)
+        assert len(walked) == len(pre) + core + len(suf)
+        assert walked[:len(pre)] == [_quad(e) for e in pre.edges]
+        assert walked[len(pre):len(pre) + core] == [_quad(handle.edge_at(j, color))
+                                                    for j in range(core)]
+        assert walked[len(pre) + core:] == [_quad(e) for e in suf.edges]
+        assert [_quad(e) for e in handle.materialize(color).edges] == walked
+        assert list(handle.checked_edges(color)) == walked
+
+
+# --- each of the five stream checks, broken in turn ------------------------
+
+def _shift_run(handle, i, **change):
+    """Replace the first connector run of red block ``i``."""
+    blk = handle._blocks["red"][i]
+    (start, d, length), *rest = blk.runs
+    run = {"start": start, "d": d, "length": length, **change}
+    handle._blocks["red"][i] = dataclasses.replace(
+        blk, runs=((run["start"], run["d"], run["length"]), *rest))
+
+
+def _first_block_with_runs(handle):
+    return next(i for i, blk in enumerate(handle._blocks["red"]) if blk.runs)
+
+
+def _break_bounds(handle):
+    # one more suffix run, out past the right edge of the grid
+    n_mid = 2 * handle.n_base
+    handle._suffix["red"].append(DirectedEdge(GridPoint(n_mid, n_mid),
+                                              GridPoint(n_mid + 1, n_mid)))
+
+
+def _break_adjacency(handle):
+    i = _first_block_with_runs(handle)
+    dx, dy = handle._blocks["red"][i].runs[0][1]
+    _shift_run(handle, i, d=(2 * dx, 2 * dy))
+
+
+def _break_chaining(handle):
+    i = _first_block_with_runs(handle)
+    start = handle._blocks["red"][i].runs[0][0]
+    _shift_run(handle, i, start=GridPoint(start.x, start.y + 1))
+
+
+def _break_simplicity(handle):
+    # out and back along the first prefix run
+    first = handle._prefix["red"][0]
+    handle._prefix["red"][1:1] = [first.reversed(), first]
+
+
+def _break_ends(handle):
+    handle._suffix["red"].pop()
+
+
+MUTATIONS = {"bounds": _break_bounds, "adjacency": _break_adjacency,
+             "chaining": _break_chaining, "simplicity": _break_simplicity,
+             "ends": _break_ends}
+MESSAGES = {"bounds": "outside grid", "adjacency": "not adjacent",
+            "chaining": "does not chain", "simplicity": "revisits a point",
+            "ends": "red path must join"}
+
+
+def _mutated_handle(name):
+    handle = jct_to_stconn_seq(gen_crossing_instance(6, 3, avoid_midpoint=True))
+    MUTATIONS[name](handle)
+    return handle
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_stream_check_raises_what_validate_raises(name):
+    with pytest.raises(GridJctError) as streamed:
+        for _ in _mutated_handle(name).checked_edges("red"):
+            pass
+    assert MESSAGES[name] in str(streamed.value)
+    with pytest.raises(GridJctError) as validated:
+        _mutated_handle(name).instance
+    assert type(streamed.value) is type(validated.value) is InvalidInstance
+
+
+def test_stream_check_rejects_an_empty_path():
+    with pytest.raises(InvalidInstance, match="empty"):
+        list(checked_path([], 4, (GridPoint(0, 0), GridPoint(4, 4)), "red"))
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_cli_reduce_fails_whole_on_a_broken_stream(tmp_path, capsys, monkeypatch, name):
+    src = _input_file(tmp_path, 6, 3)
+    out = tmp_path / "out.json"
+    out.write_text("kept\n")
+    before = sorted(tmp_path.iterdir())
+    original = reduce_module.jct_to_stconn_seq
+
+    def broken(inst):
+        handle = original(inst)
+        MUTATIONS[name](handle)
+        return handle
+
+    monkeypatch.setattr(reduce_module, "jct_to_stconn_seq", broken)
+    argv = ["reduce", "--from", "jct", "--form", "seq", "--instance", src]
+    for extra in (["--out", str(out)], []):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert MESSAGES[name] in captured.err
+    assert out.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+# --- what --out writes through --------------------------------------------
+
+def _reduce_argv(tmp_path):
+    return ["reduce", "--from", "jct", "--form", "seq",
+            "--instance", _input_file(tmp_path, 6, 1)]
+
+
+def test_reduce_out_through_a_symlink_writes_the_target(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(_reduce_argv(tmp_path) + ["--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert _sha(target.read_bytes()) == PINNED_REDUCE[(6, 1)][0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in-6-1.json", "link.json",
+                                                          "target.json"]
+
+
+def test_reduce_out_to_devnull(tmp_path):
+    argv = _reduce_argv(tmp_path)
+    assert main(argv + ["--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert not any(name.startswith("null.") for name in os.listdir(os.path.dirname(os.devnull)))
+
+
+def test_reduce_out_keeps_an_existing_files_mode(tmp_path):
+    out = tmp_path / "out.json"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    assert main(_reduce_argv(tmp_path) + ["--out", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert _sha(out.read_bytes()) == PINNED_REDUCE[(6, 1)][0]
+
+
+def test_reduce_out_to_a_hard_linked_file_updates_both_names(tmp_path, monkeypatch):
+    out, other = tmp_path / "out.json", tmp_path / "other.json"
+    out.write_text("kept\n")
+    other.hardlink_to(out)
+    original = reduce_module.jct_to_stconn_seq
+
+    def broken(inst):
+        handle = original(inst)
+        _break_ends(handle)
+        return handle
+
+    argv = _reduce_argv(tmp_path) + ["--out", str(out)]
+    with monkeypatch.context() as m:
+        m.setattr(reduce_module, "jct_to_stconn_seq", broken)
+        assert main(argv) == 1
+    assert out.read_text() == other.read_text() == "kept\n"
+    assert main(argv) == 0
+    assert out.samefile(other)
+    assert _sha(other.read_bytes()) == PINNED_REDUCE[(6, 1)][0]
