@@ -14,7 +14,8 @@ import sys
 
 from . import cnf, generate, jordan, parity, reduce as reductions
 from .alternation import check_edge_alternation
-from .errors import GridJctError, InvalidInstance, LemmaViolation, TheoremViolation
+from .errors import (GridJctError, InvalidInstance, LemmaViolation, PreconditionViolation,
+                     TheoremViolation)
 from .grid import EdgeSequence, GridPoint, Instance, side_pair
 from .jsonio import (
     edge_sequence_from_json,
@@ -176,8 +177,11 @@ def cmd_reduce(args) -> int:
 def _write_seq_reduction(args, handle) -> int:
     """Stream both checked output paths of the 16N^2 reduction to JSON: the
     bytes ``save_instance`` or ``print(json.dumps(...))`` would write, and
-    nothing at all if a check fails."""
-    n = handle.n_out
+    nothing at all if a check fails or the output is over the size cap."""
+    n, size, cap = handle.n_out, handle.out_edges(), reductions.MAX_OUT_EDGES
+    if size > cap:
+        raise PreconditionViolation(f"output edges <= {cap}",
+                                    f"reduce would write {size} edges, over the cap of {cap}")
 
     def write(fh, indent):
         write_seq_instance(fh, n, handle.checked_edges("blue"), handle.checked_edges("red"),

@@ -8,12 +8,11 @@ check, which is why point-disjoint valid inputs cannot exist.
 ``side_sequences`` builds the two unit-offset rings of a refined (x3) curve;
 ``region_connect`` routes any free refined point to whichever side point
 shares its region, and ``count_regions`` is the flood-fill oracle for the
-two-region statement.
+two-region statement.  All three work on refined points coded as ints.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -26,7 +25,6 @@ from .grid import (
     GridPoint,
     SidePair,
     _check_same_n,
-    on_different_sides,
     pair_code,
     refine,
 )
@@ -159,175 +157,174 @@ class SideSequences:
     q2: EdgeSequence  # right of the direction of travel
 
 
-def _normal(d: Tuple[int, int], side: int) -> Tuple[int, int]:
-    dx, dy = d
-    return (-dy, dx) if side > 0 else (dy, -dx)
-
-
-def _refined_interior_curve(curve: EdgeSequence) -> EdgeSequence:
-    """The x3 refinement of a simple closed curve with no point on the grid border."""
+def _refined_codes(curve: EdgeSequence) -> Tuple[List[int], int]:
+    """The x3 refinement of a simple closed curve with no point on the grid
+    border: its points in order as codes ``x * s + y``, and the stride
+    ``s = 3n + 2``.  The spare row ``y = 3n + 1`` keeps a code step of 1
+    inside one column and gives a point one unit off the grid a code no grid
+    point has."""
     if curve.validate().kind != CLOSED:
         raise PreconditionViolation("closed curve")
     n = curve.n
-    for p in curve.points():
+    s = 3 * n + 2
+    codes = []
+    for p, q in curve.edges:
         if p.x in (0, n) or p.y in (0, n):
             raise PreconditionViolation(
                 "curve off the grid border", f"curve touches the border at {tuple(p)}")
-    return refine(curve, 3)
+        c, d = 3 * (p.x * s + p.y), (q.x - p.x) * s + q.y - p.y
+        codes += (c, c + d, c + 2 * d)
+    return codes, s
 
 
-def _offset_ring(p3: EdgeSequence, side: int) -> EdgeSequence:
-    pts = p3.points()
-    t = len(pts)
+def _ring_points(codes: List[int], s: int, side: int) -> List[int]:
+    """Codes one unit to the left (``side`` +1) or right (-1) of the coded
+    curve, unchecked: a cut corner where the curve turns toward that side,
+    three points around the corner where it turns away."""
+    normal = {s: side, -s: -side, 1: -side * s, -1: side * s}  # left of (dx, dy) is (-dy, dx)
+    t = len(codes)
     raw = []
-    for i in range(t):
-        prev, cur, nxt = pts[i - 1], pts[i], pts[(i + 1) % t]
-        din = (cur.x - prev.x, cur.y - prev.y)
-        dout = (nxt.x - cur.x, nxt.y - cur.y)
-        nin, nout = _normal(din, side), _normal(dout, side)
+    for i, cur in enumerate(codes):
+        din, dout = cur - codes[i - 1], codes[(i + 1) % t] - cur
+        nin, nout = normal[din], normal[dout]
         if din == dout:
-            raw.append(GridPoint(cur.x + nin[0], cur.y + nin[1]))
-            continue
-        cross = din[0] * dout[1] - din[1] * dout[0]
-        if (cross > 0) == (side > 0):  # turning toward the ring: cut the corner
-            raw.append(GridPoint(cur.x + nin[0] + nout[0], cur.y + nin[1] + nout[1]))
+            raw.append(cur + nin)
+        elif dout == nin:  # turning toward the ring: cut the corner
+            raw.append(cur + nin + nout)
         else:  # turning away: go around the corner
-            raw.append(GridPoint(cur.x + nin[0], cur.y + nin[1]))
-            raw.append(GridPoint(cur.x + nin[0] + nout[0], cur.y + nin[1] + nout[1]))
-            raw.append(GridPoint(cur.x + nout[0], cur.y + nout[1]))
-    ded = []
-    for p in raw:
-        if not ded or ded[-1] != p:
-            ded.append(p)
-    while len(ded) > 1 and ded[0] == ded[-1]:
-        ded.pop()
-    ring = EdgeSequence.from_points(ded, p3.n, CLOSED)
-    if not p3.point_set.isdisjoint(ring.point_set):
+            raw += (cur + nin, cur + nin + nout, cur + nout)
+    ring = [c for i, c in enumerate(raw) if i == 0 or c != raw[i - 1]]
+    while len(ring) > 1 and ring[0] == ring[-1]:
+        ring.pop()
+    return ring
+
+
+def _offset_ring(codes: List[int], s: int, side: int, on: set) -> List[int]:
+    """The one ring builder: :func:`_ring_points`, checked as a simple closed
+    curve of at least 4 points inside the grid and off the curve ``on``."""
+    ring = _ring_points(codes, s, side)
+    if len(ring) < 4:
+        raise TheoremViolation("offset ring has fewer than 4 points (bug)")
+    if any(not 0 <= c < s * (s - 1) or c % s == s - 1 for c in ring):
+        raise TheoremViolation("offset ring leaves the grid (bug)")
+    if any(b - a not in (1, -1, s, -s) for a, b in zip(ring, ring[1:] + ring[:1])):
+        raise TheoremViolation("offset ring takes a non-unit step (bug)")
+    if len(set(ring)) != len(ring):
+        raise TheoremViolation("offset ring revisits a point (bug)")
+    if not on.isdisjoint(ring):
         raise TheoremViolation("offset ring touches the curve (bug)")
     return ring
+
+
+def _side_rings(codes: List[int], s: int, on: set) -> Tuple[List[int], List[int]]:
+    q1, q2 = _offset_ring(codes, s, +1, on), _offset_ring(codes, s, -1, on)
+    if not set(q1).isdisjoint(q2):
+        raise TheoremViolation("offset rings overlap (bug)")
+    return q1, q2
 
 
 def side_sequences(curve: EdgeSequence) -> SideSequences:
     """Unit-offset rings of the x3-refined curve, one on each side.
 
-    Requires a simple closed curve with no point on the grid border.  Corner
-    fill-in points of the outward ring sit at Manhattan distance 2 from the
-    curve; every other ring point is at distance exactly 1.
+    Requires a simple closed curve with no point on the grid border.  The
+    rings come from the same checked builder :func:`region_connect` uses.
+    Corner fill-in points of the outward ring sit at Manhattan distance 2
+    from the curve; every other ring point is at distance exactly 1.
     """
-    return _side_rings(_refined_interior_curve(curve))
-
-
-def _side_rings(p3: EdgeSequence) -> SideSequences:
-    q1 = _offset_ring(p3, +1)
-    q2 = _offset_ring(p3, -1)
-    if not q1.point_set.isdisjoint(q2.point_set):
-        raise TheoremViolation("offset rings overlap (bug)")
-    return SideSequences(q1, q2)
+    codes, s = _refined_codes(curve)
+    return SideSequences(*(EdgeSequence.from_points([divmod(c, s) for c in ring], s - 2, CLOSED)
+                           for ring in _side_rings(codes, s, set(codes))))
 
 
 def count_regions(curve: EdgeSequence) -> int:
     """Connected components of refined-grid points off the x3-refined curve.
 
-    Only the curve's bounding box and the one-unit ring around it are
-    flooded, so the work follows the curve, not the grid: the curve is off
-    the border, so the ring lies inside the grid, is free, and joins every
-    point outside it into one region.
+    Flat-array labelling: the curve's bounding box grown by one unit is
+    flooded in one ``bytearray`` indexed ``x * h + y``, framed by a blocked
+    sentinel border so no neighbour needs a bounds test.  The curve is off
+    the grid border, so the one-unit ring lies inside the grid, is free, and
+    joins every point outside it into one region: the work follows the
+    curve, not the grid.
     """
-    p3 = _refined_interior_curve(curve)
-    blocked = p3.point_set
-    x0, x1 = min(p.x for p in blocked) - 1, max(p.x for p in blocked) + 1
-    y0, y1 = min(p.y for p in blocked) - 1, max(p.y for p in blocked) + 1
-    seen = set()
+    codes, s = _refined_codes(curve)
+    pts = [divmod(c, s) for c in codes]
+    x0, y0 = min(x for x, _ in pts) - 2, min(y for _, y in pts) - 2  # ring, then frame
+    w, h = max(x for x, _ in pts) + 3 - x0, max(y for _, y in pts) + 3 - y0
+    grid = bytearray(w * h)
+    grid[:h] = grid[-h:] = b"\1" * h
+    grid[::h] = grid[h - 1::h] = b"\1" * w
+    for x, y in pts:
+        grid[(x - x0) * h + y - y0] = 1
     comps = 0
-    for x in range(x0, x1 + 1):
-        for y in range(y0, y1 + 1):
-            start = GridPoint(x, y)
-            if start in blocked or start in seen:
-                continue
-            comps += 1
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                cx, cy = queue.popleft()
-                for nx, ny in ((cx + 1, cy), (cx - 1, cy), (cx, cy + 1), (cx, cy - 1)):
-                    if x0 <= nx <= x1 and y0 <= ny <= y1:
-                        np = GridPoint(nx, ny)
-                        if np not in blocked and np not in seen:
-                            seen.add(np)
-                            queue.append(np)
+    i = grid.find(0)
+    while i >= 0:
+        comps += 1
+        grid[i] = 1
+        stack = [i]
+        while stack:
+            j = stack.pop()
+            for k in (j + 1, j - 1, j + h, j - h):
+                if not grid[k]:
+                    grid[k] = 1
+                    stack.append(k)
+        i = grid.find(0, i)
     return comps
-
-
-def _staircase(p: GridPoint, q: GridPoint) -> List[GridPoint]:
-    """Monotone shortest lattice path, x-moves before y-moves."""
-    pts = [p]
-    x, y = p
-    step = 1 if q.x > x else -1
-    while x != q.x:
-        x += step
-        pts.append(GridPoint(x, y))
-    step = 1 if q.y > y else -1
-    while y != q.y:
-        y += step
-        pts.append(GridPoint(x, y))
-    return pts
 
 
 def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     """Path on the x3-refined grid from ``p`` to whichever side point shares
     its region, never touching the refined curve.
 
-    Hops to the Manhattan-nearest ring point (x-moves first; pair-code ties),
-    then follows that ring to its side point.  ``p`` and ``sides`` live on
-    the refined grid.
+    Works on int-coded refined points.  Builds both offset rings once with
+    the checked builder behind :func:`side_sequences`, hops to the
+    Manhattan-nearest ring point (x-moves first; pair-code ties), then
+    follows the shorter arc of that ring to its side point.  ``p`` and
+    ``sides`` live on the refined grid.
     """
-    p3 = _refined_interior_curve(curve)
-    p = GridPoint(*p)
-    n3 = p3.n
-    if not (0 <= p.x <= n3 and 0 <= p.y <= n3):
+    codes, s = _refined_codes(curve)
+    n3, on = s - 2, set(codes)
+
+    def code(q) -> int:  # -1, never a curve code, off the refined grid
+        return q[0] * s + q[1] if 0 <= q[0] <= n3 and 0 <= q[1] <= n3 else -1
+
+    p, p1, p2 = GridPoint(*p), sides.p1, sides.p2
+    pc, c1, c2 = code(p), code(p1), code(p2)
+    if pc < 0:
         raise PreconditionViolation("point inside the refined grid")
-    if p in p3.point_set:
+    if pc in on:
         raise PreconditionViolation("point off the refined curve")
-    if not on_different_sides(p3.to_edge_set(), sides.p1, sides.p2):
+    # on a simple closed curve "degree 2" is "on the curve": membership suffices
+    if (p1.x != p2.x or abs(p1.y - p2.y) != 2 or c1 in on or c2 in on
+            or code((p1.x, (p1.y + p2.y) // 2)) not in on):
         raise PreconditionViolation("on_different_sides(P', p1, p2)")
-    if p == sides.p1 or p == sides.p2:
+    if pc in (c1, c2):
         return EdgeSequence((), n3, OPEN)  # trivial zero-length connection
 
-    rings = _side_rings(p3)
-    ring_pts = [rings.q1.points(), rings.q2.points()]
-    ring_sets = [frozenset(ring_pts[0]), frozenset(ring_pts[1])]
-    homes = {}
-    for tgt in (sides.p1, sides.p2):
-        if tgt in ring_sets[0]:
-            homes[tgt] = 0
-        elif tgt in ring_sets[1]:
-            homes[tgt] = 1
-        else:
-            raise TheoremViolation("side point not on either ring (bug)")
-    if homes[sides.p1] == homes[sides.p2]:
+    rings = _side_rings(codes, s, on)
+    sets = [set(ring) for ring in rings]
+    homes = [next((i for i in (0, 1) if c in sets[i]), None) for c in (c1, c2)]
+    if None in homes:
+        raise TheoremViolation("side point not on either ring (bug)")
+    if homes[0] == homes[1]:
         raise TheoremViolation("side points landed on the same ring (bug)")
 
-    dists = [min(abs(p.x - r.x) + abs(p.y - r.y) for r in ring_pts[i]) for i in range(2)]
-    d = min(dists)
-    candidates = [r for i in range(2) if dists[i] == d
-                  for r in ring_pts[i] if abs(p.x - r.x) + abs(p.y - r.y) == d]
-    q = min(candidates, key=lambda r: pair_code(*r))
-    ring_idx = 0 if q in ring_sets[0] else 1
-    target = sides.p1 if homes[sides.p1] == ring_idx else sides.p2
-
-    hop = _staircase(p, q)
-    if any(w in p3.point_set for w in hop):
+    pts = [[divmod(c, s) for c in ring] for ring in rings]
+    d = min(abs(p.x - x) + abs(p.y - y) for ring in pts for x, y in ring)
+    (qx, qy), ring_idx = min(((q, i) for i in (0, 1) for q in pts[i]
+                              if abs(p.x - q[0]) + abs(p.y - q[1]) == d),
+                             key=lambda qi: pair_code(*qi[0]))
+    qc, corner = qx * s + qy, qx * s + p.y
+    hop = [*range(pc, corner, s if qx > p.x else -s),  # x-moves, then y-moves
+           *range(corner, qc, 1 if qy > p.y else -1), qc]
+    if not on.isdisjoint(hop):
         raise TheoremViolation("shortest hop crossed the curve (bug)")
-    ring = ring_pts[ring_idx]
+    ring = rings[ring_idx]
     k = len(ring)
-    iq, it = ring.index(q), ring.index(target)
+    iq, it = ring.index(qc), ring.index((c1, c2)[homes.index(ring_idx)])
     fwd, bwd = (it - iq) % k, (iq - it) % k
-    if fwd <= bwd:
-        arc = [ring[(iq + s) % k] for s in range(fwd + 1)]
-    else:
-        arc = [ring[(iq - s) % k] for s in range(bwd + 1)]
-    path = hop + arc[1:]
-    out = EdgeSequence.from_points(path, n3, OPEN)
-    if not p3.point_set.isdisjoint(out.point_set):
+    step = 1 if fwd <= bwd else -1
+    path = hop + [ring[(iq + step * t) % k] for t in range(1, min(fwd, bwd) + 1)]
+    out = EdgeSequence.from_points([divmod(c, s) for c in path], n3, OPEN)
+    if not on.isdisjoint(path):
         raise TheoremViolation("connection touches the curve (bug)")
     return out

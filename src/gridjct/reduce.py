@@ -34,6 +34,11 @@ from .grid import (
     translate,
 )
 
+# Output edges grow about as N^4, 16N^2 per input edge: an n = 20 input writes
+# 1.71M and an n = 64 one 149M (about 10 GB of JSON), so a whole output over
+# this many edges is rejected before any is written.  edge_at is not capped.
+MAX_OUT_EDGES = 4_000_000
+
 
 def _corner_ends(n: int) -> dict:
     """The corners each color's path joins on the n grid."""
@@ -431,6 +436,12 @@ class StConnSeqReduction:
 
     def core_length(self, color: str = "red") -> int:
         return self.block_size * len(self._blocks[color])
+
+    def out_edges(self) -> int:
+        """Blue plus red output edges in closed form: 16N^2 per block, 8N per
+        prefix or suffix edge."""
+        return sum(self.core_length(c) + self.factor * (len(self._prefix[c]) + len(self._suffix[c]))
+                   for c in self._blocks)
 
     def edge_at(self, j: int, color: str = "red") -> DirectedEdge:
         blocks = self._blocks[color]

@@ -1,11 +1,14 @@
 """Merge construction, offset rings, region counting and connection."""
 
+import json
 import random
 
 import pytest
 
+from gridjct import jordan
 from gridjct.alternation import check_edge_alternation
-from gridjct.errors import InvalidInstance, PreconditionViolation
+from gridjct.cli import main
+from gridjct.errors import InvalidInstance, PreconditionViolation, TheoremViolation
 from gridjct.generate import gen_crossing_instance, gen_random_curve
 from gridjct.grid import (
     CLOSED,
@@ -13,6 +16,7 @@ from gridjct.grid import (
     DirectedEdge,
     EdgeSequence,
     GridPoint,
+    SidePair,
     refine,
     side_pair,
 )
@@ -23,6 +27,7 @@ from gridjct.jordan import (
     region_connect,
     side_sequences,
 )
+from gridjct.jsonio import edge_sequence_to_json
 from gridjct.parity import find_intersection_set
 
 from conftest import flood_components, rect_curve
@@ -179,12 +184,17 @@ def test_count_regions_rectangle_and_random():
     assert count_regions(rect_curve(1, 1, 3, 3, 5)) == 2
     for seed in range(40):
         assert count_regions(gen_random_curve(8, seed, margin=1)) == 2
-    # the flood covers only the curve's box and ring: the whole-grid oracle
-    # agrees wherever the curve sits, and a small curve on a huge grid is cheap
+    # the flood covers only the curve's box, its ring and a sentinel frame:
+    # the whole-grid oracle agrees wherever the curve sits, also at margin 1,
+    # where the frame lies on the grid line next to the border, and a small
+    # curve on a huge grid is cheap
+    curves = [rect_curve(1, 1, 7, 7, 8), pocket_curve()]
     for seed in range(30):
         n = 8 + seed % 9
-        curve = gen_random_curve(n, seed, margin=1 + seed % (n // 3))
-        _, ncomp = flood_components(refine(curve, 3).point_set, 3 * n)
+        curves.append(gen_random_curve(n, seed, margin=1 + seed % (n // 3)))
+        curves.append(gen_random_curve(n, seed, margin=1))
+    for curve in curves:
+        _, ncomp = flood_components(refine(curve, 3).point_set, 3 * curve.n)
         assert count_regions(curve) == ncomp == 2
     assert count_regions(rect_curve(500, 500, 501, 501, 1000)) == 2
 
@@ -274,8 +284,88 @@ def test_region_connect_threads_the_refined_pocket():
     assert path.point_set.isdisjoint(p3.point_set)
 
 
+def test_region_connect_breaks_an_arc_tie_forward():
+    # (6, 8) is half the inner ring away from the side point (6, 4) either
+    # way; a tie follows the ring's own (counterclockwise) direction
+    path = region_connect(rect_curve(1, 1, 3, 3, 5), (6, 7), side_pair((6, 2), (6, 4)))
+    assert [tuple(p) for p in path.points()] == [
+        (6, 7), (6, 8), (5, 8), (4, 8), (4, 7), (4, 6), (4, 5), (4, 4), (5, 4), (6, 4)]
+
+
 def test_region_connect_rejects_point_on_curve():
     curve = rect_curve(1, 1, 3, 3, 5)
     sides = side_pair((6, 2), (6, 4))
     with pytest.raises(PreconditionViolation):
         region_connect(curve, (3, 3), sides)
+
+
+def test_count_regions_counts_every_component(monkeypatch):
+    # two disjoint refined loops leave three components; the oracle agrees
+    loops = [refine(rect_curve(1, 1, 2, 2, 6), 3), refine(rect_curve(3, 3, 5, 4, 6), 3)]
+    s = 3 * 6 + 2
+    codes = [p.x * s + p.y for loop in loops for p in loop.points()]
+    monkeypatch.setattr(jordan, "_refined_codes", lambda curve: (codes, s))
+    _, ncomp = flood_components(loops[0].point_set | loops[1].point_set, 18)
+    assert count_regions(rect_curve(1, 1, 2, 2, 6)) == ncomp == 3
+
+
+# one ring point step gone wrong per entry: (what the check says, bad ring)
+BAD_RINGS = {
+    "short": ("fewer than 4 points", lambda ring, codes, s: ring[:3]),
+    "off-grid": ("leaves the grid", lambda ring, codes, s: [c - 100 * s for c in ring]),
+    "non-unit": ("non-unit step", lambda ring, codes, s: ring[:3] + ring[4:]),
+    "repeat": ("revisits a point", lambda ring, codes, s: ring + ring),
+    "on-curve": ("touches the curve", lambda ring, codes, s: codes),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RINGS))
+def test_ring_self_checks_fire(monkeypatch, tmp_path, capsys, name):
+    what, spoil = BAD_RINGS[name]
+    real = jordan._ring_points
+
+    def bad(codes, s, side):
+        ring = real(codes, s, side)
+        return spoil(ring, codes, s) if side > 0 else ring
+
+    monkeypatch.setattr(jordan, "_ring_points", bad)
+    curve = rect_curve(1, 1, 3, 3, 5)
+    with pytest.raises(TheoremViolation, match=what):
+        region_connect(curve, (6, 6), side_pair((6, 2), (6, 4)))
+    with pytest.raises(TheoremViolation, match=what):
+        side_sequences(curve)
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"n": 5, "form": "seq", "blue": edge_sequence_to_json(curve),
+                                "sides": [[6, 2], [6, 4]]}))
+    assert main(["connect", "--instance", str(path), "--point", "6,6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1, captured.err
+
+
+def test_region_connect_checks_the_side_points_homes(monkeypatch):
+    # both rings the same: one side point is on neither
+    real = jordan._side_rings
+    monkeypatch.setattr(jordan, "_side_rings", lambda *a: (real(*a)[0],) * 2)
+    with pytest.raises(TheoremViolation, match="not on either ring"):
+        region_connect(rect_curve(1, 1, 3, 3, 5), (6, 6), side_pair((6, 2), (6, 4)))
+
+
+@pytest.mark.parametrize("point,sides,condition", [
+    ((16, 6), ((6, 2), (6, 4)), "point inside the refined grid"),
+    ((6, 6), ((6, 0), (6, 2)), "on_different_sides"),  # midpoint off the curve
+    ((6, 6), ((6, 3), (6, 5)), "on_different_sides"),  # side point on the curve
+    ((6, 6), ((7, 2), (6, 4)), "on_different_sides"),  # not vertically aligned
+    # (0, 94) would code as the curve point (5, 9) without the grid bounds test
+    ((6, 6), ((0, 93), (0, 95)), "on_different_sides"),
+])
+def test_region_connect_preconditions(point, sides, condition):
+    with pytest.raises(PreconditionViolation, match=condition):
+        region_connect(rect_curve(1, 1, 3, 3, 5), point,
+                       SidePair(GridPoint(*sides[0]), GridPoint(*sides[1]), GridPoint(0, 0)))
+
+
+def test_region_connect_rejects_an_open_curve():
+    path = EdgeSequence.from_points([(1, 1), (2, 1), (2, 2)], 5, OPEN)
+    with pytest.raises(PreconditionViolation, match="closed curve"):
+        region_connect(path, (6, 6), side_pair((6, 2), (6, 4)))

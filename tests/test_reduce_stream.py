@@ -233,3 +233,27 @@ def test_reduce_out_to_a_hard_linked_file_updates_both_names(tmp_path, monkeypat
     assert main(argv) == 0
     assert out.samefile(other)
     assert _sha(other.read_bytes()) == PINNED_REDUCE[(6, 1)][0]
+
+
+# --- the output size cap ----------------------------------------------------
+
+def test_out_edges_counts_the_stream_and_admits_n20():
+    handle = jct_to_stconn_seq(gen_crossing_instance(6, 1, avoid_midpoint=True))
+    assert handle.out_edges() == sum(1 for c in ("blue", "red") for _ in handle.iter_edges(c))
+    big = jct_to_stconn_seq(gen_crossing_instance(20, 0, avoid_midpoint=True))
+    assert big.out_edges() == 1_710_304 <= reduce_module.MAX_OUT_EDGES
+
+
+def test_reduce_seq_rejects_output_over_the_cap(tmp_path, capsys):
+    # the n = 64 input asks for 149.4M output edges; edge_at stays uncapped
+    argv = ["reduce", "--from", "jct", "--form", "seq",
+            "--instance", _input_file(tmp_path, 64, 0)]
+    out = tmp_path / "out.json"
+    for extra in (["--out", str(out)], []):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1, captured.err
+        assert "149363424 edges" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["in-64-0.json"]
+    assert main(argv + ["--edge-at", "0"]) == 0
