@@ -37,6 +37,7 @@ from .errors import (
     InvalidInstance,
     LemmaViolation,
     PreconditionViolation,
+    SolverBudgetExhausted,
     TheoremViolation,
 )
 from .generate import gen_crossing_instance, gen_random_curve

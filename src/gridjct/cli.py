@@ -235,7 +235,7 @@ def cmd_fuzz(args) -> int:
             raise TheoremViolation(f"seed {seed}: witness not actually shared")
         if not check_edge_alternation(inst.blue):
             raise TheoremViolation(f"seed {seed}: curve failed edge alternation")
-        if inst.n <= 16 and jordan.count_regions(inst.blue) != 2:
+        if jordan.count_regions(inst.blue) != 2:
             raise TheoremViolation(f"seed {seed}: wrong region count")
         checked += 1
     _emit(args, {"checked": checked, "seed": args.seed, "n": args.n},

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import GridJctError, InvalidInstance, PreconditionViolation
+from .errors import GridJctError, InvalidInstance, PreconditionViolation, SolverBudgetExhausted
 from .grid import (
     DirectedEdge,
     Edge,
@@ -31,6 +31,12 @@ _EXHAUSTIVE_CAP = 26
 # stseq clauses grow about as n^8: stseq(5) has 715,442 and stseq(8) would
 # have about 11.8 million, so larger n is rejected before any is built.
 MAX_STSEQ_N = 5
+# stconn clauses grow as about 30 n^2 (``stconn_clauses``); the cap admits
+# n <= 182 and is checked before any clause is built.
+MAX_STCONN_CLAUSES = 1_000_000
+# Branch assignments one ``solve`` call may try.  Refuting stconn(5) takes
+# 261,958 in dpll mode.
+MAX_DECISIONS = 3_000_000
 
 
 class VarRole(NamedTuple):
@@ -53,14 +59,14 @@ class CnfFormula:
     var_map: dict
     meta: dict = field(default_factory=dict)
 
-    def validate(self) -> "CnfFormula":
+    def __post_init__(self):
+        """Every formula is checked once, when it is built."""
         for i, clause in enumerate(self.clauses):
             if not clause:
                 raise InvalidInstance(f"empty clause at index {i}")
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise InvalidInstance(f"bad literal {lit} in clause {i}")
-        return self
 
 
 def edge_slots(n: int) -> List[Edge]:
@@ -96,10 +102,31 @@ def _degree_zero_or_two(vs: List[int]) -> List[Tuple[int, ...]]:
     return clauses
 
 
+def stconn_clauses(n: int, *, intersection_clauses: bool = True) -> int:
+    """``len(gen_stconn(n, ...).clauses)`` in closed form, for n >= 1.
+
+    Each corner (degree 2) has 4 clauses.  Per color, a non-corner point of
+    degree k has k + C(k, 3): 4 on a side, 8 inside.  The cross-color pairs
+    are every slot with itself plus each ordered pair of slots meeting at a
+    non-corner point (k(k - 1) per point); at n = 1 every point is a corner.
+    """
+    sides, inner = 4 * (n - 1), (n - 1) ** 2
+    count = 16 + 2 * (4 * sides + 8 * inner)
+    if intersection_clauses and n > 1:
+        count += 2 * n * (n + 1) + 6 * sides + 12 * inner
+    return count
+
+
 def gen_stconn(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
-    """Edge-set form of the corner-connectivity contradiction."""
+    """Edge-set form of the corner-connectivity contradiction.  Grids with
+    more than ``MAX_STCONN_CLAUSES`` clauses are rejected."""
     if n < 1:
         raise PreconditionViolation("n >= 1")
+    size = stconn_clauses(n, intersection_clauses=intersection_clauses)
+    if size > MAX_STCONN_CLAUSES:
+        raise PreconditionViolation(
+            f"clauses <= {MAX_STCONN_CLAUSES}",
+            f"stconn({n}) would have {size} clauses, over the cap of {MAX_STCONN_CLAUSES}")
     slots = edge_slots(n)
     at = _slots_at(slots)
     corners = _corners(n)
@@ -140,7 +167,7 @@ def gen_stconn(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
         var_map[var(idx, BLUE)] = VarRole("stconn", BLUE, e, None)
         var_map[var(idx, RED)] = VarRole("stconn", RED, e, None)
     meta = {"family": "stconn", "n": n, "weakened": not intersection_clauses}
-    return CnfFormula(2 * len(slots), tuple(clauses), var_map, meta).validate()
+    return CnfFormula(2 * len(slots), tuple(clauses), var_map, meta)
 
 
 def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
@@ -220,7 +247,7 @@ def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
             var_map[var(idx, BLUE, pos)] = VarRole("stseq", BLUE, e, pos)
             var_map[var(idx, RED, pos)] = VarRole("stseq", RED, e, pos)
     meta = {"family": "stseq", "n": n, "weakened": not intersection_clauses}
-    return CnfFormula(2 * s * length, tuple(clauses), var_map, meta).validate()
+    return CnfFormula(2 * s * length, tuple(clauses), var_map, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -228,52 +255,84 @@ def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
 # ---------------------------------------------------------------------------
 
 class _ClauseState:
-    """Counter-based assignment engine shared by both search modes."""
+    """Counter-based assignment engine shared by both search modes.
+
+    ``n_live[ci]`` counts the literals of clause ci that are not false: 0
+    means the clause is falsified, and 1 means it is either satisfied or a
+    unit.  ``trail`` lists the literals made true, in order, so
+    ``undo(mark)`` takes back everything assigned since ``len(trail)`` was
+    ``mark``.  ``occ`` and ``truth`` are indexed by a literal: Python puts
+    index ``-v`` at ``2 * num_vars + 1 - v``, so v and -v have their own slots.
+    """
 
     def __init__(self, f: CnfFormula):
-        self.clauses = [tuple(c) for c in f.clauses]
+        self.clauses = f.clauses
         self.num_vars = f.num_vars
-        self.pos_occ = [[] for _ in range(f.num_vars + 1)]
-        self.neg_occ = [[] for _ in range(f.num_vars + 1)]
+        self.occ: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
-                (self.pos_occ if lit > 0 else self.neg_occ)[abs(lit)].append(ci)
-        self.n_sat = [0] * len(self.clauses)
-        self.n_unassigned = [len(c) for c in self.clauses]
-        self.assign: Dict[int, bool] = {}
+                self.occ[lit].append(ci)
+        self.n_live = [len(c) for c in self.clauses]
+        self.truth: List[Optional[bool]] = [None] * (2 * f.num_vars + 1)
+        self.trail: List[int] = []
+        self.decisions = 0
 
-    def set_var(self, v: int, value: bool) -> bool:
-        """Assign and update counters; False on an emptied clause."""
-        self.assign[v] = value
+    def decide(self, lit: int, units: List[int]) -> bool:
+        """``set_true`` for a branch, counted against ``MAX_DECISIONS``."""
+        self.decisions += 1
+        if self.decisions > MAX_DECISIONS:
+            raise SolverBudgetExhausted(
+                f"solver stopped after {MAX_DECISIONS} decisions without a verdict")
+        return self.set_true(lit, units)
+
+    def set_true(self, lit: int, units: List[int]) -> bool:
+        """Make lit true; each clause this leaves with one live literal is
+        appended to ``units``.  False on a falsified clause."""
+        truth, n_live = self.truth, self.n_live
+        truth[lit] = True
+        truth[-lit] = False
+        self.trail.append(lit)
         ok = True
-        sat_occ, unsat_occ = (self.pos_occ, self.neg_occ) if value else (self.neg_occ, self.pos_occ)
-        for ci in sat_occ[v]:
-            self.n_sat[ci] += 1
-        for ci in unsat_occ[v]:
-            self.n_unassigned[ci] -= 1
-            if self.n_sat[ci] == 0 and self.n_unassigned[ci] == 0:
+        for ci in self.occ[-lit]:
+            left = n_live[ci] - 1
+            n_live[ci] = left
+            if left == 1:
+                units.append(ci)
+            elif not left:
                 ok = False
         return ok
 
-    def unset_var(self, v: int):
-        value = self.assign.pop(v)
-        sat_occ, unsat_occ = (self.pos_occ, self.neg_occ) if value else (self.neg_occ, self.pos_occ)
-        for ci in sat_occ[v]:
-            self.n_sat[ci] -= 1
-        for ci in unsat_occ[v]:
-            self.n_unassigned[ci] += 1
+    def undo(self, mark: int):
+        trail, truth, n_live, occ = self.trail, self.truth, self.n_live, self.occ
+        while len(trail) > mark:
+            lit = trail.pop()
+            truth[lit] = truth[-lit] = None
+            for ci in occ[-lit]:
+                n_live[ci] += 1
 
-    def unit_literal_in(self, ci: int) -> int:
-        for lit in self.clauses[ci]:
-            if abs(lit) not in self.assign:
-                return lit
-        raise GridJctError("no unassigned literal in a unit clause (bug)")
+    def propagate(self, units: List[int]) -> bool:
+        """Make true the open literal of each clause in ``units`` that is a
+        unit, and of every clause that becomes one on the way; False on a
+        conflict.  A queued clause keeps one live literal until a conflict
+        ends the loop."""
+        truth, clauses = self.truth, self.clauses
+        i = 0
+        while i < len(units):
+            for lit in clauses[units[i]]:
+                x = truth[lit]
+                if x is None:
+                    if not self.set_true(lit, units):
+                        return False
+                    break
+                if x:
+                    break
+            else:
+                raise GridJctError("a queued clause has no live literal (bug)")
+            i += 1
+        return True
 
-
-def _model(state: _ClauseState) -> Dict[int, bool]:
-    out = {v: False for v in range(1, state.num_vars + 1)}
-    out.update(state.assign)
-    return out
+    def model(self) -> Dict[int, bool]:
+        return {v: bool(self.truth[v]) for v in range(1, self.num_vars + 1)}
 
 
 def _solve_exhaustive(f: CnfFormula) -> Optional[Dict[int, bool]]:
@@ -283,74 +342,58 @@ def _solve_exhaustive(f: CnfFormula) -> Optional[Dict[int, bool]]:
 
     def recurse(v: int) -> Optional[Dict[int, bool]]:
         if v > state.num_vars:
-            return _model(state)
-        for value in (True, False):
-            if state.set_var(v, value):
+            return state.model()
+        for lit in (v, -v):
+            mark = len(state.trail)
+            if state.decide(lit, []):
                 found = recurse(v + 1)
                 if found is not None:
                     return found
-            state.unset_var(v)
+            state.undo(mark)
         return None
 
     return recurse(1)
 
 
 def _solve_dpll(f: CnfFormula) -> Optional[Dict[int, bool]]:
-    """Unit propagation plus branching, lowest index first, true branch first."""
+    """Unit propagation plus branching, lowest free variable first, true
+    branch first, on an explicit stack of (variable, value, trail mark).
+
+    Only the root scans every clause for units.  At a fixpoint no clause is
+    unit, so after a branch the only candidates are the clauses it falsified
+    a literal of; unit propagation is confluent, so this reaches the fixpoint
+    and the conflicts a full rescan would, and gives the same search tree.
+    """
     state = _ClauseState(f)
-
-    def propagate(trail: List[int]) -> bool:
-        queue = [ci for ci in range(len(state.clauses))
-                 if state.n_sat[ci] == 0 and state.n_unassigned[ci] == 1]
-        qi = 0
-        while qi < len(queue):
-            ci = queue[qi]
-            qi += 1
-            if state.n_sat[ci] > 0 or state.n_unassigned[ci] != 1:
-                continue
-            lit = state.unit_literal_in(ci)
-            v, value = abs(lit), lit > 0
-            trail.append(v)
-            if not state.set_var(v, value):
-                return False
-            watch = state.neg_occ[v] if value else state.pos_occ[v]
-            for cj in watch:
-                if state.n_sat[cj] == 0 and state.n_unassigned[cj] == 1:
-                    queue.append(cj)
-        return True
-
-    def undo(trail: List[int]):
-        while trail:
-            state.unset_var(trail.pop())
-
-    def recurse() -> Optional[Dict[int, bool]]:
-        trail: List[int] = []
-        if not propagate(trail):
-            undo(trail)
-            return None
-        v = next((w for w in range(1, state.num_vars + 1) if w not in state.assign), None)
-        if v is None:
-            found = _model(state)
-            undo(trail)
-            return found
-        for value in (True, False):
-            sub: List[int] = [v]
-            if state.set_var(v, value):
-                found = recurse()
-                if found is not None:
-                    undo(sub)
-                    undo(trail)
-                    return found
-            undo(sub)
-        undo(trail)
-        return None
-
-    return recurse()
+    truth = state.truth
+    ok = state.propagate([ci for ci, live in enumerate(state.n_live) if live == 1])
+    stack: List[Tuple[int, bool, int]] = []
+    v = 1
+    while True:
+        if ok:
+            while v <= state.num_vars and truth[v] is not None:
+                v += 1
+            if v > state.num_vars:
+                return state.model()
+            branch, mark = True, len(state.trail)
+        else:
+            while stack and not stack[-1][1]:
+                stack.pop()
+            if not stack:
+                return None
+            v, _, mark = stack.pop()
+            state.undo(mark)
+            branch = False
+        stack.append((v, branch, mark))
+        units: List[int] = []
+        ok = state.decide(v if branch else -v, units) and state.propagate(units)
+        v += 1
 
 
 def solve(f: CnfFormula, mode: str = DPLL) -> Optional[Dict[int, bool]]:
-    """Satisfying assignment (complete, free vars false) or None."""
-    f.validate()
+    """Satisfying assignment (complete, free vars false) or None.  A search
+    that needs more than ``MAX_DECISIONS`` branches raises
+    ``SolverBudgetExhausted``."""
     if mode == EXHAUSTIVE:
         if f.num_vars > _EXHAUSTIVE_CAP:
             raise PreconditionViolation(

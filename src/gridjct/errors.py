@@ -34,6 +34,10 @@ class GenerationExhausted(GridJctError):
     """A seeded generator hit its attempt cap without producing an output."""
 
 
+class SolverBudgetExhausted(GridJctError):
+    """The satisfiability search hit its decision cap without a verdict."""
+
+
 class TheoremViolation(GridJctError, RuntimeError):
     """A theorem-guaranteed witness could not be produced (implementation bug)."""
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import gridjct
-from gridjct import generate
+from gridjct import cnf, generate, jordan
 from gridjct.cli import main
 from gridjct.errors import TheoremViolation
 from gridjct.generate import gen_crossing_instance
@@ -238,6 +238,21 @@ def test_render_rejects_grid_over_cap(tmp_path, capsys):
     assert not svg.exists()
 
 
+def test_gen_stconn_rejects_clauses_over_cap(tmp_path, capsys):
+    # stconn(2000) would have about 120M clauses; none is built
+    out = tmp_path / "f.cnf"
+    _exits_1_with_one_line(capsys, ["gen", "--family", "stconn", "--n", "2000", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, n", [("dpll", 4), ("exhaustive", 2)])
+def test_gen_check_over_decision_budget_exits_1(monkeypatch, tmp_path, capsys, mode, n):
+    monkeypatch.setattr(cnf, "MAX_DECISIONS", 3)
+    out = tmp_path / "f.cnf"
+    _exits_1_with_one_line(capsys, ["gen", "--family", "stconn", "--n", str(n),
+                                    "--out", str(out), "--check", mode])
+
+
 def test_gen_stseq_rejects_n_over_cap(tmp_path, capsys):
     out = tmp_path / "f.cnf"
     _exits_1_with_one_line(capsys, ["gen", "--family", "stseq", "--n", "6", "--out", str(out)])
@@ -318,6 +333,14 @@ def test_help_still_exits_0(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_fuzz_checks_regions_at_every_size(monkeypatch, capsys):
+    monkeypatch.setattr(jordan, "count_regions", lambda curve: 3)
+    assert main(["fuzz", "--n", "40", "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["theorem violation: seed 0: wrong region count"]
 
 
 def test_fuzz_generation_exhausted_exits_1(monkeypatch, capsys):

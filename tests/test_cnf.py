@@ -1,9 +1,12 @@
 """CNF families, the two solver modes, decoding, DIMACS output."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from gridjct import cnf
 from gridjct.cnf import (
     CnfFormula,
     check_unsat,
@@ -12,9 +15,10 @@ from gridjct.cnf import (
     gen_stconn,
     gen_stseq,
     solve,
+    stconn_clauses,
     to_dimacs,
 )
-from gridjct.errors import InvalidInstance, PreconditionViolation
+from gridjct.errors import InvalidInstance, PreconditionViolation, SolverBudgetExhausted
 from gridjct.grid import Edge, GridPoint, connects, intersects
 
 
@@ -242,3 +246,85 @@ def test_stseq_rejects_n_over_cap():
         gen_stseq(MAX_STSEQ_N + 1)
     with pytest.raises(PreconditionViolation):
         gen_stseq(MAX_STSEQ_N + 1, intersection_clauses=False)
+
+
+def test_stconn_clauses_closed_form():
+    for n in range(1, 7):
+        for intact in (True, False):
+            f = gen_stconn(n, intersection_clauses=intact)
+            assert stconn_clauses(n, intersection_clauses=intact) == len(f.clauses)
+
+
+def test_stconn_rejects_clauses_over_cap():
+    cap = cnf.MAX_STCONN_CLAUSES
+    assert stconn_clauses(182) <= cap < stconn_clauses(183)
+    with pytest.raises(PreconditionViolation, match=f"over the cap of {cap}") as exc:
+        gen_stconn(183)
+    assert exc.value.condition == f"clauses <= {cap}"
+    with pytest.raises(PreconditionViolation):
+        gen_stconn(2000, intersection_clauses=False)
+
+
+@pytest.mark.parametrize("clauses", [((1, 3),), ((0,),), ((1,), ()), ((-3, 1),)])
+def test_bad_formula_rejected_when_built(clauses):
+    with pytest.raises(InvalidInstance):
+        CnfFormula(2, clauses, {})
+
+
+def _solver_transcript_digest():
+    """SHA-256 over the dpll verdict or sorted model of each formula below."""
+    cases = []
+    for gen, ns in ((gen_stconn, (2, 3, 4)), (gen_stseq, (2, 3))):
+        for n in ns:
+            for weakened in (True, False):
+                cases.append((f"{gen.__name__}({n}) weakened={weakened}",
+                              gen(n, intersection_clauses=not weakened)))
+    rng = random.Random(2026)
+    for k in range(200):
+        nv = rng.randint(3, 12)
+        clauses = tuple(tuple(rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(3))
+                        for _ in range(rng.randint(2, 60)))
+        cases.append((f"random {k}", CnfFormula(nv, clauses, {})))
+    h = hashlib.sha256()
+    for name, f in cases:
+        model = solve(f, "dpll")
+        line = "UNSAT" if model is None else json.dumps(sorted(model.items()))
+        h.update(f"{name}: {line}\n".encode())
+    return h.hexdigest()
+
+
+def test_dpll_models_and_verdicts_pinned():
+    # computed with the recursive DPLL that rescanned every clause at every
+    # node: the incremental search must take the same branches
+    assert _solver_transcript_digest() == \
+        "ffe3c6b7486a476d4049cf7c0e3798db00ea37154b685f353865c780a10d58bb"
+
+
+@pytest.mark.parametrize("family, n, weakened, decisions", [
+    ("stconn", 4, False, 1332), ("stseq", 3, False, 110),
+    ("stconn", 4, True, 25), ("stseq", 3, True, 69)])
+def test_dpll_decision_counts_pinned(monkeypatch, family, n, weakened, decisions):
+    # the rescanning recursive DPLL made exactly these decisions; a budget one
+    # short of the count stops the search
+    f = (gen_stconn if family == "stconn" else gen_stseq)(n, intersection_clauses=not weakened)
+    monkeypatch.setattr(cnf, "MAX_DECISIONS", decisions)
+    assert (solve(f, "dpll") is None) != weakened
+    monkeypatch.setattr(cnf, "MAX_DECISIONS", decisions - 1)
+    with pytest.raises(SolverBudgetExhausted):
+        solve(f, "dpll")
+
+
+def test_dpll_deep_search_is_iterative():
+    # each variable is a decision, so the search runs 1,200 decisions deep,
+    # past the interpreter's default recursion limit of 1,000
+    f = CnfFormula(1200, tuple((v, v + 1) for v in range(1, 1200, 2)), {})
+    model = solve(f, "dpll")
+    assert model is not None
+    assert all(model[a] or model[b] for a, b in f.clauses)
+
+
+def test_decision_budget_raises_in_exhaustive_mode(monkeypatch):
+    # stconn(2) takes 974 exhaustive decisions
+    monkeypatch.setattr(cnf, "MAX_DECISIONS", 3)
+    with pytest.raises(SolverBudgetExhausted, match="after 3 decisions"):
+        solve(gen_stconn(2), "exhaustive")
