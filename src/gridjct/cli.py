@@ -8,6 +8,7 @@ theorem violation (always a bug report, never a property of a valid input).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -201,18 +202,19 @@ def _write_seq_reduction(args, handle) -> int:
 def cmd_gen(args) -> int:
     maker = cnf.gen_stconn if args.family == "stconn" else cnf.gen_stseq
     formula = maker(args.n, intersection_clauses=args.weaken != "no-intersection")
+    notes = []
+    if args.check:  # before any output, so a check over its budget writes nothing
+        model = cnf.solve(formula, args.check)
+        notes.append(f"c check [{args.check}]: {'UNSAT' if model is None else 'SAT'}")
+        if model is not None:
+            blue, red = cnf.decode_model(formula, model)
+            notes.append(f"c model decodes: blue={len(blue)} edges, red={len(red)} edges")
     if args.out:
         cnf.write_dimacs(formula, args.out)
     else:
         sys.stdout.write(cnf.to_dimacs(formula))
-    if args.check:
-        model = cnf.solve(formula, args.check)
-        verdict = "UNSAT" if model is None else "SAT"
-        print(f"c check [{args.check}]: {verdict}", file=sys.stderr)
-        if model is not None:
-            blue, red = cnf.decode_model(formula, model)
-            print(f"c model decodes: blue={len(blue)} edges, red={len(red)} edges",
-                  file=sys.stderr)
+    for line in notes:
+        print(line, file=sys.stderr)
     return 0
 
 
@@ -251,7 +253,10 @@ class _Parser(argparse.ArgumentParser):
         raise GridJctError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; ``parse_args``
+    keeps no state from one call to the next."""
     p = _Parser(prog="gridjct",
                 description="Grid-curve crossing toolkit: parity and alternation checks, "
                             "region labeling, st-connectivity reductions, CNF generators.")

@@ -32,28 +32,34 @@ from .grid import (
 )
 
 
-def _parse_quad(entry, index, n) -> tuple:
-    # "type(v) is int" because JSON true/false parse to bool, a subclass of int
-    if (not isinstance(entry, (list, tuple)) or len(entry) != 4
-            or not all(type(v) is int for v in entry)):
-        raise FormatError(f"edge {index}: expected [x1,y1,x2,y2] of ints", edge_index=index)
-    x1, y1, x2, y2 = entry
-    if not (0 <= x1 <= n and 0 <= y1 <= n and 0 <= x2 <= n and 0 <= y2 <= n):
-        raise FormatError(f"edge {index}: endpoint outside grid [0,{n}]^2", edge_index=index)
-    return GridPoint(x1, y1), GridPoint(x2, y2)
-
-
 def _parse_n(n) -> int:
     if type(n) is not int or n < 1:
         raise FormatError(f"bad grid parameter: {n!r}")
     return n
 
 
-def _edge_entries(obj, key) -> list:
+def _parse_edges(obj, key, n, make):
+    """Yield ``make(p, q)`` for each ``[x1,y1,x2,y2]`` entry of ``obj[key]``,
+    checking in one pass its shape and int type, then its bounds, then its
+    adjacency; the first faulty entry raises.  ``Edge`` gets its endpoints in
+    lexicographic order, as :meth:`Edge.of` would give them."""
     entries = obj[key]
     if not isinstance(entries, (list, tuple)):
         raise FormatError(f'"{key}" must be a list of [x1,y1,x2,y2] entries')
-    return entries
+    for i, entry in enumerate(entries):
+        # "type(v) is int" because JSON true/false parse to bool, a subclass of int
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 4
+                and type(entry[0]) is type(entry[1]) is type(entry[2]) is type(entry[3]) is int):
+            raise FormatError(f"edge {i}: expected [x1,y1,x2,y2] of ints", edge_index=i)
+        x1, y1, x2, y2 = entry
+        if not (0 <= x1 <= n and 0 <= y1 <= n and 0 <= x2 <= n and 0 <= y2 <= n):
+            raise FormatError(f"edge {i}: endpoint outside grid [0,{n}]^2", edge_index=i)
+        if make is Edge and (x2, y2) < (x1, y1):
+            x1, y1, x2, y2 = x2, y2, x1, y1
+        if abs(x2 - x1) + abs(y2 - y1) != 1:
+            raise FormatError(f"edge {i}: edge endpoints not adjacent: {(x1, y1)}-{(x2, y2)}",
+                              edge_index=i)
+        yield make(GridPoint(x1, y1), GridPoint(x2, y2))
 
 
 def edge_set_from_json(obj) -> EdgeSet:
@@ -61,12 +67,7 @@ def edge_set_from_json(obj) -> EdgeSet:
         raise FormatError('edge set payload needs keys "n" and "set"')
     n = _parse_n(obj["n"])
     edges = set()
-    for i, entry in enumerate(_edge_entries(obj, "set")):
-        p, q = _parse_quad(entry, i, n)
-        try:
-            e = Edge.of(p, q)
-        except InvalidInstance as exc:
-            raise FormatError(f"edge {i}: {exc}", edge_index=i) from None
+    for i, e in enumerate(_parse_edges(obj, "set", n, Edge)):
         if e in edges:
             raise FormatError(f"edge {i}: duplicate edge", edge_index=i)
         edges.add(e)
@@ -86,14 +87,7 @@ def edge_sequence_from_json(obj, *, validate: bool = True) -> EdgeSequence:
     n, kind = _parse_n(obj["n"]), obj["kind"]
     if kind not in (CLOSED, OPEN):
         raise FormatError(f'kind must be "closed" or "open", got {kind!r}')
-    edges = []
-    for i, entry in enumerate(_edge_entries(obj, "seq")):
-        p, q = _parse_quad(entry, i, n)
-        try:
-            edges.append(DirectedEdge.of(p, q))
-        except InvalidInstance as exc:
-            raise FormatError(f"edge {i}: {exc}", edge_index=i) from None
-    seq = EdgeSequence(tuple(edges), n, kind)
+    seq = EdgeSequence(tuple(_parse_edges(obj, "seq", n, DirectedEdge)), n, kind)
     if validate:
         try:
             seq.validate()

@@ -43,7 +43,8 @@ def _edges_of(payload) -> Iterable[Tuple[GridPoint, GridPoint]]:
 
 def render_svg(inst: Instance, spec: RenderSpec = None, witnesses=()) -> str:
     """SVG document for an instance; byte-identical for identical inputs.
-    Grids larger than ``MAX_N`` are rejected."""
+    Grids larger than ``MAX_N`` are rejected; an edge endpoint outside
+    [0, n]^2 raises ``KeyError``."""
     spec = spec or RenderSpec()
     n = inst.n
     if n > MAX_N:
@@ -56,25 +57,24 @@ def render_svg(inst: Instance, spec: RenderSpec = None, witnesses=()) -> str:
     def sy(y: int) -> float:
         return spec.margin + (n - y) * spec.cell
 
+    # each grid coordinate's text and each element's constant tail, formatted once
+    xs = {x: _fmt(sx(x)) for x in range(n + 1)}
+    ys = {y: _fmt(sy(y)) for y in range(n + 1)}
+    dot = f'" r="{_fmt(spec.dot_radius)}" fill="{spec.grid_color}"/>'
+    curve = (f'" stroke="{spec.curve_color}" stroke-width="{_fmt(spec.curve_width)}" '
+             f'stroke-linecap="round"/>')
+    path = (f'" stroke="{spec.path_color}" stroke-width="{_fmt(spec.path_width)}" '
+            f'stroke-dasharray="{spec.path_dash}" stroke-linecap="round"/>')
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for y in range(n + 1):
-        for x in range(n + 1):
-            parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" '
-                         f'r="{_fmt(spec.dot_radius)}" fill="{spec.grid_color}"/>')
-    for a, b in _edges_of(inst.blue):
-        parts.append(f'<line x1="{_fmt(sx(a.x))}" y1="{_fmt(sy(a.y))}" '
-                     f'x2="{_fmt(sx(b.x))}" y2="{_fmt(sy(b.y))}" '
-                     f'stroke="{spec.curve_color}" stroke-width="{_fmt(spec.curve_width)}" '
-                     f'stroke-linecap="round"/>')
-    for a, b in _edges_of(inst.red):
-        parts.append(f'<line x1="{_fmt(sx(a.x))}" y1="{_fmt(sy(a.y))}" '
-                     f'x2="{_fmt(sx(b.x))}" y2="{_fmt(sy(b.y))}" '
-                     f'stroke="{spec.path_color}" stroke-width="{_fmt(spec.path_width)}" '
-                     f'stroke-dasharray="{spec.path_dash}" stroke-linecap="round"/>')
+    for cy in ys.values():
+        parts += [f'<circle cx="{cx}" cy="{cy}{dot}' for cx in xs.values()]
+    for payload, tail in ((inst.blue, curve), (inst.red, path)):
+        parts += [f'<line x1="{xs[a.x]}" y1="{ys[a.y]}" x2="{xs[b.x]}" y2="{ys[b.y]}{tail}'
+                  for a, b in _edges_of(payload)]
     if inst.sides is not None:
         for label, p in (("p1", inst.sides.p1), ("p2", inst.sides.p2)):
             parts.append(f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" r="4" '

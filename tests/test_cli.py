@@ -166,14 +166,17 @@ def test_fuzz_subcommand(capsys):
     assert blob["checked"] == 4
 
 
-def test_module_entry_point(instance_file):
-    # the child imports the same gridjct as this process, installed or not
+def _python(*args):
+    """Run a new interpreter that imports the same gridjct as this process,
+    installed or not."""
     src = os.path.dirname(os.path.dirname(gridjct.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "gridjct", "validate",
-                           "--instance", instance_file],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(instance_file):
+    proc = _python("-m", "gridjct", "validate", "--instance", instance_file)
     assert proc.returncode == 0
     assert "valid instance" in proc.stdout
 
@@ -247,10 +250,13 @@ def test_gen_stconn_rejects_clauses_over_cap(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode, n", [("dpll", 4), ("exhaustive", 2)])
 def test_gen_check_over_decision_budget_exits_1(monkeypatch, tmp_path, capsys, mode, n):
+    # the check runs before anything is written: empty stdout, and no file
     monkeypatch.setattr(cnf, "MAX_DECISIONS", 3)
     out = tmp_path / "f.cnf"
-    _exits_1_with_one_line(capsys, ["gen", "--family", "stconn", "--n", str(n),
-                                    "--out", str(out), "--check", mode])
+    argv = ["gen", "--family", "stconn", "--n", str(n), "--check", mode]
+    _exits_1_with_one_line(capsys, argv)
+    _exits_1_with_one_line(capsys, argv + ["--out", str(out)])
+    assert not out.exists()
 
 
 def test_gen_stseq_rejects_n_over_cap(tmp_path, capsys):
@@ -346,3 +352,42 @@ def test_fuzz_checks_regions_at_every_size(monkeypatch, capsys):
 def test_fuzz_generation_exhausted_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(generate, "_trace_boundary", lambda cells, n: None)
     _exits_1_with_one_line(capsys, ["fuzz", "--count", "1", "--n", "4"])
+
+
+def test_parser_is_built_once_and_not_at_import():
+    from gridjct.cli import build_parser
+    assert build_parser() is build_parser()
+    probe = _python("-c", "import gridjct.cli as c; print(c.build_parser.cache_info().currsize)")
+    assert probe.stdout == "0\n", probe.stderr
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(_GOOD))
+    inst = ["--instance", str(path)]
+    assert main(["parity", "--witness", *inst]) == 0
+    assert json.loads(capsys.readouterr().out)["point"] == [2, 1]
+    assert main(["parity", *inst]) == 0  # the profile again, not the witness
+    assert capsys.readouterr().out == "0000\n"
+
+    assert main(["gen", "--family", "stconn", "--n", "2", "--check", "dpll"]) == 0
+    assert capsys.readouterr().err == "c check [dpll]: UNSAT\n"
+    assert main(["gen", "--family", "stconn", "--n", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("c gridjct ")
+
+    goods = [["regions", *inst], ["validate", "--json", *inst]]
+    fresh = [_python("-m", "gridjct", *good).stdout for good in goods]
+    for bad in (["regions", "--frobnicate", *inst], ["regions"]):
+        _exits_1_with_one_line(capsys, bad)
+        for good, want in zip(goods, fresh):
+            assert main(good) == 0
+            assert capsys.readouterr().out == want
+
+    conn = tmp_path / "curve.json"
+    conn.write_text(json.dumps({"n": 4, "form": "seq", "blue": _GOOD["blue"],
+                                "sides": [[6, 2], [6, 4]]}))
+    # "=" keeps the negative point a value: the point check rejects it, not argparse
+    assert main(["connect", "--instance", str(conn), "--point=-1,-1"]) == 1
+    assert capsys.readouterr().err == \
+        "error: precondition violated: point inside the refined grid\n"

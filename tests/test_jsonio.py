@@ -85,3 +85,62 @@ def test_write_seq_instance_matches_json_dumps(indent):
     assert fh.getvalue() == json.dumps(doc, indent=indent, sort_keys=True) + "\n"
     with pytest.raises(KeyError):
         write_seq_instance(io.StringIO(), 3, [(0, 3, 0, 4)], quads[1], indent=indent)
+
+
+_SQUARE = [[1, 1, 2, 1], [2, 1, 3, 1], [3, 1, 3, 2], [3, 2, 3, 3],
+           [3, 3, 2, 3], [2, 3, 1, 3], [1, 3, 1, 2], [1, 2, 1, 1]]
+_SHAPE = "edge 1: expected [x1,y1,x2,y2] of ints"
+_BOUNDS = "edge 1: endpoint outside grid [0,4]^2"
+
+# name -> (entries on the n = 4 grid, set-form error, seq-form error); each
+# error is (message, edge_index), or None when that form loads the entries.
+LOADER_FAULTS = {
+    "int-entry": ([_SQUARE[0], 5], (_SHAPE, 1), (_SHAPE, 1)),
+    "string-entry": ([_SQUARE[0], "2131"], (_SHAPE, 1), (_SHAPE, 1)),
+    "dict-entry": ([_SQUARE[0], {"x": 1}], (_SHAPE, 1), (_SHAPE, 1)),
+    "three-ints": ([_SQUARE[0], [2, 1, 3]], (_SHAPE, 1), (_SHAPE, 1)),
+    "five-ints": ([_SQUARE[0], [2, 1, 3, 1, 0]], (_SHAPE, 1), (_SHAPE, 1)),
+    "true": ([_SQUARE[0], [2, 1, True, 1]], (_SHAPE, 1), (_SHAPE, 1)),
+    "float": ([_SQUARE[0], [2, 1, 3.0, 1]], (_SHAPE, 1), (_SHAPE, 1)),
+    "string": ([_SQUARE[0], [2, 1, "3", 1]], (_SHAPE, 1), (_SHAPE, 1)),
+    "type-before-bounds": ([_SQUARE[0], [9, 1, 1.0, 1]], (_SHAPE, 1), (_SHAPE, 1)),
+    "negative": ([_SQUARE[0], [2, 1, 2, -1]], (_BOUNDS, 1), (_BOUNDS, 1)),
+    "above-n": ([_SQUARE[0], [2, 1, 5, 1]], (_BOUNDS, 1), (_BOUNDS, 1)),
+    "bounds-before-adjacency": ([_SQUARE[0], [2, 1, 9, 9]], (_BOUNDS, 1), (_BOUNDS, 1)),
+    # the set form names the endpoints in lexicographic order
+    "diagonal": ([_SQUARE[0], [3, 2, 2, 1]],
+                 ("edge 1: edge endpoints not adjacent: (2, 1)-(3, 2)", 1),
+                 ("edge 1: edge endpoints not adjacent: (3, 2)-(2, 1)", 1)),
+    "zero-length": ([_SQUARE[0], [2, 1, 2, 1]],
+                    ("edge 1: edge endpoints not adjacent: (2, 1)-(2, 1)", 1),
+                    ("edge 1: edge endpoints not adjacent: (2, 1)-(2, 1)", 1)),
+    "duplicate": ([_SQUARE[0], [2, 1, 1, 1], [0, 0, 0, 0]],
+                  ("edge 1: duplicate edge", 1),
+                  ("edge 2: edge endpoints not adjacent: (0, 0)-(0, 0)", 2)),
+    "first-fault-wins": ([_SQUARE[0], [2, 1, 3, 2], [2, 1, 9, 1], "x"],
+                         ("edge 1: edge endpoints not adjacent: (2, 1)-(3, 2)", 1),
+                         ("edge 1: edge endpoints not adjacent: (2, 1)-(3, 2)", 1)),
+    # a chain break at 3 is found only after every entry has parsed
+    "entry-beats-chain": (_SQUARE[:3] + [[0, 0, 1, 0]] + _SQUARE[3:] + [_SQUARE[0], [0, 4, 0, 5]],
+                          ("edge 9: duplicate edge", 9),
+                          ("edge 10: endpoint outside grid [0,4]^2", 10)),
+    "chain-break": (_SQUARE[:3] + [[0, 0, 1, 0]] + _SQUARE[3:], None,
+                    ("edge 3 does not chain: (3, 2) != (0, 0)", 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_FAULTS))
+@pytest.mark.parametrize("form", ["set", "seq"])
+def test_loader_error_contract(form, name):
+    entries, set_error, seq_error = LOADER_FAULTS[name]
+    if form == "set":
+        load, obj, want = edge_set_from_json, {"n": 4, "set": entries}, set_error
+    else:
+        load, want = edge_sequence_from_json, seq_error
+        obj = {"n": 4, "seq": entries, "kind": "closed"}
+    if want is None:  # no fault in this form
+        load(obj)
+        return
+    with pytest.raises(FormatError) as exc:
+        load(obj)
+    assert (str(exc.value), exc.value.edge_index) == want
