@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 
@@ -24,8 +23,9 @@ from .jsonio import (
     instance_to_json,
     load_instance,
     read_json,
-    replacing,
     save_instance,
+    save_json,
+    sink,
     write_seq_instance,
 )
 from .render import RenderSpec, render_svg
@@ -107,7 +107,7 @@ def cmd_connect(args) -> int:
     path = jordan.region_connect(inst.blue, GridPoint(x, y), inst.sides)
     if args.svg:
         svg = render_svg(Instance(n=path.n, form="seq", red=path if path.edges else None))
-        with open(args.svg, "w", encoding="utf-8") as fh:
+        with sink(args.svg) as fh:
             fh.write(svg)
     payload = edge_sequence_to_json(path)
     _emit(args, payload, json.dumps(payload, sort_keys=True))
@@ -128,13 +128,11 @@ def cmd_merge(args) -> int:
     ok = check_edge_alternation(merged)
     if args.svg:
         svg = render_svg(Instance(n=merged.n, form="seq", blue=merged))
-        with open(args.svg, "w", encoding="utf-8") as fh:
+        with sink(args.svg) as fh:
             fh.write(svg)
     payload = {"merged": edge_sequence_to_json(merged), "alternates": ok}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload["merged"], fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(payload["merged"], args.out)
         _emit(args, {"alternates": ok, "out": args.out},
               f"merged {len(merged)} edges -> {args.out}; alternates: {ok}")
     else:
@@ -183,19 +181,11 @@ def _write_seq_reduction(args, handle) -> int:
     if size > cap:
         raise PreconditionViolation(f"output edges <= {cap}",
                                     f"reduce would write {size} edges, over the cap of {cap}")
-
-    def write(fh, indent):
+    with sink(args.out) as fh:
         write_seq_instance(fh, n, handle.checked_edges("blue"), handle.checked_edges("red"),
-                           indent=indent)
-
+                           indent=2 if args.out else None)
     if args.out:
-        with replacing(args.out) as fh:
-            write(fh, 2)
         _emit(args, {"n": n, "out": args.out}, f"wrote n={n} instance to {args.out}")
-    else:
-        buf = io.StringIO()
-        write(buf, None)
-        sys.stdout.write(buf.getvalue())
     return 0
 
 
@@ -220,7 +210,7 @@ def cmd_gen(args) -> int:
 
 def cmd_render(args) -> int:
     svg = render_svg(load_instance(args.instance), RenderSpec())
-    with open(args.svg, "w", encoding="utf-8") as fh:
+    with sink(args.svg) as fh:
         fh.write(svg)
     _emit(args, {"svg": args.svg}, f"wrote {args.svg}")
     return 0

@@ -24,6 +24,7 @@ from .grid import (
     EdgeSet,
     GridPoint,
 )
+from .jsonio import sink
 
 BLUE, RED = "blue", "red"
 EXHAUSTIVE, DPLL = "exhaustive", "dpll"
@@ -472,5 +473,5 @@ def to_dimacs(f: CnfFormula) -> str:
 
 
 def write_dimacs(f: CnfFormula, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with sink(path) as fh:
         fh.write(to_dimacs(f))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInstance, PreconditionViolation
@@ -103,11 +104,6 @@ def pair_code(x: int, y: int) -> int:
     return (x + y) * (x + y + 1) + 2 * y
 
 
-def _check_point(p: GridPoint, n: int, index=None):
-    if not (0 <= p.x <= n and 0 <= p.y <= n):
-        raise InvalidInstance(f"point {tuple(p)} outside grid [0,{n}]^2", edge_index=index)
-
-
 @dataclass(frozen=True)
 class EdgeSet:
     """Unordered finite set of edges on the grid with parameter ``n``."""
@@ -118,16 +114,11 @@ class EdgeSet:
     @classmethod
     def of(cls, edges: Iterable, n: int) -> "EdgeSet":
         out = set()
-        for item in edges:
-            if isinstance(item, Edge):
-                e = Edge.of(item.a, item.b)
-            elif isinstance(item, DirectedEdge):
-                e = item.undirected()
-            else:
-                p, q = item
-                e = Edge.of(p, q)
-            _check_point(e.a, n)
-            _check_point(e.b, n)
+        for p, q in edges:  # an Edge, a DirectedEdge or a pair of points
+            e = Edge.of(p, q)
+            for pt in e:
+                if not (0 <= pt.x <= n and 0 <= pt.y <= n):
+                    raise InvalidInstance(f"point {tuple(pt)} outside grid [0,{n}]^2")
             out.add(e)
         return cls(frozenset(out), n)
 
@@ -193,11 +184,8 @@ class EdgeSequence:
     @classmethod
     def from_points(cls, pts: Sequence, n: int, kind: str) -> "EdgeSequence":
         pts = [GridPoint(*p) for p in pts]
-        edges = [DirectedEdge.of(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-        if kind == CLOSED:
-            edges.append(DirectedEdge.of(pts[-1], pts[0]))
-            return cls.closed(edges, n)
-        return cls.open_path(edges, n)
+        ends = pts[1:] + pts[:1] if kind == CLOSED else pts[1:]
+        return cls(tuple(map(DirectedEdge, pts, ends)), n, kind).validate()
 
     def validate(self) -> "EdgeSequence":
         """Bounds, adjacency, chaining and simplicity, checked once per object."""
@@ -208,36 +196,15 @@ class EdgeSequence:
     def _checked(self) -> bool:
         if self.kind not in (CLOSED, OPEN):
             raise InvalidInstance(f"unknown sequence kind {self.kind!r}")
-        for i, e in enumerate(self.edges):
-            _check_point(e.src, self.n, index=i)
-            _check_point(e.dst, self.n, index=i)
-            if abs(e.dst.x - e.src.x) + abs(e.dst.y - e.src.y) != 1:
-                raise InvalidInstance(f"edge {i} endpoints not adjacent", edge_index=i)
-        self.check_chain()
-        pts = self.points()  # an open path whose ends coincide revisits its start
-        if len(set(pts)) != len(pts):
-            what = "closed curve" if self.kind == CLOSED else "open path"
-            raise InvalidInstance(f"{what} revisits a point")
+        self.check_chain(simple=True)
         return True
 
-    def check_chain(self) -> "EdgeSequence":
-        """Nonempty, each edge starting where the previous one ends, and a
-        closed sequence returning to its start after at least 4 edges.
-        Points may repeat: :meth:`validate` adds simplicity."""
-        if not self.edges:
-            raise InvalidInstance("empty edge sequence")
-        for i in range(len(self.edges) - 1):
-            if self.edges[i].dst != self.edges[i + 1].src:
-                raise InvalidInstance(
-                    f"edge {i + 1} does not chain: {tuple(self.edges[i].dst)} != "
-                    f"{tuple(self.edges[i + 1].src)}",
-                    edge_index=i + 1,
-                )
-        if self.kind == CLOSED:
-            if self.edges[-1].dst != self.edges[0].src:
-                raise InvalidInstance("closed sequence does not return to its start")
-            if len(self.edges) < 4:
-                raise InvalidInstance("closed curve needs at least 4 edges")
+    def check_chain(self, simple: bool = False) -> "EdgeSequence":
+        """:func:`checked_path` over the edges, which may revisit points
+        unless ``simple``: :meth:`validate` adds simplicity."""
+        for _ in checked_path(((*e.src, *e.dst) for e in self.edges), self.n,
+                              closed=self.kind == CLOSED, simple=simple):
+            pass
         return self
 
     def points(self) -> list:
@@ -274,7 +241,9 @@ class EdgeSequence:
 
     @cached_property
     def _edge_set(self) -> EdgeSet:
-        return EdgeSet.of((e.undirected() for e in self.edges), self.n)
+        # each edge's bounds and unit step were checked where it was parsed or built
+        return EdgeSet(frozenset(Edge(e.src, e.dst) if e.src < e.dst else Edge(e.dst, e.src)
+                                 for e in self.edges), self.n)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -283,10 +252,59 @@ class EdgeSequence:
 def _directed(e) -> DirectedEdge:
     if isinstance(e, DirectedEdge):
         return e
-    if isinstance(e, Edge):
-        return DirectedEdge(e.a, e.b)
     p, q = e
-    return DirectedEdge.of(p, q)
+    return DirectedEdge(GridPoint(*p), GridPoint(*q))
+
+
+def checked_path(edges, n: int, ends=None, name: str = "", *, closed: bool = False,
+                 simple: bool = True):
+    """The one sequence checker: yield ``(x1, y1, x2, y2)`` edges unchanged
+    while checking them in one pass.  Edge by edge: each one starting where
+    the previous one ends, every point in [0, n]^2, unit steps.  Once the
+    edges run out: a ``closed`` sequence returning to its start after at
+    least 4 edges, no point visited twice if ``simple``, and the path joining
+    the two ``ends`` if given.
+
+    A failure raises :class:`InvalidInstance` when it is seen, so a consumer
+    that writes the edges must discard what it wrote."""
+    edges = iter(edges)
+    first = next(edges, None)
+    if first is None:
+        raise InvalidInstance("empty edge sequence")
+    x, y = start = first[0], first[1]
+    if not (0 <= x <= n and 0 <= y <= n):
+        raise InvalidInstance(f"point {start} outside grid [0,{n}]^2", edge_index=0)
+    m = n + 1
+    seen, revisit = {x * m + y}, None  # revisit: the first edge ending on a seen point
+    for i, e in enumerate(chain((first,), edges)):
+        x1, y1, x2, y2 = e
+        if x1 != x or y1 != y:
+            raise InvalidInstance(f"edge {i} does not chain: {(x, y)} != {(x1, y1)}",
+                                  edge_index=i)
+        if not (0 <= x2 <= n and 0 <= y2 <= n):
+            raise InvalidInstance(f"point {(x2, y2)} outside grid [0,{n}]^2", edge_index=i)
+        if abs(x2 - x1) + abs(y2 - y1) != 1:
+            raise InvalidInstance(f"edge {i} endpoints not adjacent", edge_index=i)
+        if simple:
+            code = x2 * m + y2
+            if code not in seen:
+                seen.add(code)
+            elif revisit is None:
+                revisit = i
+        x, y = x2, y2
+        yield e
+    if closed:
+        if (x, y) != start:
+            raise InvalidInstance("closed sequence does not return to its start")
+        if i < 3:
+            raise InvalidInstance("closed curve needs at least 4 edges")
+        if revisit == i:  # the last edge closes the curve
+            revisit = None
+    if revisit is not None:
+        raise InvalidInstance(f"{'closed curve' if closed else 'open path'} revisits a point")
+    if ends is not None and {start, (x, y)} != set(ends):
+        p1, p2 = ends
+        raise InvalidInstance(f"{name} path must join {tuple(p1)} and {tuple(p2)}")
 
 
 GridObject = Union[EdgeSet, EdgeSequence]
@@ -411,23 +429,20 @@ def refine(obj: GridObject, factor: int) -> GridObject:
         return obj
     n2 = obj.n * factor
     if isinstance(obj, EdgeSet):
-        out = set()
-        for e in obj.edges:
-            out.update(_refined_pieces(e.a, e.b, factor))
-        return EdgeSet(frozenset(Edge.of(p, q) for p, q in out), n2)
-    pieces = []
-    for e in obj.edges:
-        pieces.extend(DirectedEdge(GridPoint(*p), GridPoint(*q))
-                      for p, q in _refined_pieces(e.src, e.dst, factor))
-    return EdgeSequence(tuple(pieces), n2, obj.kind)
+        return EdgeSet(frozenset(Edge.of((x1, y1), (x2, y2)) for a, b in obj.edges
+                                 for x1, y1, x2, y2 in _unit_steps(
+                                     a.x * factor, a.y * factor, b.x - a.x, b.y - a.y, factor)), n2)
+    return EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2)) for e in obj.edges
+                              for x1, y1, x2, y2 in _unit_steps(
+                                  e.src.x * factor, e.src.y * factor, *e.direction, factor)),
+                        n2, obj.kind)
 
 
-def _refined_pieces(a: GridPoint, b: GridPoint, f: int):
-    dx, dy = b.x - a.x, b.y - a.y
-    x, y = a.x * f, a.y * f
-    for _ in range(f):
-        yield (x, y), (x + dx, y + dy)
-        x, y = x + dx, y + dy
+def _unit_steps(x: int, y: int, dx: int, dy: int, k: int) -> list:
+    """The ``k`` unit edges ``(x1, y1, x2, y2)`` from (x, y) in direction (dx, dy)."""
+    if dx:
+        return [(a, y, a + dx, y) for a in range(x, x + k * dx, dx)]
+    return [(x, b, x, b + dy) for b in range(y, y + k * dy, dy)]
 
 
 def rotate_90(obj: GridObject) -> GridObject:
@@ -444,12 +459,11 @@ def rotate_90(obj: GridObject) -> GridObject:
 
 
 def translate(obj: GridObject, dx: int, dy: int, n: int) -> GridObject:
-    """Shift all coordinates by (dx, dy) onto a grid with parameter ``n``."""
+    """Shift all coordinates by (dx, dy) onto a grid with parameter ``n``; the
+    callers' shifts keep every point on it."""
 
     def mv(p: GridPoint) -> GridPoint:
-        q = GridPoint(p.x + dx, p.y + dy)
-        _check_point(q, n)
-        return q
+        return GridPoint(p.x + dx, p.y + dy)
 
     if isinstance(obj, EdgeSet):
         return EdgeSet(frozenset(Edge(mv(e.a), mv(e.b)) for e in obj.edges), n)

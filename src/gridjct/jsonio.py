@@ -11,9 +11,8 @@ Validation errors carry the index of the offending edge entry.
 from __future__ import annotations
 
 import json
-import os
 import shutil
-import stat
+import sys
 import tempfile
 from contextlib import contextmanager
 from itertools import islice
@@ -173,10 +172,15 @@ def load_instance(path) -> Instance:
     return instance_from_json(read_json(path))
 
 
-def save_instance(inst: Instance, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_json(inst), fh, indent=2, sort_keys=True)
+def save_json(obj, path):
+    """``obj`` as sorted JSON indented by 2, and a newline, through :func:`sink`."""
+    with sink(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_instance(inst: Instance, path):
+    save_json(instance_to_json(inst), path)
 
 
 # How json.dumps(..., sort_keys=True) writes one [x1, y1, x2, y2] entry of a
@@ -214,37 +218,17 @@ def write_seq_instance(fh, n: int, blue, red, *, indent=None):
 
 
 @contextmanager
-def replacing(path):
-    """A text file open for writing whose text reaches ``path`` only when the
-    block completes; on an exception ``path`` is left as it was.
-
-    A new file, or a regular file with one link that this process owns, is
-    written beside its real path (so a symlink stays a link) and moved over
-    it, keeping an existing file's mode. Any other target (a device such as
-    ``os.devnull``, a pipe, a file with other hard links or another owner) is
-    written in place, as ``open(path, "w")`` would, from a spare copy once
-    the block completes."""
-    real = os.path.realpath(path)
-    try:
-        st = os.stat(real)
-    except FileNotFoundError:
-        st = None
-    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
-                               and st.st_uid == os.geteuid()):
-        with tempfile.TemporaryFile("w+", encoding="utf-8") as spare:
-            yield spare
-            spare.seek(0)
-            with open(path, "w", encoding="utf-8") as fh:
-                shutil.copyfileobj(spare, fh)
-        return
-    tmp = f"{real}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
-    try:
-        with fh:
-            yield fh
-        if st is not None:
-            shutil.copymode(real, tmp)
-        os.replace(tmp, real)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+def sink(path):
+    """The one output sink: a spare text file for writing, whose text is
+    copied through ``open(path, "w")`` (to standard output if ``path`` is
+    None) only once the block completes.  A failed run leaves ``path`` as it
+    was; symlinks, devices, hard links and modes behave as ``open`` treats
+    them.  A process killed mid-copy leaves a partial file."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8") as spare:
+        yield spare
+        spare.seek(0)
+        if path is None:
+            shutil.copyfileobj(spare, sys.stdout)
+            return
+        with open(path, "w", encoding="utf-8") as fh:
+            shutil.copyfileobj(spare, fh)

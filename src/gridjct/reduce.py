@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .errors import GridJctError, InvalidInstance, PreconditionViolation
@@ -31,6 +30,8 @@ from .grid import (
     SidePair,
     _form_of,
     _joins,
+    _unit_steps,
+    checked_path,
     translate,
 )
 
@@ -80,20 +81,13 @@ class StConnInstance:
 # drag red around the bottom to a fresh side pair at (n+1, 0)/(n+1, 2).
 # ---------------------------------------------------------------------------
 
-def _run_points(a: GridPoint, b: GridPoint) -> List[GridPoint]:
-    """Lattice points of the axis-parallel run from a to b inclusive."""
-    if a.x == b.x:
-        step = 1 if b.y > a.y else -1
-        return [GridPoint(a.x, y) for y in range(a.y, b.y + step, step)]
-    if a.y == b.y:
-        step = 1 if b.x > a.x else -1
-        return [GridPoint(x, a.y) for x in range(a.x, b.x + step, step)]
-    raise GridJctError("run endpoints not axis aligned")
-
-
 def _run_edges(a: GridPoint, b: GridPoint) -> List[DirectedEdge]:
-    pts = _run_points(a, b)
-    return [DirectedEdge(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+    """Unit edges of the axis-parallel run from a to b (none if a == b)."""
+    dx, dy = b.x - a.x, b.y - a.y
+    if dx and dy:
+        raise GridJctError("run endpoints not axis aligned")
+    return [DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2)) for x1, y1, x2, y2 in
+            _unit_steps(a.x, a.y, (dx > 0) - (dx < 0), (dy > 0) - (dy < 0) or 1, abs(dx + dy))]
 
 
 def _added_stconn_blue(n: int) -> List[DirectedEdge]:
@@ -367,50 +361,6 @@ def _seq_blocks(edges: List[DirectedEdge], big_n: int) -> List[ExpansionBlock]:
                                      direction=(img_dst.x - img_src.x, img_dst.y - img_src.y),
                                      detour_len=detour, runs=tuple(runs)))
     return blocks
-
-
-def _unit_steps(x: int, y: int, dx: int, dy: int, k: int) -> list:
-    """The ``k`` unit edges from (x, y) in direction (dx, dy)."""
-    if dx:
-        return [(a, y, a + dx, y) for a in range(x, x + k * dx, dx)]
-    return [(x, b, x, b + dy) for b in range(y, y + k * dy, dy)]
-
-
-def checked_path(edges, n: int, ends, name: str):
-    """Yield ``(x1, y1, x2, y2)`` edges unchanged while checking them in one
-    pass as :meth:`StConnInstance.validate` checks a sequence payload: every
-    point in [0, n]^2, unit steps, each edge starting where the previous one
-    ends, no point visited twice, and the path joining the two ``ends``.
-
-    A failure raises :class:`InvalidInstance` when it is seen, so a consumer
-    that writes the edges must discard what it wrote."""
-    edges = iter(edges)
-    first = next(edges, None)
-    if first is None:
-        raise InvalidInstance("empty edge sequence")
-    x, y = first[0], first[1]
-    if not (0 <= x <= n and 0 <= y <= n):
-        raise InvalidInstance(f"point {(x, y)} outside grid [0,{n}]^2", edge_index=0)
-    m = n + 1
-    seen = {x * m + y}
-    for i, e in enumerate(chain((first,), edges)):
-        x1, y1, x2, y2 = e
-        if x1 != x or y1 != y:
-            raise InvalidInstance(f"edge {i} does not chain: {(x, y)} != {(x1, y1)}",
-                                  edge_index=i)
-        if not (0 <= x2 <= n and 0 <= y2 <= n):
-            raise InvalidInstance(f"point {(x2, y2)} outside grid [0,{n}]^2", edge_index=i)
-        if abs(x2 - x1) + abs(y2 - y1) != 1:
-            raise InvalidInstance(f"edge {i} endpoints not adjacent", edge_index=i)
-        code = x2 * m + y2
-        if code in seen:
-            raise InvalidInstance("open path revisits a point", edge_index=i)
-        seen.add(code)
-        x, y = x2, y2
-        yield e
-    if {(first[0], first[1]), (x, y)} != set(ends):
-        p1, p2 = ends
-        raise InvalidInstance(f"{name} path must join {tuple(p1)} and {tuple(p2)}")
 
 
 class StConnSeqReduction:

@@ -12,7 +12,9 @@ from gridjct.grid import (
     DirectedEdge,
     Edge,
     EdgeSequence,
+    EdgeSet,
     GridPoint,
+    checked_path,
     connects,
     degree,
     intersects,
@@ -146,13 +148,75 @@ def test_sequence_validation():
     assert err is not None and err.edge_index == 1
 
 
+# name -> (kind, hand-built [x1, y1, x2, y2] edges on the n = 4 grid, message,
+# edge_index).  Edge by edge the checker tests chaining, then bounds, then the
+# unit step, so a chain break beats a later bounds fault; the closed-curve
+# rules and simplicity come after the last edge.
+_FIG8 = [[0, 0, 1, 0], [1, 0, 1, 1], [1, 1, 2, 1], [2, 1, 2, 2],
+         [2, 2, 1, 2], [1, 2, 1, 1], [1, 1, 0, 1], [0, 1, 0, 0]]
+CHECKER_FAULTS = {
+    "empty": (OPEN, [], "empty edge sequence", None),
+    "start-out-of-bounds": (OPEN, [[5, 0, 4, 0]], "point (5, 0) outside grid [0,4]^2", 0),
+    "out-of-bounds": (OPEN, [[3, 4, 4, 4], [4, 4, 5, 4]], "point (5, 4) outside grid [0,4]^2", 1),
+    "diagonal": (OPEN, [[0, 0, 1, 0], [1, 0, 2, 1]], "edge 1 endpoints not adjacent", 1),
+    "chain-break": (OPEN, [[0, 0, 1, 0], [2, 0, 3, 0]], "edge 1 does not chain: (1, 0) != (2, 0)", 1),
+    "break-beats-later-bounds": (OPEN, [[0, 0, 1, 0], [2, 0, 3, 0], [3, 0, 5, 0]],
+                                 "edge 1 does not chain: (1, 0) != (2, 0)", 1),
+    "no-return": (CLOSED, _FIG8[:4], "closed sequence does not return to its start", None),
+    "closed-3-edges": (CLOSED, _FIG8[:3], "closed sequence does not return to its start", None),
+    "closed-2-edges": (CLOSED, [[0, 0, 1, 0], [1, 0, 0, 0]], "closed curve needs at least 4 edges",
+                       None),
+    "open-revisit": (OPEN, [[0, 0, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0]],
+                     "open path revisits a point", None),
+    "open-ends-meet": (OPEN, _FIG8[:1] + [[1, 0, 1, 1], [1, 1, 0, 1], [0, 1, 0, 0]],
+                       "open path revisits a point", None),
+    "closed-revisit": (CLOSED, _FIG8, "closed curve revisits a point", None),
+    "break-beats-earlier-revisit": (OPEN, [[0, 0, 1, 0], [1, 0, 0, 0], [2, 2, 2, 3]],
+                                    "edge 2 does not chain: (0, 0) != (2, 2)", 2),
+    "no-return-beats-revisit": (CLOSED, _FIG8[:7], "closed sequence does not return to its start",
+                                None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKER_FAULTS))
+def test_validate_and_checked_path_raise_alike(name):
+    kind, quads, message, index = CHECKER_FAULTS[name]
+    seq = EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2))
+                             for x1, y1, x2, y2 in quads), 4, kind)
+    with pytest.raises(InvalidInstance) as validated:
+        seq.validate()
+    with pytest.raises(InvalidInstance) as streamed:
+        list(checked_path(iter(quads), 4, closed=kind == CLOSED))
+    for exc in (validated.value, streamed.value):
+        assert type(exc) is InvalidInstance
+        assert (str(exc), exc.edge_index) == (message, index)
+
+
+def test_checked_path_passes_edges_through_and_skips_simplicity_on_request():
+    square = _FIG8[:2] + [[1, 1, 0, 1], [0, 1, 0, 0]]
+    assert list(checked_path(iter(square), 4, closed=True)) == square
+    assert list(checked_path(iter(_FIG8), 4, closed=True, simple=False)) == _FIG8
+    fig8 = EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2))
+                              for x1, y1, x2, y2 in _FIG8), 4, CLOSED)
+    assert fig8.check_chain() is fig8  # merge's revisiting chains pass
+
+
+def test_sequence_edge_set_matches_edge_set_of():
+    # the acceptance corpus of criterion 1: the direct build equals the
+    # checked one through EdgeSet.of and Edge.of
+    for seed in range(1000):
+        inst = gen_crossing_instance(6 + seed % 27, seed)
+        for seq in (inst.blue, inst.red):
+            assert seq.to_edge_set() == EdgeSet.of((e.undirected() for e in seq.edges), seq.n)
+
+
 def _count_chain_checks(monkeypatch):
     checked = []
     real = EdgeSequence.check_chain
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         checked.append(self)
-        return real(self)
+        return real(self, *args, **kwargs)
 
     monkeypatch.setattr(EdgeSequence, "check_chain", counting)
     return checked

@@ -102,6 +102,15 @@ def test_merge_normalizes_non_left_approach():
     assert not check_edge_alternation(merged)
 
 
+def test_merge_rejects_rerouted_ends_off_the_grid():
+    # side points on the left border: re-routing the red ends from the left
+    # would step to x = -1, which the chain check of the rebuilt path rejects
+    blue = EdgeSequence.from_points([(5, 5), (6, 5), (6, 6), (5, 6)], 8, CLOSED)
+    red = EdgeSequence.from_points([(0, 1), (1, 1), (1, 2), (1, 3), (0, 3)], 8, OPEN)
+    with pytest.raises(InvalidInstance, match=r"point \(-1, 3\) outside grid \[0,16\]\^2"):
+        merge_paths(blue, red, side_pair((0, 1), (0, 3)))
+
+
 def test_find_intersection_seq_examples():
     blue = rect_curve(2, 2, 5, 4, 8)
     red = EdgeSequence.from_points([(3, 1), (3, 2), (3, 3)], 8, OPEN)

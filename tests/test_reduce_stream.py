@@ -3,6 +3,7 @@ edge walk against the ``edge_at`` oracle, and the one-pass output check."""
 
 import dataclasses
 import hashlib
+import json
 import os
 import stat
 
@@ -12,8 +13,8 @@ from gridjct import reduce as reduce_module
 from gridjct.cli import main
 from gridjct.errors import GridJctError, InvalidInstance
 from gridjct.generate import gen_crossing_instance
-from gridjct.grid import OPEN, DirectedEdge, EdgeSequence, GridPoint, refine
-from gridjct.jsonio import Instance, save_instance
+from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, GridPoint, refine
+from gridjct.jsonio import Instance, edge_sequence_to_json, save_instance
 from gridjct.reduce import checked_path, jct_to_stconn_seq
 
 # SHA-256 of `reduce --from jct --form seq` output for seeded avoid_midpoint
@@ -233,6 +234,121 @@ def test_reduce_out_to_a_hard_linked_file_updates_both_names(tmp_path, monkeypat
     assert main(argv) == 0
     assert out.samefile(other)
     assert _sha(other.read_bytes()) == PINNED_REDUCE[(6, 1)][0]
+
+
+# --- every writer goes through the one sink ---------------------------------
+
+def _set_input(tmp_path):
+    inst = gen_crossing_instance(6, 1, avoid_midpoint=True)
+    path = tmp_path / "in-set.json"
+    save_instance(Instance(n=6, form="set", blue=inst.blue.to_edge_set(),
+                           red=inst.red.to_edge_set(), sides=inst.sides), path)
+    return str(path)
+
+
+def _connect_input(tmp_path):
+    inst = gen_crossing_instance(6, 1)
+    x, y = 3 * inst.sides.mid.x, 3 * inst.sides.mid.y
+    path = tmp_path / "in-connect.json"
+    path.write_text(json.dumps({"n": 6, "form": "seq", "blue": edge_sequence_to_json(inst.blue),
+                                "sides": [[x, y - 1], [x, y + 1]]}))
+    return str(path)
+
+
+def _merge_inputs(tmp_path):
+    # an out-and-back blue chain and a red path around its left end
+    fwd = [(x, 2) for x in range(5, 0, -1)]
+    pts = [GridPoint(*p) for p in fwd + fwd[-2:0:-1]]
+    blue = EdgeSequence(tuple(map(DirectedEdge, pts, pts[1:] + pts[:1])), 8, CLOSED)
+    red = EdgeSequence.from_points(
+        [(3, 1), (2, 1), (1, 1), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3)], 8, OPEN)
+    paths = tmp_path / "in-blue.json", tmp_path / "in-red.json"
+    for path, seq in zip(paths, (blue, red)):
+        path.write_text(json.dumps(edge_sequence_to_json(seq)))
+    return ["--blue", str(paths[0]), "--red", str(paths[1])]
+
+
+# writer -> (argv without its output option, given the input directory; the option)
+WRITERS = {
+    "reduce-seq": (lambda d: ["reduce", "--from", "jct", "--form", "seq",
+                              "--instance", _input_file(d, 6, 1)], "--out"),
+    "reduce-set": (lambda d: ["reduce", "--from", "jct", "--form", "set",
+                              "--instance", _set_input(d)], "--out"),
+    "merge-out": (lambda d: ["merge", *_merge_inputs(d)], "--out"),
+    "merge-svg": (lambda d: ["merge", *_merge_inputs(d)], "--svg"),
+    "connect-svg": (lambda d: ["connect", "--instance", _connect_input(d), "--point", "1,1"],
+                    "--svg"),
+    "render-svg": (lambda d: ["render", "--instance", _input_file(d, 6, 1)], "--svg"),
+    "gen-out": (lambda d: ["gen", "--family", "stconn", "--n", "3"], "--out"),
+}
+
+
+def _write(tmp_path, capsys, name, target):
+    argv, option = WRITERS[name]
+    rc = main(argv(tmp_path) + [option, str(target)])
+    capsys.readouterr()
+    return rc
+
+
+@pytest.fixture
+def out_dir(tmp_path):
+    path = tmp_path / "out"
+    path.mkdir()
+    return path
+
+
+def _plain_bytes(tmp_path, capsys, name):
+    """What the writer puts in a new regular file."""
+    plain = tmp_path / "plain"
+    assert _write(tmp_path, capsys, name, plain) == 0
+    data = plain.read_bytes()
+    plain.unlink()
+    assert data
+    return data
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_through_a_symlink_writes_the_target(tmp_path, out_dir, capsys, name):
+    expected = _plain_bytes(tmp_path, capsys, name)
+    target, link = out_dir / "target", out_dir / "link"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert _write(tmp_path, capsys, name, link) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+    assert sorted(p.name for p in out_dir.iterdir()) == ["link", "target"]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_to_devnull(tmp_path, capsys, name):
+    assert _write(tmp_path, capsys, name, os.devnull) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert not any(entry.startswith("null.")
+                   for entry in os.listdir(os.path.dirname(os.devnull)))
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_keeps_an_existing_files_mode(tmp_path, out_dir, capsys, name):
+    expected = _plain_bytes(tmp_path, capsys, name)
+    out = out_dir / "out"
+    out.write_text("old\n")
+    out.chmod(0o600)
+    assert _write(tmp_path, capsys, name, out) == 0
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert out.read_bytes() == expected
+    assert [p.name for p in out_dir.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_to_a_hard_linked_file_updates_both_names(tmp_path, out_dir, capsys, name):
+    expected = _plain_bytes(tmp_path, capsys, name)
+    out, other = out_dir / "out", out_dir / "other"
+    out.write_text("old\n")
+    other.hardlink_to(out)
+    assert _write(tmp_path, capsys, name, out) == 0
+    assert out.samefile(other)
+    assert other.read_bytes() == expected
+    assert sorted(p.name for p in out_dir.iterdir()) == ["other", "out"]
 
 
 # --- the output size cap ----------------------------------------------------
