@@ -23,6 +23,7 @@ from .grid import (
     EdgeSequence,
     EdgeSet,
     GridPoint,
+    corner_ends,
 )
 from .jsonio import sink
 
@@ -79,11 +80,6 @@ def edge_slots(n: int) -> List[Edge]:
     return horiz + vert
 
 
-def _corners(n: int) -> Dict[GridPoint, str]:
-    return {GridPoint(0, n): BLUE, GridPoint(n, 0): BLUE,
-            GridPoint(0, 0): RED, GridPoint(n, n): RED}
-
-
 def _slots_at(slots: Sequence[Edge]) -> Dict[GridPoint, List[int]]:
     at: Dict[GridPoint, List[int]] = {}
     for idx, e in enumerate(slots):
@@ -130,14 +126,13 @@ def gen_stconn(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
             f"stconn({n}) would have {size} clauses, over the cap of {MAX_STCONN_CLAUSES}")
     slots = edge_slots(n)
     at = _slots_at(slots)
-    corners = _corners(n)
+    corners = {p: color for color, ends in corner_ends(n).items() for p in ends}
 
     def var(idx: int, color: str) -> int:
         return 2 * idx + (1 if color == BLUE else 2)
 
     clauses: List[Tuple[int, ...]] = []
-    for corner in (GridPoint(0, n), GridPoint(n, 0), GridPoint(0, 0), GridPoint(n, n)):
-        own = corners[corner]
+    for corner, own in corners.items():
         other = RED if own == BLUE else BLUE
         mine = [var(i, own) for i in at[corner]]
         clauses.append(tuple(mine))  # at least one edge of the corner's color
@@ -183,8 +178,7 @@ def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
     s = len(slots)
     at = _slots_at(slots)
     length = n * n
-    ends = {BLUE: (GridPoint(0, n), GridPoint(n, 0)),
-            RED: (GridPoint(0, 0), GridPoint(n, n))}
+    ends = corner_ends(n)
 
     def var(idx: int, color: str, pos: int) -> int:
         return (pos - 1) * 2 * s + 2 * idx + (1 if color == BLUE else 2)
@@ -433,7 +427,6 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
                 picked[role.color].append(role.edge)
         return (EdgeSet.of(picked[BLUE], n), EdgeSet.of(picked[RED], n))
     if family == "stseq":
-        ends = {BLUE: GridPoint(0, n), RED: GridPoint(0, 0)}
         out = {}
         for color in (BLUE, RED):
             by_pos: Dict[int, Edge] = {}
@@ -444,7 +437,7 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
                     by_pos[role.position] = role.edge
             if not by_pos or sorted(by_pos) != list(range(1, len(by_pos) + 1)):
                 raise InvalidInstance(f"{color} positions are not a prefix")
-            cur = ends[color]
+            cur = corner_ends(n)[color][0]
             directed = []
             for pos in range(1, len(by_pos) + 1):
                 e = by_pos[pos]

@@ -99,6 +99,13 @@ def side_pair(p1, p2) -> SidePair:
     return SidePair(pa, pb, mid)
 
 
+def corner_ends(n: int) -> dict:
+    """The corners each color's path joins on the n grid: blue the upper-left
+    and lower-right, red the lower-left and upper-right."""
+    return {"blue": (GridPoint(0, n), GridPoint(n, 0)),
+            "red": (GridPoint(0, 0), GridPoint(n, n))}
+
+
 def pair_code(x: int, y: int) -> int:
     """Injective encoding of a coordinate pair as a single number."""
     return (x + y) * (x + y + 1) + 2 * y

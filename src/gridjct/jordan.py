@@ -28,7 +28,7 @@ from .grid import (
     pair_code,
     refine,
 )
-from .parity import IntersectionWitness, find_intersection_set
+from .parity import IntersectionWitness, find_intersection_set, left_approach_route
 
 
 def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeSequence:
@@ -97,46 +97,28 @@ def _left_approach(red: EdgeSequence, lower: GridPoint, upper: GridPoint) -> boo
 
 
 def _double_and_fix_ends(blue, red, lower, upper, mid):
-    """Refine x2, then trim or extend the path ends so both meet the new side
-    points horizontally from the left.  Arrivals via the midpoint cannot
-    occur here (they would have been rejected as intersecting)."""
-    n2 = blue.n * 2
-    blue2 = refine(blue, 2)
-    red2 = list(refine(red, 2).edges)
-
-    e0 = GridPoint(2 * lower.x, 2 * lower.y)
-    p1 = GridPoint(e0.x, e0.y + 1)
-    d0 = red.edges[0].direction
+    """Refine x2, then trim or extend the path ends along
+    :func:`~gridjct.parity.left_approach_route` so both meet the new side
+    points horizontally from the left.  An end arriving via the midpoint
+    cannot be rerouted so, nor can a side pair on the left border."""
+    d0, dl = red.edges[0].direction, red.edges[-1].direction
     if d0 == (0, 1):
         raise InvalidInstance("red path leaves the lower side point via the midpoint")
-    if d0 == (-1, 0):
-        red2 = red2[1:]
-        head = [DirectedEdge(p1, GridPoint(e0.x - 1, e0.y + 1)),
-                DirectedEdge(GridPoint(e0.x - 1, e0.y + 1), GridPoint(e0.x - 1, e0.y))]
-    else:
-        head = [DirectedEdge(p1, GridPoint(e0.x - 1, e0.y + 1)),
-                DirectedEdge(GridPoint(e0.x - 1, e0.y + 1), GridPoint(e0.x - 1, e0.y)),
-                DirectedEdge(GridPoint(e0.x - 1, e0.y), e0)]
-
-    e1 = GridPoint(2 * upper.x, 2 * upper.y)
-    p2 = GridPoint(e1.x, e1.y - 1)
-    dl = red.edges[-1].direction
     if dl == (0, -1):
         raise InvalidInstance("red path enters the upper side point via the midpoint")
-    if dl == (1, 0):
-        red2 = red2[:-1]
-        tail = [DirectedEdge(GridPoint(e1.x - 1, e1.y), GridPoint(e1.x - 1, e1.y - 1)),
-                DirectedEdge(GridPoint(e1.x - 1, e1.y - 1), p2)]
-    else:
-        tail = [DirectedEdge(e1, GridPoint(e1.x - 1, e1.y)),
-                DirectedEdge(GridPoint(e1.x - 1, e1.y), GridPoint(e1.x - 1, e1.y - 1)),
-                DirectedEdge(GridPoint(e1.x - 1, e1.y - 1), p2)]
-
-    red_out = EdgeSequence(tuple(head + red2 + tail), n2, OPEN).check_chain()
-    mid2 = GridPoint(2 * mid.x, 2 * mid.y)
-    if not _left_approach(red_out, p1, p2):
+    if lower.x == 0:
+        raise InvalidInstance(f"side pair {tuple(lower)}, {tuple(upper)} is on the left border: "
+                              "its red ends cannot be rerouted from the left")
+    head_left, tail_left = d0 == (-1, 0), dl == (1, 0)
+    head = left_approach_route(GridPoint(2 * lower.x, 2 * lower.y), 1, head_left)[::-1]
+    tail = left_approach_route(GridPoint(2 * upper.x, 2 * upper.y), -1, tail_left)
+    core = refine(red, 2).edges
+    edges = [*map(DirectedEdge, head, head[1:]), *core[head_left:len(core) - tail_left],
+             *map(DirectedEdge, tail, tail[1:])]
+    red_out = EdgeSequence(tuple(edges), 2 * blue.n, OPEN).check_chain()
+    if not _left_approach(red_out, head[0], tail[-1]):
         raise TheoremViolation("end fix failed to establish left approach (bug)")
-    return blue2, red_out, p1, p2, mid2
+    return refine(blue, 2), red_out, head[0], tail[-1], GridPoint(2 * mid.x, 2 * mid.y)
 
 
 def find_intersection_seq(blue: EdgeSequence, red: EdgeSequence,

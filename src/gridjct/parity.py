@@ -165,6 +165,16 @@ def approaches_from_left(red: EdgeSet, sides: SidePair) -> bool:
     return True
 
 
+def left_approach_route(end: GridPoint, s: int, from_left: bool) -> list:
+    """Points from a doubled path end to its new side point one step toward
+    the midpoint (``s`` is +1 below it, -1 above), arriving from the left.
+    The route starts at the end's left neighbour when the path already
+    arrives from there, else at the end itself."""
+    route = [GridPoint(end.x - 1, end.y), GridPoint(end.x - 1, end.y + s),
+             GridPoint(end.x, end.y + s)]
+    return route if from_left else [end] + route
+
+
 def normalize_instance(blue: EdgeSet, red: EdgeSet, sides: SidePair):
     """Double the grid density (with a margin shift) and reroute the red path
     ends so both approach the side points horizontally from the left.
@@ -190,7 +200,7 @@ def normalize_instance(blue: EdgeSet, red: EdgeSet, sides: SidePair):
         target = GridPoint(end.x, end.y + s)
         new_end[p] = target
         end_edge = next(e for e in red.edges if p in (e.a, e.b))
-        prev = e_other(end_edge, p)
+        prev = end_edge.b if end_edge.a == p else end_edge.a
         if prev == GridPoint(p.x, p.y + s):  # arrives via the midpoint side
             mid2 = GridPoint(end.x, end.y + 2 * s)
             red2.discard(Edge.of(end, target))
@@ -203,11 +213,11 @@ def normalize_instance(blue: EdgeSet, red: EdgeSet, sides: SidePair):
                          (end.x - 1, end.y + s), target]
             else:
                 route = [mid2, (end.x - 1, mid2.y), (end.x - 1, end.y + s), target]
-        elif prev == GridPoint(p.x - 1, p.y):  # already approaching from the left
-            red2.discard(Edge.of(end, (end.x - 1, end.y)))
-            route = [(end.x - 1, end.y), (end.x - 1, end.y + s), target]
-        else:  # arrives from the right or from away: generic C-shape
-            route = [end, (end.x - 1, end.y), (end.x - 1, end.y + s), target]
+        else:  # from the left the last edge is replaced, else a C-shape is added
+            from_left = prev == GridPoint(p.x - 1, p.y)
+            if from_left:
+                red2.discard(Edge.of(end, (end.x - 1, end.y)))
+            route = left_approach_route(end, s, from_left)
         for i in range(len(route) - 1):
             red2.add(Edge.of(route[i], route[i + 1]))
 
@@ -221,10 +231,6 @@ def normalize_instance(blue: EdgeSet, red: EdgeSet, sides: SidePair):
     if not ok:
         raise TheoremViolation("normalization produced an inconsistent instance (bug)")
     return blue2, red_out, sides_out
-
-
-def e_other(e: Edge, p: GridPoint) -> GridPoint:
-    return e.b if e.a == p else e.a
 
 
 def check_parity_lemma(blue: EdgeSet, red: EdgeSet, sides: SidePair) -> LemmaReport:

@@ -8,6 +8,10 @@ side-pair midpoint outward, reconnecting the reflected pieces with
 axis-parallel connector runs; the sequence version additionally refines the
 grid 8N-fold and pads every edge's expansion to exactly 16N^2 output edges
 so any output index is resolvable in constant time.
+
+Each direction is built once: the set form is the union of the pieces that
+the sequence form splices in order (and, for the reflection, refines and
+pads).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .grid import (
     _joins,
     _unit_steps,
     checked_path,
+    corner_ends,
     translate,
 )
 
@@ -39,12 +44,6 @@ from .grid import (
 # 1.71M and an n = 64 one 149M (about 10 GB of JSON), so a whole output over
 # this many edges is rejected before any is written.  edge_at is not capped.
 MAX_OUT_EDGES = 4_000_000
-
-
-def _corner_ends(n: int) -> dict:
-    """The corners each color's path joins on the n grid."""
-    return {"blue": (GridPoint(0, n), GridPoint(n, 0)),
-            "red": (GridPoint(0, 0), GridPoint(n, n))}
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class StConnInstance:
         return _form_of(self.blue)
 
     def corners(self):
-        ends = _corner_ends(self.n)
+        ends = corner_ends(self.n)
         return ends["blue"] + ends["red"]
 
     def validate(self) -> "StConnInstance":
@@ -81,77 +80,62 @@ class StConnInstance:
 # drag red around the bottom to a fresh side pair at (n+1, 0)/(n+1, 2).
 # ---------------------------------------------------------------------------
 
-def _run_edges(a: GridPoint, b: GridPoint) -> List[DirectedEdge]:
-    """Unit edges of the axis-parallel run from a to b (none if a == b)."""
-    dx, dy = b.x - a.x, b.y - a.y
-    if dx and dy:
-        raise GridJctError("run endpoints not axis aligned")
-    return [DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2)) for x1, y1, x2, y2 in
-            _unit_steps(a.x, a.y, (dx > 0) - (dx < 0), (dy > 0) - (dy < 0) or 1, abs(dx + dy))]
+def _polyline(*pts) -> List[DirectedEdge]:
+    """Unit edges of the axis-parallel runs through the points in order."""
+    out = []
+    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+        dx, dy = bx - ax, by - ay
+        if dx and dy:
+            raise GridJctError("run endpoints not axis aligned")
+        out += [DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2)) for x1, y1, x2, y2 in
+                _unit_steps(ax, ay, (dx > 0) - (dx < 0), (dy > 0) - (dy < 0) or 1, abs(dx + dy))]
+    return out
 
 
-def _added_stconn_blue(n: int) -> List[DirectedEdge]:
-    """Closure path from the lower-right to the upper-left corner, after the
-    +1 y-shift: two bottom edges, the right column, the top row, one step
-    down to the blue start."""
-    return (_run_edges(GridPoint(n, 1), GridPoint(n + 2, 1))
-            + _run_edges(GridPoint(n + 2, 1), GridPoint(n + 2, n + 2))
-            + _run_edges(GridPoint(n + 2, n + 2), GridPoint(0, n + 2))
-            + _run_edges(GridPoint(0, n + 2), GridPoint(0, n + 1)))
+def _spliced(form: str, pieces, n: int, kind: str) -> GridObject:
+    """One output color from its pieces in path order: the set form is their
+    union, the sequence form splices them."""
+    edges = [e for piece in pieces for e in piece]
+    if form == "set":
+        return EdgeSet(frozenset(Edge.of(*e) for e in edges), n)
+    return EdgeSequence(tuple(edges), n, kind)
 
 
-def _added_stconn_red_prefix(n: int) -> List[DirectedEdge]:
-    return (_run_edges(GridPoint(n + 1, 0), GridPoint(0, 0))
-            + _run_edges(GridPoint(0, 0), GridPoint(0, 1)))
-
-
-def _added_stconn_red_suffix(n: int) -> List[DirectedEdge]:
-    return (_run_edges(GridPoint(n, n + 1), GridPoint(n + 1, n + 1))
-            + _run_edges(GridPoint(n + 1, n + 1), GridPoint(n + 1, 2)))
-
-
-def _stconn_sides(n: int) -> SidePair:
-    return SidePair(GridPoint(n + 1, 0), GridPoint(n + 1, 2), GridPoint(n + 1, 1))
+def _stconn_to_jct(inst: StConnInstance, form: str) -> Instance:
+    """The one embedding behind both forms: shift the input up by one onto
+    the (n+2) grid, close blue from the lower-right corner round the right
+    column and the top row, and run red from the fresh side point (n+1, 0)
+    along the bottom into its path and on to (n+1, 2)."""
+    inst.validate()
+    if inst.form != form:
+        raise PreconditionViolation(f"{form}-form instance")
+    n, n_out = inst.n, inst.n + 2
+    blue, red = inst.blue, inst.red
+    if form == "seq":  # each path from its first corner
+        ul, _, ll, _ = inst.corners()
+        blue = blue if blue.start == ul else blue.reverse()
+        red = red if red.start == ll else red.reverse()
+    closure = _polyline((n, 1), (n + 2, 1), (n + 2, n + 2), (0, n + 2), (0, n + 1))
+    prefix = _polyline((n + 1, 0), (0, 0), (0, 1))
+    suffix = _polyline((n, n + 1), (n + 1, n + 1), (n + 1, 2))
+    return Instance(
+        n=n_out, form=form,
+        blue=_spliced(form, (translate(blue, 0, 1, n_out).edges, closure), n_out, CLOSED),
+        red=_spliced(form, (prefix, translate(red, 0, 1, n_out).edges, suffix), n_out, OPEN),
+        sides=SidePair(GridPoint(n + 1, 0), GridPoint(n + 1, 2), GridPoint(n + 1, 1)),
+        offset=(0, 1)).validate()
 
 
 def stconn_to_jct_set(inst: StConnInstance) -> Instance:
     """Embed a set-form st-connectivity instance as a side-crossing instance
     on the (n+2) grid; intersection status is preserved point for point."""
-    inst.validate()
-    if inst.form != "set":
-        raise PreconditionViolation("set-form instance")
-    n = inst.n
-    n_out = n + 2
-    blue = set(translate(inst.blue, 0, 1, n_out).edges)
-    blue.update(e.undirected() for e in _added_stconn_blue(n))
-    red = set(translate(inst.red, 0, 1, n_out).edges)
-    red.update(e.undirected() for e in _added_stconn_red_prefix(n))
-    red.update(e.undirected() for e in _added_stconn_red_suffix(n))
-    out = Instance(n=n_out, form="set", blue=EdgeSet(frozenset(blue), n_out),
-                   red=EdgeSet(frozenset(red), n_out),
-                   sides=_stconn_sides(n), offset=(0, 1))
-    return out.validate()
+    return _stconn_to_jct(inst, "set")
 
 
 def stconn_to_jct_seq(inst: StConnInstance) -> Instance:
-    """Sequence analogue of :func:`stconn_to_jct_set`: same geometry, with
-    the added runs spliced into the ordered output sequences."""
-    inst.validate()
-    if inst.form != "seq":
-        raise PreconditionViolation("seq-form instance")
-    n = inst.n
-    n_out = n + 2
-    ul, lr, ll, ur = inst.corners()
-    blue_in = inst.blue if inst.blue.start == ul else inst.blue.reverse()
-    red_in = inst.red if inst.red.start == ll else inst.red.reverse()
-    blue_core = translate(blue_in, 0, 1, n_out)
-    red_core = translate(red_in, 0, 1, n_out)
-    blue_seq = EdgeSequence(tuple(blue_core.edges) + tuple(_added_stconn_blue(n)),
-                            n_out, CLOSED)
-    red_seq = EdgeSequence(tuple(_added_stconn_red_prefix(n)) + tuple(red_core.edges)
-                           + tuple(_added_stconn_red_suffix(n)), n_out, OPEN)
-    return Instance(n=n_out, form="seq", blue=blue_seq, red=red_seq,
-                    sides=_stconn_sides(n), offset=(0, 1)).validate()
+    """Sequence form of :func:`stconn_to_jct_set`: the same runs, spliced
+    into the ordered output sequences."""
+    return _stconn_to_jct(inst, "seq")
 
 
 # ---------------------------------------------------------------------------
@@ -248,42 +232,43 @@ def _reflect_color_set(es: EdgeSet, big_n: int, skip_center: bool) -> set:
         if im1 == im2:
             continue
         for a, b in _connector_runs(im1, im2, big_n, qa):
-            out.update(e.undirected() for e in _run_edges(a, b))
+            out.update(e.undirected() for e in _polyline(a, b))
     return out
 
 
-def _check_red_clear_of_mid(inst: Instance):
+def _reflection_frame(inst: Instance, form: str) -> Tuple[int, GridObject, GridObject]:
+    """The checks both forms of the reflection make, then ``(N, blue, red)``
+    with both colors translated so the side-pair midpoint lands at (N, N) of
+    the 2N grid."""
+    inst.validate()
+    if inst.form != form:
+        raise PreconditionViolation(f"{form}-form instance")
     if inst.red.to_edge_set().degree(inst.sides.mid) > 0:
         raise InvalidInstance(
             "red path touches the side-pair midpoint; the reflection "
             "reduction is undefined for this degenerate (already touching) case")
+    big_n, dx, dy = _centering(inst)
+    return big_n, translate(inst.blue, dx, dy, 2 * big_n), translate(inst.red, dx, dy, 2 * big_n)
+
+
+def _end_runs(big_n: int) -> Dict[str, Tuple[List[DirectedEdge], List[DirectedEdge]]]:
+    """Per color, fresh (prefix, suffix) runs joining the reflected core to
+    the color's corners of the 2N grid."""
+    m = 2 * big_n
+    return {"red": (_polyline((0, 0), (big_n, 0), (big_n, 1)),
+                    _polyline((big_n, m - 1), (big_n, m), (m, m))),
+            "blue": (_polyline((0, m), (0, big_n)), _polyline((m, big_n), (m, 0)))}
 
 
 def jct_to_stconn_set(inst: Instance) -> StConnInstance:
     """Reflect a set-form side-crossing instance into a corner-to-corner
     instance on the 2N grid (N = centered grid parameter)."""
-    inst.validate()
-    if inst.form != "set":
-        raise PreconditionViolation("set-form instance")
-    _check_red_clear_of_mid(inst)
-    big_n, dx, dy = _centering(inst)
+    big_n, blue, red = _reflection_frame(inst, "set")
+    cores = {"blue": _reflect_color_set(blue, big_n, skip_center=True),
+             "red": _reflect_color_set(red, big_n, skip_center=False)}
     n_out = 2 * big_n
-    blue_big = translate(inst.blue, dx, dy, n_out)
-    red_big = translate(inst.red, dx, dy, n_out)
-
-    blue = _reflect_color_set(blue_big, big_n, skip_center=True)
-    blue.update(e.undirected() for e in _run_edges(GridPoint(0, n_out), GridPoint(0, big_n)))
-    blue.update(e.undirected() for e in _run_edges(GridPoint(n_out, big_n), GridPoint(n_out, 0)))
-
-    red = _reflect_color_set(red_big, big_n, skip_center=False)
-    red.update(e.undirected() for e in _run_edges(GridPoint(0, 0), GridPoint(big_n, 0)))
-    red.add(Edge.of(GridPoint(big_n, 0), GridPoint(big_n, 1)))
-    red.add(Edge.of(GridPoint(big_n, n_out - 1), GridPoint(big_n, n_out)))
-    red.update(e.undirected() for e in _run_edges(GridPoint(big_n, n_out), GridPoint(n_out, n_out)))
-
-    out = StConnInstance(n=n_out, blue=EdgeSet(frozenset(blue), n_out),
-                         red=EdgeSet(frozenset(red), n_out))
-    return out.validate()
+    return StConnInstance(n=n_out, **{c: _spliced("set", (pre, cores[c], suf), n_out, OPEN)
+                                      for c, (pre, suf) in _end_runs(big_n).items()}).validate()
 
 
 def jct_witness_to_stconn(inst: Instance, w, *, scale: int = 1) -> GridPoint:
@@ -370,19 +355,20 @@ class StConnSeqReduction:
     between the image end points) from ``j // 16N^2`` alone; prefix and
     suffix boundary extensions are plain 8N-fold refinements with closed-form
     lengths.  ``iter_edges(color)`` walks a whole output path in order.
+    ``blocks`` and ``ends`` map each color to its expansion blocks and to its
+    (prefix, suffix) runs.
     """
 
     def __init__(self, source: Instance, big_n: int,
-                 red_blocks: List[ExpansionBlock], blue_blocks: List[ExpansionBlock],
-                 red_prefix, red_suffix, blue_prefix, blue_suffix):
+                 blocks: Dict[str, List[ExpansionBlock]], ends: Dict[str, Tuple[list, list]]):
         self.source = source
         self.n_base = big_n
         self.factor = 8 * big_n
         self.block_size = 16 * big_n * big_n
         self.n_out = 2 * big_n * self.factor
-        self._blocks = {"red": red_blocks, "blue": blue_blocks}
-        self._prefix = {"red": red_prefix, "blue": blue_prefix}
-        self._suffix = {"red": red_suffix, "blue": blue_suffix}
+        self._blocks = blocks
+        self._prefix = {c: pre for c, (pre, _) in ends.items()}
+        self._suffix = {c: suf for c, (_, suf) in ends.items()}
 
     def core_length(self, color: str = "red") -> int:
         return self.block_size * len(self._blocks[color])
@@ -471,7 +457,7 @@ class StConnSeqReduction:
         """:meth:`iter_edges` passed through :func:`checked_path` against the
         color's two corners of the output grid."""
         return checked_path(self.iter_edges(color), self.n_out,
-                            _corner_ends(self.n_out)[color], color)
+                            corner_ends(self.n_out)[color], color)
 
     def materialize(self, color: str) -> EdgeSequence:
         return EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2))
@@ -490,39 +476,20 @@ class StConnSeqReduction:
 def jct_to_stconn_seq(inst: Instance) -> StConnSeqReduction:
     """Reflect a sequence-form side-crossing instance and refine 8N-fold so
     every input edge expands to exactly 16N^2 output edges."""
-    inst.validate()
-    if inst.form != "seq":
-        raise PreconditionViolation("seq-form instance")
-    _check_red_clear_of_mid(inst)
-    big_n, dx, dy = _centering(inst)
-    n_mid = 2 * big_n
+    big_n, blue, red = _reflection_frame(inst, "seq")
+    if red.start.y > red.end.y:
+        red = red.reverse()  # from the lower side point
     center = GridPoint(big_n, big_n)
-
-    red_in = inst.red if inst.red.start == min(inst.sides.p1, inst.sides.p2,
-                                               key=lambda p: p.y) else inst.red.reverse()
-    red_big = translate(red_in, dx, dy, n_mid)
-    blue_big = translate(inst.blue, dx, dy, n_mid)
-    start_idx = next(i for i, e in enumerate(blue_big.edges) if e.src == center)
-    blue_big = blue_big.rotate(start_idx)
-    if _edge_quarter(blue_big.edges[0].src, blue_big.edges[0].dst, big_n) != "L":
-        blue_big = blue_big.reverse()  # reversal keeps the center first, now westward
-
-    red_blocks = _seq_blocks(list(red_big.edges), big_n)
-    blue_blocks = _seq_blocks(list(blue_big.edges), big_n)
-
-    red_prefix = (_run_edges(GridPoint(0, 0), GridPoint(big_n, 0))
-                  + [DirectedEdge(GridPoint(big_n, 0), GridPoint(big_n, 1))])
-    red_suffix = ([DirectedEdge(GridPoint(big_n, n_mid - 1), GridPoint(big_n, n_mid))]
-                  + _run_edges(GridPoint(big_n, n_mid), GridPoint(n_mid, n_mid)))
-    blue_prefix = _run_edges(GridPoint(0, n_mid), GridPoint(0, big_n))
-    blue_suffix = _run_edges(GridPoint(n_mid, big_n), GridPoint(n_mid, 0))
-
-    if red_blocks[0].src != GridPoint(big_n, 1):
+    blue = blue.rotate(next(i for i, e in enumerate(blue.edges) if e.src == center))
+    if _edge_quarter(blue.edges[0].src, blue.edges[0].dst, big_n) != "L":
+        blue = blue.reverse()  # reversal keeps the center first, now westward
+    blocks = {"red": _seq_blocks(list(red.edges), big_n),
+              "blue": _seq_blocks(list(blue.edges), big_n)}
+    if blocks["red"][0].src != GridPoint(big_n, 1):
         raise GridJctError("red core does not start at the lower image point (bug)")
-    if blue_blocks[0].src != GridPoint(0, big_n):
+    if blocks["blue"][0].src != GridPoint(0, big_n):
         raise GridJctError("blue core does not start at the left corner image (bug)")
-    return StConnSeqReduction(inst, big_n, red_blocks, blue_blocks,
-                              red_prefix, red_suffix, blue_prefix, blue_suffix)
+    return StConnSeqReduction(inst, big_n, blocks, _end_runs(big_n))
 
 
 def edge_at(reduced: StConnSeqReduction, j: int) -> DirectedEdge:

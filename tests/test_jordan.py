@@ -104,11 +104,25 @@ def test_merge_normalizes_non_left_approach():
 
 def test_merge_rejects_rerouted_ends_off_the_grid():
     # side points on the left border: re-routing the red ends from the left
-    # would step to x = -1, which the chain check of the rebuilt path rejects
+    # would step to x = -1, so the pair is rejected before the grid is doubled
     blue = EdgeSequence.from_points([(5, 5), (6, 5), (6, 6), (5, 6)], 8, CLOSED)
     red = EdgeSequence.from_points([(0, 1), (1, 1), (1, 2), (1, 3), (0, 3)], 8, OPEN)
-    with pytest.raises(InvalidInstance, match=r"point \(-1, 3\) outside grid \[0,16\]\^2"):
+    with pytest.raises(InvalidInstance, match=r"side pair \(0, 1\), \(0, 3\) is on the left border"):
         merge_paths(blue, red, side_pair((0, 1), (0, 3)))
+
+
+def test_cli_merge_rejects_a_left_border_side_pair(tmp_path, capsys):
+    bluef, redf, out = tmp_path / "b.json", tmp_path / "r.json", tmp_path / "out.json"
+    bluef.write_text(json.dumps(edge_sequence_to_json(
+        EdgeSequence.from_points([(5, 5), (6, 5), (6, 6), (5, 6)], 8, CLOSED))))
+    redf.write_text(json.dumps(edge_sequence_to_json(
+        EdgeSequence.from_points([(0, 3), (1, 3), (1, 2), (1, 1), (0, 1)], 8, OPEN))))
+    assert main(["merge", "--blue", str(bluef), "--red", str(redf), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "side pair (0, 1), (0, 3) is on the left border" in captured.err
+    assert not out.exists()
 
 
 def test_find_intersection_seq_examples():

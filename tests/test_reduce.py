@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gridjct.cli import main
 from gridjct.errors import InvalidInstance, PreconditionViolation
 from gridjct.generate import gen_crossing_instance
 from gridjct.grid import (
@@ -15,6 +16,7 @@ from gridjct.grid import (
     is_curve,
     on_different_sides,
 )
+from gridjct.jsonio import save_instance
 from gridjct.reduce import (
     StConnInstance,
     _centering,
@@ -206,6 +208,41 @@ def test_jct_to_stconn_set_rejects_red_through_midpoint():
                 jct_to_stconn_set(_jct_set(inst))
             return
     pytest.skip("no midpoint-touching instance in the seed range")
+
+
+def test_jct_to_stconn_seq_rejects_red_through_midpoint():
+    inst = gen_crossing_instance(8, 0)
+    assert inst.sides.mid in inst.red.point_set
+    with pytest.raises(InvalidInstance, match="touches the side-pair midpoint"):
+        jct_to_stconn_seq(inst)
+
+
+def test_cli_reduce_seq_rejects_red_through_midpoint(tmp_path, capsys):
+    inst = gen_crossing_instance(8, 0)
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    save_instance(inst, src)
+    argv = ["reduce", "--from", "jct", "--form", "seq", "--instance", str(src),
+            "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "side-pair midpoint" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reduction,wanted", [
+    (stconn_to_jct_set, "set"), (stconn_to_jct_seq, "seq"),
+    (jct_to_stconn_set, "set"), (jct_to_stconn_seq, "seq")])
+def test_reductions_reject_the_other_form(reduction, wanted):
+    # each reduction is handed a valid instance of the form it does not take
+    given = "seq" if wanted == "set" else "set"
+    if reduction in (stconn_to_jct_set, stconn_to_jct_seq):
+        inst = staircase_instance(4, 0, given)
+    else:
+        inst = gen_crossing_instance(6, 1, avoid_midpoint=True)
+        inst = _jct_set(inst) if given == "set" else inst
+    with pytest.raises(PreconditionViolation, match=f"{wanted}-form instance"):
+        reduction(inst)
 
 
 def test_expansion_arithmetic_identities():

@@ -17,6 +17,9 @@ from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, GridPoint, re
 from gridjct.jsonio import Instance, edge_sequence_to_json, save_instance
 from gridjct.reduce import checked_path, jct_to_stconn_seq
 
+from test_jordan import retraced_arc
+from test_reduce import staircase_instance
+
 # SHA-256 of `reduce --from jct --form seq` output for seeded avoid_midpoint
 # inputs: (n, seed) -> (the --out file, stdout).
 PINNED_REDUCE = {
@@ -55,6 +58,89 @@ def test_reduce_seq_output_pinned(tmp_path, capsys, n, seed):
     assert main(argv) == 0
     stdout = capsys.readouterr().out
     assert (_sha(out.read_bytes()), _sha(stdout.encode())) == PINNED_REDUCE[(n, seed)]
+
+
+# SHA-256 of the stdout of the reductions that are not streamed, and of
+# `merge --json`, on seeded inputs.  stconn -> jct runs on
+# staircase_instance(n, n, form), jct -> stconn (set form) on
+# gen_crossing_instance(n, n, avoid_midpoint=True).
+PINNED_STCONN = {
+    ("seq", 2): "bb975f2b39d28017794e2f23fad7ac531873591488194b89e386249c38685781",
+    ("seq", 3): "88f5efb5b23070e08ae82c586b85485d66ea6de2c985d8cacc5f3461ed9ea5d0",
+    ("seq", 4): "99c3f2418af9e545568ede1a183855fa4e113038398bb5fb5d931535470367f6",
+    ("seq", 5): "a4b53986eaef9a52d51460e6a62f01f515ba0ca5d5217a4724e8cccee3e9e65d",
+    ("seq", 6): "2b541c482c19effc35c6bfe9cb81f2cb849dee7cd7d5715f18058619dfb841e2",
+    ("seq", 7): "315af842f6d957b9c1936b96b2b6cf921eb3a166a1849209f3f1fa401238d1ae",
+    ("seq", 8): "b604c55c0bf8bb3a68152023b7b7a9b1a64231aac50bacffc2c3d21e8edcc38f",
+    ("set", 2): "26e2002d1bb917dc5e4e9b67072d7056486b61cd162b1cef486fc8a1669e6279",
+    ("set", 3): "960f4d5995f54c55eb62971b5d0c52e73ab937f6946ea576ac063305c90ca9b9",
+    ("set", 4): "a180e4233d601d876f981e692e090b2398988e1af274e1565d2e770e78ffb3c2",
+    ("set", 5): "3ca54820ca5d6c5fff9a6de1a44cf65d6587bf54bbab20860ef689bfa34dc64f",
+    ("set", 6): "c4d474d0d1f692733543264ae6c9594a4980bcc6cb4ecc9eb4024f6dafc34cb6",
+    ("set", 7): "42d367ea799a223e4297630e42e909a3a833978a86f540a81d96c32644e93241",
+    ("set", 8): "bef84f3b5f31c682d8debd9bfe425cd5fc2be1b16996de39500848ef79a1c2de",
+}
+PINNED_JCT_SET = {
+    6: "98c89eca6c10be5661abe64dc68933ad93f9c421c93a22192072f36b5edec559",
+    7: "8b7e7d0d2390d97f02d1ead4f43d08d229d384e3a2a0e47bf75f676285a01e45",
+    8: "ec359cd73f8cdf95045208def189a679df32b42761f6184823feb698e407a393",
+    9: "f9f12f00c15f16cd07ed95a1cfb00c97a6a0cde59c99dcf0c6431d3e8ba37d49",
+    10: "cbb21ebc41b9ae2f6a92b0dc4a48c661bff5f36a6b39a2cdff99d16c9ff32f34",
+}
+# merge fixtures: the out-and-back blue chain of test_jordan with the red path
+# around its left end (no doubling), the red paths of
+# test_merge_doubles_when_splice_point_occupied and
+# test_merge_normalizes_non_left_approach, and one that leaves p1 leftward but
+# enters p2 from the right (all three doubled).
+MERGE_REDS = {
+    "left-approach": [(3, 1), (2, 1), (1, 1), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (3, 3)],
+    "splice-occupied": [(3, 1), (4, 1), (4, 0), (3, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2),
+                        (0, 3), (1, 3), (2, 3), (3, 3)],
+    "both-ends-rerouted": [(3, 1), (3, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2), (0, 3),
+                           (0, 4), (1, 4), (2, 4), (3, 4), (4, 4), (4, 3), (3, 3)],
+    "tail-rerouted": [(3, 1), (2, 1), (1, 1), (0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4),
+                      (3, 4), (4, 4), (4, 3), (3, 3)],
+}
+PINNED_MERGE = {
+    "both-ends-rerouted": "d69fd142045231b27d3f87e12020c2b9ecc30b4822fd53460805cce40a63bbb6",
+    "left-approach": "6c2231e6efc6461b15b79361743c7d2f2138d36a4010e16c578fcf6fee8d2110",
+    "splice-occupied": "d8b6499470b71caaeb2a3fbac0bb6c71835d4026787537450696ca9939040313",
+    "tail-rerouted": "ea1c7472cba4764c3483a432ba85a6d6d96466a502aea76de62a44701d206ae3",
+}
+
+
+def _stdout_sha(capsys, argv):
+    assert main(argv) == 0
+    return _sha(capsys.readouterr().out.encode())
+
+
+@pytest.mark.parametrize("form,n", sorted(PINNED_STCONN))
+def test_reduce_stconn_output_pinned(tmp_path, capsys, form, n):
+    src = staircase_instance(n, n, form)
+    path = tmp_path / "in.json"
+    save_instance(Instance(n=n, form=form, blue=src.blue, red=src.red), path)
+    argv = ["reduce", "--from", "stconn", "--form", form, "--instance", str(path)]
+    assert _stdout_sha(capsys, argv) == PINNED_STCONN[(form, n)]
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_JCT_SET))
+def test_reduce_jct_set_output_pinned(tmp_path, capsys, n):
+    inst = gen_crossing_instance(n, n, avoid_midpoint=True)
+    path = tmp_path / "in.json"
+    save_instance(Instance(n=n, form="set", blue=inst.blue.to_edge_set(),
+                           red=inst.red.to_edge_set(), sides=inst.sides), path)
+    argv = ["reduce", "--from", "jct", "--form", "set", "--instance", str(path)]
+    assert _stdout_sha(capsys, argv) == PINNED_JCT_SET[n]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MERGE))
+def test_merge_output_pinned(tmp_path, capsys, name):
+    blue, red = tmp_path / "blue.json", tmp_path / "red.json"
+    blue.write_text(json.dumps(edge_sequence_to_json(retraced_arc(range(5, 0, -1), 2, 8))))
+    red.write_text(json.dumps(edge_sequence_to_json(
+        EdgeSequence.from_points(MERGE_REDS[name], 8, OPEN))))
+    argv = ["merge", "--blue", str(blue), "--red", str(red), "--json"]
+    assert _stdout_sha(capsys, argv) == PINNED_MERGE[name]
 
 
 # --- the closed-form walk against the edge_at oracle -----------------------
