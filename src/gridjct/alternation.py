@@ -21,9 +21,7 @@ def alternate(xs: Iterable[int], ys: Iterable[int]) -> bool:
     xset, yset = set(xs), set(ys)
     if xset & yset:
         raise PreconditionViolation("disjoint sets", f"sets share {sorted(xset & yset)}")
-    merged = sorted(((v, 0) for v in xset), key=lambda t: t[0])
-    merged += ((v, 1) for v in yset)
-    merged.sort()
+    merged = sorted([(v, 0) for v in xset] + [(v, 1) for v in yset])
     return all(merged[i][1] != merged[i + 1][1] for i in range(len(merged) - 1))
 
 

@@ -28,7 +28,7 @@ from .jsonio import (
     sink,
     write_seq_instance,
 )
-from .render import RenderSpec, render_svg
+from .render import render_svg
 
 
 def _emit(args, payload: dict, text: str):
@@ -42,6 +42,21 @@ def _need(inst: Instance, *fields):
     for f in fields:
         if getattr(inst, f) is None:
             raise InvalidInstance(f'instance is missing "{f}"')
+
+
+def _load_seq(args, *fields) -> Instance:
+    """The ``--instance`` file, with ``fields`` present and blue in sequence
+    form."""
+    inst = load_instance(args.instance)
+    _need(inst, *fields)
+    if not isinstance(inst.blue, EdgeSequence):
+        raise InvalidInstance(f"{args.command} needs a sequence-form instance")
+    return inst
+
+
+def _write_svg(path, inst: Instance):
+    with sink(path) as fh:
+        fh.write(render_svg(inst))
 
 
 def cmd_validate(args) -> int:
@@ -71,11 +86,7 @@ def cmd_parity(args) -> int:
 
 
 def cmd_alternation(args) -> int:
-    inst = load_instance(args.instance)
-    _need(inst, "blue")
-    if not isinstance(inst.blue, EdgeSequence):
-        raise InvalidInstance("alternation needs a sequence-form instance")
-    ok = check_edge_alternation(inst.blue)
+    ok = check_edge_alternation(_load_seq(args, "blue").blue)
     _emit(args, {"alternates": ok}, "alternates" if ok else "ALTERNATION VIOLATED")
     if not ok:
         raise TheoremViolation("a valid closed curve failed edge alternation")
@@ -83,11 +94,7 @@ def cmd_alternation(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    inst = load_instance(args.instance)
-    _need(inst, "blue")
-    if not isinstance(inst.blue, EdgeSequence):
-        raise InvalidInstance("regions needs a sequence-form instance")
-    count = jordan.count_regions(inst.blue)
+    count = jordan.count_regions(_load_seq(args, "blue").blue)
     _emit(args, {"regions": count}, str(count))
     if count != 2:
         raise TheoremViolation(f"curve produced {count} regions instead of 2")
@@ -95,10 +102,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    inst = load_instance(args.instance)
-    _need(inst, "blue", "sides")
-    if not isinstance(inst.blue, EdgeSequence):
-        raise InvalidInstance("connect needs a sequence-form instance")
+    inst = _load_seq(args, "blue", "sides")
     try:
         x, y = (int(v) for v in args.point.split(","))
     except ValueError:
@@ -106,9 +110,7 @@ def cmd_connect(args) -> int:
             f"--point must be X,Y with integer coordinates: {args.point!r}") from None
     path = jordan.region_connect(inst.blue, GridPoint(x, y), inst.sides)
     if args.svg:
-        svg = render_svg(Instance(n=path.n, form="seq", red=path if path.edges else None))
-        with sink(args.svg) as fh:
-            fh.write(svg)
+        _write_svg(args.svg, Instance(n=path.n, form="seq", red=path if path.edges else None))
     payload = edge_sequence_to_json(path)
     _emit(args, payload, json.dumps(payload, sort_keys=True))
     return 0
@@ -127,9 +129,7 @@ def cmd_merge(args) -> int:
     merged = jordan.merge_paths(blue, red, sides)
     ok = check_edge_alternation(merged)
     if args.svg:
-        svg = render_svg(Instance(n=merged.n, form="seq", blue=merged))
-        with sink(args.svg) as fh:
-            fh.write(svg)
+        _write_svg(args.svg, Instance(n=merged.n, form="seq", blue=merged))
     payload = {"merged": edge_sequence_to_json(merged), "alternates": ok}
     if args.out:
         save_json(payload["merged"], args.out)
@@ -209,9 +209,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_render(args) -> int:
-    svg = render_svg(load_instance(args.instance), RenderSpec())
-    with sink(args.svg) as fh:
-        fh.write(svg)
+    _write_svg(args.svg, load_instance(args.instance))
     _emit(args, {"svg": args.svg}, f"wrote {args.svg}")
     return 0
 

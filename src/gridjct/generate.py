@@ -20,6 +20,7 @@ from .grid import CLOSED, OPEN, EdgeSequence, GridPoint, Instance, SidePair
 _RING8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 MAX_ATTEMPTS = 1000  # tries per generator call before GenerationExhausted
+MAX_N = 512  # the polyomino target grows as n^2; render.MAX_N is the same cap
 
 
 def _one_arc(mask: int) -> bool:
@@ -108,9 +109,12 @@ def gen_random_curve(n: int, seed: int, *, margin: int = 0,
                      min_cells: int = 1) -> EdgeSequence:
     """Boundary of a random simply connected polyomino, as a directed closed
     sequence; deterministic per seed.  ``margin`` keeps the curve that many
-    units away from the grid border."""
+    units away from the grid border.  Grids larger than ``MAX_N`` are
+    rejected before any work."""
     if n < 2:
         raise PreconditionViolation("n >= 2")
+    if n > MAX_N:
+        raise PreconditionViolation(f"n <= {MAX_N}", f"generators need n <= {MAX_N}, got n={n}")
     if n - 2 * margin < 1:
         raise PreconditionViolation("margin leaves room for at least one cell")
     rng = random.Random(seed)
@@ -124,15 +128,10 @@ def gen_random_curve(n: int, seed: int, *, margin: int = 0,
 
 
 def _side_candidates(curve: EdgeSequence) -> List[GridPoint]:
-    cset = curve.to_edge_set()
-    n = curve.n
-    out = []
-    for w in sorted(curve.point_set):
-        if w.y - 1 < 0 or w.y + 1 > n:
-            continue
-        if cset.degree((w.x, w.y - 1)) == 0 and cset.degree((w.x, w.y + 1)) == 0:
-            out.append(w)
-    return out
+    """Curve points whose neighbors above and below are off the curve."""
+    pts = curve.point_set
+    return [w for w in sorted(pts)
+            if 0 < w.y < curve.n and (w.x, w.y - 1) not in pts and (w.x, w.y + 1) not in pts]
 
 
 def _bfs_path(n: int, src: GridPoint, dst: GridPoint, rng: random.Random,
@@ -162,7 +161,7 @@ def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) ->
     The path is found by breadth-first search and may touch the curve (the
     crossing guarantee is the point).  ``avoid_midpoint`` keeps the path off
     the side-pair midpoint whenever some path around it exists.
-    Deterministic per seed.
+    Deterministic per seed; ``n`` is capped by :func:`gen_random_curve`.
     """
     if n < 4:
         raise PreconditionViolation("n >= 4")

@@ -43,10 +43,6 @@ class Edge(NamedTuple):
         return self.a.y == self.b.y
 
     @property
-    def vertical(self) -> bool:
-        return self.a.x == self.b.x
-
-    @property
     def column(self) -> int:
         """Column k of a horizontal edge: endpoint x-coordinates are k, k+1."""
         if not self.horizontal:
@@ -452,27 +448,22 @@ def _unit_steps(x: int, y: int, dx: int, dy: int, k: int) -> list:
     return [(x, b, x, b + dy) for b in range(y, y + k * dy, dy)]
 
 
-def rotate_90(obj: GridObject) -> GridObject:
-    """Rotate the whole instance: (x, y) -> (y, n - x)."""
-    n = obj.n
-
-    def rot(p: GridPoint) -> GridPoint:
-        return GridPoint(p.y, n - p.x)
-
+def _mapped(obj: GridObject, f, n: int) -> GridObject:
+    """``obj`` with every point moved by ``f`` onto the grid with parameter
+    ``n``, unchecked: a set edge keeps its endpoints in lexicographic order."""
     if isinstance(obj, EdgeSet):
-        return EdgeSet.of(((rot(e.a), rot(e.b)) for e in obj.edges), n)
-    return EdgeSequence(tuple(DirectedEdge(rot(e.src), rot(e.dst)) for e in obj.edges),
-                        n, obj.kind)
+        pairs = ((f(e.a), f(e.b)) for e in obj.edges)
+        return EdgeSet(frozenset(Edge(a, b) if a < b else Edge(b, a) for a, b in pairs), n)
+    return EdgeSequence(tuple(DirectedEdge(f(e.src), f(e.dst)) for e in obj.edges), n, obj.kind)
+
+
+def rotate_90(obj: GridObject) -> GridObject:
+    """Rotate the whole instance: (x, y) -> (y, n - x), which keeps [0, n]^2."""
+    n = obj.n
+    return _mapped(obj, lambda p: GridPoint(p.y, n - p.x), n)
 
 
 def translate(obj: GridObject, dx: int, dy: int, n: int) -> GridObject:
     """Shift all coordinates by (dx, dy) onto a grid with parameter ``n``; the
     callers' shifts keep every point on it."""
-
-    def mv(p: GridPoint) -> GridPoint:
-        return GridPoint(p.x + dx, p.y + dy)
-
-    if isinstance(obj, EdgeSet):
-        return EdgeSet(frozenset(Edge(mv(e.a), mv(e.b)) for e in obj.edges), n)
-    return EdgeSequence(tuple(DirectedEdge(mv(e.src), mv(e.dst)) for e in obj.edges),
-                        n, obj.kind)
+    return _mapped(obj, lambda p: GridPoint(p.x + dx, p.y + dy), n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import PreconditionViolation, TheoremViolation
 from .grid import (
@@ -43,25 +43,12 @@ class ParityProfile:
         return "".join(str(b) for b in self.bits)
 
 
-class IntersectionWitness(tuple):
+class IntersectionWitness(NamedTuple):
     """Grid point touched by both colors, with the two degrees."""
 
-    __slots__ = ()
-
-    def __new__(cls, point, blue_degree, red_degree):
-        return super().__new__(cls, (GridPoint(*point), blue_degree, red_degree))
-
-    @property
-    def point(self):
-        return self[0]
-
-    @property
-    def blue_degree(self):
-        return self[1]
-
-    @property
-    def red_degree(self):
-        return self[2]
+    point: GridPoint
+    blue_degree: int
+    red_degree: int
 
 
 @dataclass(frozen=True)

@@ -58,20 +58,14 @@ class StConnInstance:
     def form(self) -> str:
         return _form_of(self.blue)
 
-    def corners(self):
-        ends = corner_ends(self.n)
-        return ends["blue"] + ends["red"]
-
     def validate(self) -> "StConnInstance":
-        ul, lr, ll, ur = self.corners()
         if _form_of(self.blue) != _form_of(self.red):
             raise InvalidInstance("blue and red must share a form")
         if self.blue.n != self.n or self.red.n != self.n:
             raise InvalidInstance("payload grid parameter mismatch")
-        if not _joins(self.blue, ul, lr):
-            raise InvalidInstance(f"blue path must join {tuple(ul)} and {tuple(lr)}")
-        if not _joins(self.red, ll, ur):
-            raise InvalidInstance(f"red path must join {tuple(ll)} and {tuple(ur)}")
+        for color, (p1, p2) in corner_ends(self.n).items():
+            if not _joins(getattr(self, color), p1, p2):
+                raise InvalidInstance(f"{color} path must join {tuple(p1)} and {tuple(p2)}")
         return self
 
 
@@ -112,9 +106,9 @@ def _stconn_to_jct(inst: StConnInstance, form: str) -> Instance:
     n, n_out = inst.n, inst.n + 2
     blue, red = inst.blue, inst.red
     if form == "seq":  # each path from its first corner
-        ul, _, ll, _ = inst.corners()
-        blue = blue if blue.start == ul else blue.reverse()
-        red = red if red.start == ll else red.reverse()
+        ends = corner_ends(n)
+        blue = blue if blue.start == ends["blue"][0] else blue.reverse()
+        red = red if red.start == ends["red"][0] else red.reverse()
     closure = _polyline((n, 1), (n + 2, 1), (n + 2, n + 2), (0, n + 2), (0, n + 1))
     prefix = _polyline((n + 1, 0), (0, 0), (0, 1))
     suffix = _polyline((n, n + 1), (n + 1, n + 1), (n + 1, 2))
@@ -199,40 +193,28 @@ def _connector_runs(im1: GridPoint, im2: GridPoint, big_n: int,
     return tuple(runs)
 
 
-def _diag_crossings_set(es: EdgeSet, big_n: int, skip: frozenset) -> List[Tuple]:
-    """(point, quarterA, quarterB) for every diagonal point whose incident
-    edges live in two different quarters."""
-    incident: Dict[GridPoint, List[str]] = {}
-    for e in es.edges:
-        q = _edge_quarter(e.a, e.b, big_n)
-        for p in (e.a, e.b):
-            if _strict_quarter(p, big_n) is None:
-                incident.setdefault(p, []).append(q)
-    out = []
-    for p, qs in sorted(incident.items()):
-        if p in skip:
-            continue
-        uniq = sorted(set(qs))
-        if len(uniq) == 2:
-            out.append((p, uniq[0], uniq[1]))
-        elif len(uniq) > 2:
-            raise GridJctError("diagonal point touched from more than two quarters")
-    return out
-
-
-def _reflect_color_set(es: EdgeSet, big_n: int, skip_center: bool) -> set:
-    center = GridPoint(big_n, big_n)
-    out = set()
+def _reflect_color_set(es: EdgeSet, big_n: int) -> set:
+    """One pass reflects each edge out of its quarter and records the
+    quarters each diagonal point is touched from; a point touched from two
+    then gets the connector between its two images.  The center is skipped:
+    blue turns there, and red never reaches it."""
+    out, incident = set(), {}
     for e in es.edges:
         q = _edge_quarter(e.a, e.b, big_n)
         out.add(Edge.of(_reflect(q, e.a, big_n), _reflect(q, e.b, big_n)))
-    skip = frozenset([center]) if skip_center else frozenset()
-    for w, qa, qb in _diag_crossings_set(es, big_n, skip):
-        im1, im2 = _reflect(qa, w, big_n), _reflect(qb, w, big_n)
-        if im1 == im2:
-            continue
-        for a, b in _connector_runs(im1, im2, big_n, qa):
-            out.update(e.undirected() for e in _polyline(a, b))
+        for p in (e.a, e.b):
+            if _strict_quarter(p, big_n) is None:
+                incident.setdefault(p, set()).add(q)
+    incident.pop(GridPoint(big_n, big_n), None)
+    for w, qs in incident.items():
+        if len(qs) > 2:
+            raise GridJctError("diagonal point touched from more than two quarters")
+        if len(qs) == 2:
+            qa, qb = sorted(qs)
+            im1, im2 = _reflect(qa, w, big_n), _reflect(qb, w, big_n)
+            if im1 != im2:
+                for a, b in _connector_runs(im1, im2, big_n, qa):
+                    out.update(e.undirected() for e in _polyline(a, b))
     return out
 
 
@@ -264,8 +246,7 @@ def jct_to_stconn_set(inst: Instance) -> StConnInstance:
     """Reflect a set-form side-crossing instance into a corner-to-corner
     instance on the 2N grid (N = centered grid parameter)."""
     big_n, blue, red = _reflection_frame(inst, "set")
-    cores = {"blue": _reflect_color_set(blue, big_n, skip_center=True),
-             "red": _reflect_color_set(red, big_n, skip_center=False)}
+    cores = {"blue": _reflect_color_set(blue, big_n), "red": _reflect_color_set(red, big_n)}
     n_out = 2 * big_n
     return StConnInstance(n=n_out, **{c: _spliced("set", (pre, cores[c], suf), n_out, OPEN)
                                       for c, (pre, suf) in _end_runs(big_n).items()}).validate()

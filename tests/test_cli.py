@@ -266,6 +266,11 @@ def test_gen_stseq_rejects_n_over_cap(tmp_path, capsys):
     _exits_1_with_one_line(capsys, ["gen", "--family", "stseq", "--n", "6"])
 
 
+def test_fuzz_rejects_n_over_cap(capsys):
+    # the generators would try to grow billions of cells; none is grown
+    _exits_1_with_one_line(capsys, ["fuzz", "--n", "100000", "--count", "1"])
+
+
 @pytest.mark.parametrize("name", sorted(MALFORMED) + ["not-utf8"])
 def test_malformed_instance_exits_1_with_one_line(tmp_path, capsys, name):
     path = tmp_path / "bad.json"

@@ -40,6 +40,14 @@ def test_curve_small_n():
         gen_random_curve(1, 0)
 
 
+def test_generators_reject_n_over_cap_before_any_work(monkeypatch):
+    assert generate.MAX_N == 512
+    monkeypatch.setattr(generate, "_grow_polyomino", None)  # any growth would fail
+    for make in (gen_random_curve, gen_crossing_instance):
+        with pytest.raises(PreconditionViolation, match="generators need n <= 512, got n=513"):
+            make(513, 0)
+
+
 def test_crossing_instances_valid():
     for seed in range(60):
         inst = gen_crossing_instance(9, seed)

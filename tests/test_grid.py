@@ -1,5 +1,6 @@
 """Grid primitives: encoding, degrees, predicates, refinement."""
 
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from gridjct.grid import (
     refine,
     rotate_90,
     side_pair,
+    translate,
 )
 from gridjct.generate import gen_crossing_instance, gen_random_curve
 
@@ -299,6 +301,37 @@ def test_rotate_90():
     assert GridPoint(0, 4) in rot.points
     seq = rect_curve(0, 0, 1, 1, 4)
     rotate_90(seq).validate()
+
+
+def _moved_objects():
+    """Both colors of seeded crossing instances, in both forms."""
+    for n in range(6, 13):
+        inst = gen_crossing_instance(n, n)
+        yield from (inst.blue, inst.red, inst.blue.to_edge_set(), inst.red.to_edge_set())
+
+
+def _layout(obj):
+    """Every edge as stored, endpoint order included: set edges sorted."""
+    if isinstance(obj, EdgeSet):
+        return obj.n, sorted(obj.edges)
+    return obj.n, obj.kind, obj.edges
+
+
+def test_rotate_and_translate_outputs_pinned():
+    h = hashlib.sha256()
+    for obj in _moved_objects():
+        h.update(repr((_layout(rotate_90(obj)), _layout(translate(obj, 3, 2, obj.n + 5)))).encode())
+    assert h.hexdigest() == "f025306e19086dcbd94778d01977c83fbb4f2154064e8bc9b634a240bdb49261"
+
+
+def test_rotate_90_keeps_set_edges_ordered_and_four_turns_are_the_identity():
+    for obj in _moved_objects():
+        turned = obj
+        for _ in range(4):
+            turned = rotate_90(turned)
+            if isinstance(obj, EdgeSet):
+                assert all(e.a < e.b for e in turned.edges)
+        assert turned == obj
 
 
 def test_reverse_roundtrip():

@@ -230,6 +230,27 @@ def test_cli_reduce_seq_rejects_red_through_midpoint(tmp_path, capsys):
     assert not out.exists()
 
 
+_LEFT_BOTTOM = [(0, 3), (0, 2), (0, 1), (0, 0), (1, 0), (2, 0), (3, 0)]
+_BOTTOM_RIGHT = [(0, 0), (1, 0), (2, 0), (3, 0), (3, 1), (3, 2), (3, 3)]
+_LEFT = [(0, 0), (0, 1), (0, 2), (0, 3)]
+
+
+@pytest.mark.parametrize("form", ["set", "seq"])
+@pytest.mark.parametrize("blue,red,message", [
+    (_LEFT, _BOTTOM_RIGHT, "blue path must join (0, 3) and (3, 0)"),
+    (_LEFT_BOTTOM, _LEFT, "red path must join (0, 0) and (3, 3)"),
+    (_LEFT, _LEFT, "blue path must join (0, 3) and (3, 0)"),  # blue is checked first
+    (_BOTTOM_RIGHT, _LEFT_BOTTOM, "blue path must join (0, 3) and (3, 0)"),
+])
+def test_stconn_instance_names_the_corners_a_path_misses(form, blue, red, message):
+    blue, red = (EdgeSequence.from_points(pts, 3, OPEN) for pts in (blue, red))
+    if form == "set":
+        blue, red = blue.to_edge_set(), red.to_edge_set()
+    with pytest.raises(InvalidInstance) as exc:
+        StConnInstance(n=3, blue=blue, red=red).validate()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("reduction,wanted", [
     (stconn_to_jct_set, "set"), (stconn_to_jct_seq, "seq"),
     (jct_to_stconn_set, "set"), (jct_to_stconn_seq, "seq")])

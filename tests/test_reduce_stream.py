@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import stat
 
 import pytest
@@ -13,7 +14,7 @@ from gridjct import reduce as reduce_module
 from gridjct.cli import main
 from gridjct.errors import GridJctError, InvalidInstance
 from gridjct.generate import gen_crossing_instance
-from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, GridPoint, refine
+from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, EdgeSet, GridPoint, refine
 from gridjct.jsonio import Instance, edge_sequence_to_json, save_instance
 from gridjct.reduce import checked_path, jct_to_stconn_seq
 
@@ -131,6 +132,46 @@ def test_reduce_jct_set_output_pinned(tmp_path, capsys, n):
                            red=inst.red.to_edge_set(), sides=inst.sides), path)
     argv = ["reduce", "--from", "jct", "--form", "set", "--instance", str(path)]
     assert _stdout_sha(capsys, argv) == PINNED_JCT_SET[n]
+
+
+def _with_square_loop(es, avoid, rng):
+    """``es`` plus the boundary of one unit cell, drawn by ``rng`` among the
+    cells whose corners miss ``es`` and the points in ``avoid``."""
+    n, taken = es.n, es.points | set(avoid)
+    cells = [(x, y) for x in range(n) for y in range(n)
+             if not taken & {(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)}]
+    x, y = rng.choice(cells)
+    square = [((x, y), (x + 1, y)), ((x + 1, y), (x + 1, y + 1)),
+              ((x, y + 1), (x + 1, y + 1)), ((x, y), (x, y + 1))]
+    return EdgeSet(es.edges | EdgeSet.of(square, n).edges, n)
+
+
+# SHA-256 of `reduce --from jct --form set` stdout when each color carries one
+# more unit-square loop, which only the set form allows: a second blue loop
+# off the side points and an extra red loop off the midpoint, on
+# gen_crossing_instance(n, n, avoid_midpoint=True).  At n = 7 and 12..15 an
+# extra loop touches a diagonal of the reflection.
+PINNED_JCT_SET_LOOPS = {
+    6: "6e5d1156fd60d2d39970be047482e59fcff33a17b8935adf339083a082f72cf4",
+    7: "b58bff72412e68ed9ca302ace6dd7d959d724bddfd82d064823ec37cd2529ec5",
+    12: "9433fd27b8febc754b8c1d8b3f38ef2caf13e05f68b207969dc81a4b22c04a8b",
+    13: "d8cffd8c8a2035828db06fc33488dc936f5df3146282f3c12b32a91057276ab5",
+    14: "0dc6137a839f04b132a4d4758260fde648422655cc25a7cd61ada30970332515",
+    15: "980152b79cd2d1fd1fc18a11b09a9587df78ff388a72918d2fc2590d16efff2f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_JCT_SET_LOOPS))
+def test_reduce_jct_set_with_extra_loops_pinned(tmp_path, capsys, n):
+    inst = gen_crossing_instance(n, n, avoid_midpoint=True)
+    rng = random.Random(n)
+    sides = inst.sides
+    blue = _with_square_loop(inst.blue.to_edge_set(), (sides.p1, sides.p2), rng)
+    red = _with_square_loop(inst.red.to_edge_set(), (sides.mid,), rng)
+    path = tmp_path / "in.json"
+    save_instance(Instance(n=n, form="set", blue=blue, red=red, sides=sides), path)
+    argv = ["reduce", "--from", "jct", "--form", "set", "--instance", str(path)]
+    assert _stdout_sha(capsys, argv) == PINNED_JCT_SET_LOOPS[n]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_MERGE))
