@@ -174,16 +174,17 @@ def cmd_reduce(args) -> int:
 
 
 def _write_seq_reduction(args, handle) -> int:
-    """Stream both checked output paths of the 16N^2 reduction to JSON: the
-    bytes ``save_instance`` or ``print(json.dumps(...))`` would write, and
-    nothing at all if a check fails or the output is over the size cap."""
+    """Write both output paths of the 16N^2 reduction to JSON from their
+    checked pieces: the bytes ``save_instance`` or ``print(json.dumps(...))``
+    would write, and nothing at all if a check fails or the output is over
+    the size cap."""
     n, size, cap = handle.n_out, handle.out_edges(), reductions.MAX_OUT_EDGES
     if size > cap:
         raise PreconditionViolation(f"output edges <= {cap}",
                                     f"reduce would write {size} edges, over the cap of {cap}")
+    pieces = [handle.checked_pieces(c) for c in ("blue", "red")]  # every check, before a byte
     with sink(args.out) as fh:
-        write_seq_instance(fh, n, handle.checked_edges("blue"), handle.checked_edges("red"),
-                           indent=2 if args.out else None)
+        write_seq_instance(fh, n, *pieces, indent=2 if args.out else None)
     if args.out:
         _emit(args, {"n": n, "out": args.out}, f"wrote n={n} instance to {args.out}")
     return 0

@@ -15,7 +15,6 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from itertools import islice
 
 from .errors import FormatError, InvalidInstance
 from .grid import (
@@ -189,13 +188,14 @@ def save_instance(inst: Instance, path):
 # entries.
 _QUAD_PARTS = {None: ("[", "{}, ", "{}", "]", ", "),
                2: ("[\n", "        {},\n", "        {}\n", "      ]", ",\n      ")}
-_BATCH = 4096
 
 
 def write_seq_instance(fh, n: int, blue, red, *, indent=None):
-    """Write a sequence-form instance whose two open paths stream from
-    nonempty iterables of ``(x1, y1, x2, y2)`` ints in [0, n], a batch at a
-    time (a number outside [0, n] raises ``KeyError``).
+    """Write a sequence-form instance whose two open paths are given as
+    nonempty lists of pieces ``(template, ox, oy)``: the edges ``(a + ox,
+    b + oy, c + ox, d + oy)`` for each ``(a, b, c, d)`` of the template, in
+    order, all ints in [0, n] (a number outside raises ``KeyError``).  Each
+    piece is formatted and written as a whole.
 
     The text equals ``json.dumps(instance_to_json(inst), indent=indent,
     sort_keys=True)`` plus a newline for the same edges, with ``indent`` None
@@ -208,11 +208,12 @@ def write_seq_instance(fh, n: int, blue, red, *, indent=None):
     num = {i: mid.format(i) for i in range(n + 1)}
     end = {i: last.format(i) for i in range(n + 1)}
     fh.write(head)
-    for edges, after in ((blue, middle), (red, tail + "\n")):
-        edges, lead = iter(edges), ""
-        while batch := list(islice(edges, _BATCH)):
-            fh.write(lead + sep.join([opening + num[x1] + num[y1] + num[x2] + end[y2] + closing
-                                      for x1, y1, x2, y2 in batch]))
+    for pieces, after in ((blue, middle), (red, tail + "\n")):
+        lead = ""
+        for tpl, ox, oy in pieces:
+            fh.write(lead + sep.join([
+                f"{opening}{num[x1 + ox]}{num[y1 + oy]}{num[x2 + ox]}{end[y2 + oy]}{closing}"
+                for x1, y1, x2, y2 in tpl]))
             lead = sep
         fh.write(after)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .errors import GridJctError, InvalidInstance, PreconditionViolation
+from .errors import GridJctError, InvalidInstance, PreconditionViolation, TheoremViolation
 from .grid import (
     CLOSED,
     OPEN,
@@ -329,15 +329,65 @@ def _seq_blocks(edges: List[DirectedEdge], big_n: int) -> List[ExpansionBlock]:
     return blocks
 
 
+Quad = Tuple[int, int, int, int]
+
+
+def _comb(n: int, d: Tuple[int, int], h: int) -> List[Quad]:
+    """A block's walk along its image edge at the origin: 4N reps of one step
+    along ``d`` and ``h`` steps out to the right or back, then the 4N
+    straight steps to 8N*d."""
+    (dx, dy), out, x, y = d, [], 0, 0
+    px, py = dy, -dx  # right of the direction of travel
+    for _ in range(4 * n):
+        out.append((x, y, x + dx, y + dy))
+        x, y = x + dx, y + dy
+        out += _unit_steps(x, y, px, py, h)
+        x, y = x + h * px, y + h * py
+        px, py = -px, -py  # out on even reps, back on odd ones
+    return out + _unit_steps(x, y, dx, dy, 4 * n)
+
+
+def _check_template(tpl, n: int, dx: int, dy: int, h: Optional[int]):
+    """Raise :class:`TheoremViolation` unless ``tpl`` runs from (0, 0) to
+    8N*(dx, dy) as a simple unit-step path, and each of its points has
+    depth 0 and along 0..8N, or (combs only) along 1..4N and depth
+    1..h <= 4N-2; along is measured in direction (dx, dy), depth to its
+    right."""
+    f, top = 8 * n, -1 if h is None else h
+    name = f"template ({dx}, {dy}, h={h})"
+    if not tpl or tpl[0][:2] != (0, 0) or tpl[-1][2:] != (f * dx, f * dy):
+        raise TheoremViolation(f"{name} does not run from (0, 0) to {(f * dx, f * dy)} (bug)")
+    for *_, x, y in tpl:  # every end point; the first start is (0, 0)
+        along, depth = x * dx + y * dy, x * dy - y * dx
+        if not (depth == 0 and 0 <= along <= f
+                or 1 <= along <= 4 * n and 1 <= depth <= top <= 4 * n - 2):
+            raise TheoremViolation(f"{name}: point {(x, y)} leaves its quarter cell (bug)")
+    try:  # shifted by 8N, into [0, 16N]^2
+        for _ in checked_path(((a + f, b + f, c + f, e + f) for a, b, c, e in tpl), 2 * f):
+            pass
+    except InvalidInstance as exc:
+        raise TheoremViolation(f"{name}, shifted by {f}: {exc} (bug)") from None
+
+
+def _translated(pieces):
+    """The edges of ``(template, ox, oy)`` pieces, each template edge moved by
+    (ox, oy)."""
+    for tpl, ox, oy in pieces:
+        for a, b, c, d in tpl:
+            yield a + ox, b + oy, c + ox, d + oy
+
+
 class StConnSeqReduction:
     """Handle over the refined sequence reduction.
 
     ``edge_at(j)`` resolves the j-th edge of the expanded core (the part
     between the image end points) from ``j // 16N^2`` alone; prefix and
     suffix boundary extensions are plain 8N-fold refinements with closed-form
-    lengths.  ``iter_edges(color)`` walks a whole output path in order.
-    ``blocks`` and ``ends`` map each color to its expansion blocks and to its
-    (prefix, suffix) runs.
+    lengths.  ``iter_edges(color)`` walks a whole output path in order, and
+    ``checked_pieces(color)`` gives it, checked, as translated templates: one
+    per coarse step, built once per handle on first use.  ``blocks`` and
+    ``ends`` map each color to its expansion blocks and to its (prefix,
+    suffix) runs.
     """
 
     def __init__(self, source: Instance, big_n: int,
@@ -350,6 +400,8 @@ class StConnSeqReduction:
         self._blocks = blocks
         self._prefix = {c: pre for c, (pre, _) in ends.items()}
         self._suffix = {c: suf for c, (_, suf) in ends.items()}
+        self._templates: Dict[Tuple[int, int, Optional[int]], Tuple[Quad, ...]] = {}
+        self._checked = set()  # template keys that passed _check_template
 
     def core_length(self, color: str = "red") -> int:
         return self.block_size * len(self._blocks[color])
@@ -406,44 +458,106 @@ class StConnSeqReduction:
         base = i * self.block_size
         return [self.edge_at(base + r, color) for r in range(self.block_size)]
 
+    def _template(self, step: Tuple[int, int, Optional[int]]) -> Tuple[Quad, ...]:
+        """The walk of a coarse step ``(dx, dy, h)`` at the origin, built once
+        per handle: the comb of depth ``h`` of a block's image edge, or for
+        ``h`` None the straight 8N-fold refinement of any other edge."""
+        tpl = self._templates.get(step)
+        if tpl is None:
+            dx, dy, h = step
+            tpl = self._templates[step] = tuple(
+                _unit_steps(0, 0, dx, dy, self.factor) if h is None
+                else _comb(self.n_base, (dx, dy), h))
+        return tpl
+
+    def _coarse(self, color: str) -> List[Tuple[int, int, int, int, Optional[int]]]:
+        """The unrefined path as ``(x, y, dx, dy, h)`` unit steps: the prefix
+        runs, each block's image edge (``h`` its comb depth, 4N-2 inward and
+        4N-4l-2 outward) and its connector runs from each run's own start,
+        then the suffix runs.  ``h`` is None off the image edges."""
+        n = self.n_base
+        pre, suf = ([(*e.src, *e.direction, None) for e in run]
+                    for run in (self._prefix[color], self._suffix[color]))
+        core = []
+        for blk in self._blocks[color]:
+            core.append((*blk.src, *blk.direction, 4 * n - 2 * blk.detour_len - 2))
+            for start, d, length in blk.runs:
+                core += [(x, y, *d, None) for x, y, _, _ in _unit_steps(*start, *d, length)]
+        return pre + core + suf
+
+    def _pieces(self, coarse) -> List[Tuple[Tuple[Quad, ...], int, int]]:
+        """Each coarse step as ``(template, ox, oy)``: its template and the
+        scaled start it is translated to."""
+        f = self.factor
+        return [(self._template(step[2:]), step[0] * f, step[1] * f) for step in coarse]
+
     def iter_edges(self, color: str):
         """The color's whole output path in order, as ``(x1, y1, x2, y2)``
-        ints: the 8N-fold refined prefix, every block, the refined suffix.
-
-        Each block is walked in closed form: 4N reps of one step forward and
-        ``h`` steps out to the right or back, the 4N straight steps to the
-        scaled image end, then the scaled connector runs.  :meth:`edge_at`
+        ints, unchecked: the 8N-fold refined prefix, every block (its comb,
+        then its refined connector runs), the refined suffix.  :meth:`edge_at`
         is the per-index specification of the same blocks."""
-        n, f = self.n_base, self.factor
-        for e in self._prefix[color]:
-            yield from _unit_steps(e.src.x * f, e.src.y * f, *e.direction, f)
-        for blk in self._blocks[color]:
-            h = 4 * n - 2 * blk.detour_len - 2
-            dx, dy = blk.direction
-            px, py = dy, -dx  # right of the direction of travel
-            x, y = blk.src.x * f, blk.src.y * f
-            for _ in range(4 * n):
-                yield x, y, x + dx, y + dy
-                x, y = x + dx, y + dy
-                yield from _unit_steps(x, y, px, py, h)
-                x, y = x + h * px, y + h * py
-                px, py = -px, -py  # out on even reps, back on odd ones
-            yield from _unit_steps(x, y, dx, dy, 4 * n)
-            for start, (rx, ry), length in blk.runs:
-                yield from _unit_steps(start.x * f, start.y * f, rx, ry, length * f)
-        for e in self._suffix[color]:
-            yield from _unit_steps(e.src.x * f, e.src.y * f, *e.direction, f)
+        return _translated(self._pieces(self._coarse(color)))
+
+    def checked_pieces(self, color: str) -> List[Tuple[Tuple[Quad, ...], int, int]]:
+        """The color's output path as the pieces :meth:`iter_edges` walks,
+        once three checks pass; they cost O(1) per coarse step plus O(16N^2)
+        per distinct template, not O(1) per output edge.
+
+        1. The coarse path, through :func:`checked_path` against the color's
+           corners of the 2N grid: chaining, bounds, unit steps, simplicity.
+        2. Each distinct template, once (:func:`_check_template`): a simple
+           unit-step path from (0, 0) to 8N*d whose points off the edge lie
+           at along 1..4N and depth 1..h <= 4N-2, depth to the right.
+        3. Per block, O(1): the comb's far corner ``8N*src + 4N*d + h*perp``
+           is in [0, n_out]^2.
+
+        Lemma: then the refined path is simple, chained, in bounds and joins
+        the color's corners of the output grid.  Its points on scaled coarse
+        lines are the 8N-fold refinement of the simple coarse path.  The
+        other points are comb points, strictly inside the coarse cell to the
+        right of their image edge, in the quarter at the edge's start corner.
+        For each (cell, corner) pair at most one directed edge starts at that
+        corner with the cell on its right, and a simple coarse path uses each
+        directed edge at most once.  Combs at different corners of one cell
+        form a pinwheel: each spans along 1..4N and depth 1..4N-2 in its own
+        frame, so it may reach the cell's midline across its edge but stops 2
+        short of the midline parallel to it, and no two meet.  The far corner
+        and the edge's scaled start are opposite corners of a box holding
+        every off-line comb point, so both in bounds puts them all in bounds.
+
+        Coarse and bounds failures raise :class:`InvalidInstance` with
+        :func:`checked_path`'s messages; a bad template is a bug and raises
+        :class:`TheoremViolation`.  Every check runs before a piece is
+        returned."""
+        n, f, m = self.n_base, self.factor, self.n_out
+        coarse = self._coarse(color)
+        for _ in checked_path(((x, y, x + dx, y + dy) for x, y, dx, dy, _ in coarse),
+                              2 * n, corner_ends(2 * n)[color], color):
+            pass
+        for x, y, dx, dy, h in coarse:
+            if h is not None:
+                cx, cy = x * f + 4 * n * dx + h * dy, y * f + 4 * n * dy - h * dx
+                if not (0 <= cx <= m and 0 <= cy <= m):
+                    raise InvalidInstance(f"point {(cx, cy)} outside grid [0,{m}]^2")
+        pieces = self._pieces(coarse)
+        for key in {step[2:] for step in coarse} - self._checked:
+            _check_template(self._template(key), n, *key)
+            self._checked.add(key)
+        return pieces
 
     def checked_edges(self, color: str):
-        """:meth:`iter_edges` passed through :func:`checked_path` against the
-        color's two corners of the output grid."""
-        return checked_path(self.iter_edges(color), self.n_out,
-                            corner_ends(self.n_out)[color], color)
+        """:meth:`iter_edges` after the checks of :meth:`checked_pieces`."""
+        return _translated(self.checked_pieces(color))
 
     def materialize(self, color: str) -> EdgeSequence:
-        return EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2))
-                                  for x1, y1, x2, y2 in self.iter_edges(color)),
-                            self.n_out, OPEN)
+        """The color's path as an :class:`EdgeSequence`; an edge that starts
+        where the previous one ends shares its point object."""
+        edges, q = [], None
+        for x1, y1, x2, y2 in self.iter_edges(color):
+            p = q if q == (x1, y1) else GridPoint(x1, y1)
+            q = GridPoint(x2, y2)
+            edges.append(DirectedEdge(p, q))
+        return EdgeSequence(tuple(edges), self.n_out, OPEN)
 
     @cached_property
     def instance(self) -> StConnInstance:

@@ -79,12 +79,15 @@ def test_write_seq_instance_matches_json_dumps(indent):
     blue = EdgeSequence.open_path([((0, 3), (0, 2)), ((0, 2), (1, 2)), ((1, 2), (1, 1))], 3)
     red = EdgeSequence.open_path([((0, 0), (1, 0))], 3)
     quads = [[(e.src.x, e.src.y, e.dst.x, e.dst.y) for e in p.edges] for p in (blue, red)]
+    # pieces (template, ox, oy); blue's last two edges as a template moved by (1, 1)
+    moved = tuple((x1 - 1, y1 - 1, x2 - 1, y2 - 1) for x1, y1, x2, y2 in quads[0][1:])
+    pieces = [[(tuple(quads[0][:1]), 0, 0), (moved, 1, 1)], [(tuple(quads[1]), 0, 0)]]
     fh = io.StringIO()
-    write_seq_instance(fh, 3, *quads, indent=indent)
+    write_seq_instance(fh, 3, *pieces, indent=indent)
     doc = instance_to_json(Instance(n=3, form="seq", blue=blue, red=red))
     assert fh.getvalue() == json.dumps(doc, indent=indent, sort_keys=True) + "\n"
     with pytest.raises(KeyError):
-        write_seq_instance(io.StringIO(), 3, [(0, 3, 0, 4)], quads[1], indent=indent)
+        write_seq_instance(io.StringIO(), 3, [(((0, 0, 0, 1),), 0, 3)], pieces[1], indent=indent)
 
 
 _SQUARE = [[1, 1, 2, 1], [2, 1, 3, 1], [3, 1, 3, 2], [3, 2, 3, 3],

@@ -20,6 +20,7 @@ from gridjct.jsonio import save_instance
 from gridjct.reduce import (
     StConnInstance,
     _centering,
+    _comb,
     _reflect,
     edge_at,
     jct_to_stconn_seq,
@@ -326,6 +327,40 @@ def test_expansion_blocks_stay_in_their_quarter():
                     side = (p.x - sx) * perp[0] + (p.y - sy) * perp[1]
                     assert 0 <= fwd <= 8 * n
                     assert 0 <= side <= h
+
+
+@pytest.mark.parametrize("big_n", [1, 2, 3, 4])
+def test_block_lemma_combs_keep_to_their_quarter_cells(big_n):
+    # The lemma behind StConnSeqReduction.checked_pieces, exhaustively: for
+    # every directed unit edge of the 2N grid and every admissible depth
+    # h = 4N - 4l - 2, the comb's points off its scaled edge lie strictly
+    # inside the coarse cell to the right of the edge, in the quarter at its
+    # start corner, and off every scaled coarse line; the combs of distinct
+    # directed edges share no such point.
+    f, m, q = 8 * big_n, 2 * big_n, 4 * big_n
+    depths = [4 * big_n - 4 * ell - 2 for ell in range(big_n)]
+    owner = {}
+    for x in range(m + 1):
+        for y in range(m + 1):
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                if not (0 <= x + dx <= m and 0 <= y + dy <= m):
+                    continue
+                sx, sy, ex, ey = f * x, f * y, f * (x + dx), f * (y + dy)
+                # the cell to the right of the edge: its corners are the
+                # edge's ends moved by (dy, -dx)
+                cx = min(x, x + dx, x + dy)
+                cy = min(y, y + dy, y - dx)
+                for h in depths:
+                    for *_, a, b in _comb(big_n, (dx, dy), h):
+                        px, py = sx + a, sy + b
+                        if min(sx, ex) <= px <= max(sx, ex) and min(sy, ey) <= py <= max(sy, ey):
+                            continue  # on the scaled edge
+                        assert f * cx < px < f * (cx + 1) and f * cy < py < f * (cy + 1)
+                        assert abs(px - sx) <= q and abs(py - sy) <= q
+                        assert px % f and py % f
+                        assert owner.setdefault((px, py), (x, y, dx, dy)) == (x, y, dx, dy)
+    # the 4m(m+1) directed edges' combs of depth 4N-2 cover 4N(4N-2) points each
+    assert len(owner) == 4 * m * (m + 1) * q * (q - 2)
 
 
 def test_jct_to_stconn_seq_witnesses_random():

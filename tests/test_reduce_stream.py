@@ -12,9 +12,10 @@ import pytest
 
 from gridjct import reduce as reduce_module
 from gridjct.cli import main
-from gridjct.errors import GridJctError, InvalidInstance
+from gridjct.errors import GridJctError, InvalidInstance, TheoremViolation
 from gridjct.generate import gen_crossing_instance
-from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, EdgeSet, GridPoint, refine
+from gridjct.grid import (CLOSED, OPEN, DirectedEdge, EdgeSequence, EdgeSet, GridPoint,
+                          corner_ends, refine)
 from gridjct.jsonio import Instance, edge_sequence_to_json, save_instance
 from gridjct.reduce import checked_path, jct_to_stconn_seq
 
@@ -304,6 +305,112 @@ def test_cli_reduce_fails_whole_on_a_broken_stream(tmp_path, capsys, monkeypatch
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert MESSAGES[name] in captured.err
+    assert out.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+# --- the block-level checks, broken in turn -------------------------------
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_block_checks_match_the_per_edge_oracle(n):
+    handle = jct_to_stconn_seq(gen_crossing_instance(n, n, avoid_midpoint=True))
+    m = handle.n_out
+    for color in ("blue", "red"):
+        oracle = list(checked_path(handle.iter_edges(color), m, corner_ends(m)[color], color))
+        assert list(handle.checked_edges(color)) == oracle
+
+
+_COMB = reduce_module._comb
+
+
+def _patch_comb(monkeypatch, broken):
+    monkeypatch.setattr(reduce_module, "_comb", lambda n, d, h: broken(_COMB(n, d, h), d))
+
+
+def _break_template_edge(handle, monkeypatch):
+    def reversed_middle_edge(tpl, d):
+        k = len(tpl) // 2
+        x1, y1, x2, y2 = tpl[k]
+        return tpl[:k] + [(x2, y2, x1, y1)] + tpl[k + 1:]
+    _patch_comb(monkeypatch, reversed_middle_edge)
+
+
+def _break_quarter(handle, monkeypatch):
+    def to_the_left(tpl, d):  # mirrored across the edge's line
+        if d[0]:
+            return [(x1, -y1, x2, -y2) for x1, y1, x2, y2 in tpl]
+        return [(-x1, y1, -x2, y2) for x1, y1, x2, y2 in tpl]
+    _patch_comb(monkeypatch, to_the_left)
+
+
+def _break_join(handle, monkeypatch):
+    blocks = handle._blocks["red"]
+    blk = blocks[1]
+    blocks[1] = dataclasses.replace(blk, src=GridPoint(blk.src.x, blk.src.y + 1))
+
+
+def _break_overlap(handle, monkeypatch):
+    # out along a block's image edge, back, and out along it again
+    blocks = handle._blocks["red"]
+    i = next(i for i, blk in enumerate(blocks) if not blk.runs)
+    blk, (dx, dy) = blocks[i], blocks[i].direction
+    back = dataclasses.replace(blk, src=GridPoint(blk.src.x + dx, blk.src.y + dy),
+                               direction=(-dx, -dy))
+    blocks[i + 1:i + 1] = [back, blk]
+
+
+def _break_comb_bounds(handle, monkeypatch):
+    # the prefix edges as blocks: the coarse path is the same, but the first
+    # comb hangs below the bottom row
+    prefix = handle._prefix["red"]
+    handle._blocks["red"][:0] = [reduce_module.ExpansionBlock(e.src, e.direction, 0, ())
+                                 for e in prefix]
+    prefix.clear()
+
+
+# name -> (mutation, error class, message, CLI exit code)
+BLOCK_MUTATIONS = {
+    "template-edge": (_break_template_edge, TheoremViolation, "does not chain", 2),
+    "quarter": (_break_quarter, TheoremViolation, "leaves its quarter cell", 2),
+    "comb-bounds": (_break_comb_bounds, InvalidInstance, "outside grid", 1),
+    "join": (_break_join, InvalidInstance, "does not chain", 1),
+    "overlap": (_break_overlap, InvalidInstance, "revisits a point", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MUTATIONS))
+def test_block_check_raises_its_class(monkeypatch, name):
+    mutate, cls, message, _ = BLOCK_MUTATIONS[name]
+    handle = jct_to_stconn_seq(gen_crossing_instance(6, 3, avoid_midpoint=True))
+    mutate(handle, monkeypatch)
+    with pytest.raises(GridJctError, match=message) as caught:
+        handle.checked_pieces("red")
+    assert type(caught.value) is cls
+    with pytest.raises(cls, match=message):
+        list(handle.checked_edges("red"))
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MUTATIONS))
+def test_cli_reduce_writes_nothing_on_a_failed_block_check(tmp_path, capsys, monkeypatch, name):
+    mutate, _, message, code = BLOCK_MUTATIONS[name]
+    src = _input_file(tmp_path, 6, 3)
+    out = tmp_path / "out.json"
+    out.write_text("kept\n")
+    before = sorted(tmp_path.iterdir())
+    original = reduce_module.jct_to_stconn_seq
+
+    def broken(inst):
+        handle = original(inst)
+        mutate(handle, monkeypatch)
+        return handle
+
+    monkeypatch.setattr(reduce_module, "jct_to_stconn_seq", broken)
+    argv = ["reduce", "--from", "jct", "--form", "seq", "--instance", src]
+    for extra in (["--out", str(out)], []):
+        assert main(argv + extra) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
     assert out.read_text() == "kept\n"
     assert sorted(tmp_path.iterdir()) == before
 
