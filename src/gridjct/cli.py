@@ -141,6 +141,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.edge_at is not None and (args.source, args.form) != ("jct", "seq"):
+        raise GridJctError("reduce --edge-at needs --from jct --form seq")
     inst = load_instance(args.instance)
     if inst.form != args.form:
         raise InvalidInstance(f"instance form {inst.form!r} does not match --form {args.form}")
@@ -287,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--from", dest="source", choices=("jct", "stconn"), required=True)
     sp.add_argument("--form", choices=("set", "seq"), required=True)
     sp.add_argument("--instance", required=True)
-    sp.add_argument("--out")
-    sp.add_argument("--edge-at", type=int, default=None)
+    group = sp.add_mutually_exclusive_group()
+    group.add_argument("--out")
+    group.add_argument("--edge-at", type=int, default=None)
 
     sp = add("gen", cmd_gen, help="emit a DIMACS CNF family member")
     sp.add_argument("--family", choices=("stconn", "stseq"), required=True)

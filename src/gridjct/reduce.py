@@ -3,11 +3,14 @@ st-connectivity instances, in set and sequence forms.
 
 The corner-to-corner direction closes the blue path into a curve around an
 enlarged grid and drags the red path to a fresh side pair.  The opposite
-direction reflects the four diagonal quarters of a grid centered on the
-side-pair midpoint outward, reconnecting the reflected pieces with
-axis-parallel connector runs; the sequence version additionally refines the
-grid 8N-fold and pads every edge's expansion to exactly 16N^2 output edges
-so any output index is resolvable in constant time.
+direction reflects each edge out of its diagonal quarter of a grid centered
+on the side-pair midpoint, and joins the two images of a diagonal point
+touched from two quarters by an L-shaped connector (:func:`_connector`).
+The set form is the union of images and connectors; the sequence form keeps
+them in travel order as a coarse core of unit steps (:func:`_seq_core`),
+refines the grid 8N-fold and pads each image step, with the connector after
+it, to exactly 16N^2 output edges, so any output index is resolvable in
+constant time.
 
 Each direction is built once: the set form is the union of the pieces that
 the sequence form splices in order (and, for the reflection, refines and
@@ -181,16 +184,13 @@ def _edge_quarter(a: GridPoint, b: GridPoint, big_n: int) -> str:
     return q
 
 
-def _connector_runs(im1: GridPoint, im2: GridPoint, big_n: int,
-                    quarter_from: str) -> Tuple[Tuple[GridPoint, GridPoint], ...]:
-    """Axis-parallel L-route between the two images of a diagonal crossing."""
-    corner = _reflect(quarter_from, im2, big_n)
-    runs = []
-    if im1 != corner:
-        runs.append((im1, corner))
-    if corner != im2:
-        runs.append((corner, im2))
-    return tuple(runs)
+def _connector(w: GridPoint, qa: str, qb: str, big_n: int) -> List[DirectedEdge]:
+    """Unit edges of the L-route from the ``qa`` image of the diagonal point
+    ``w`` to its ``qb`` image, empty when the two coincide.  One reflection
+    moves x and the other y, so they commute: the corner is the same in
+    either order, and ``(w, qb, qa)`` gives this route reversed."""
+    im_b = _reflect(qb, w, big_n)
+    return _polyline(_reflect(qa, w, big_n), _reflect(qa, im_b, big_n), im_b)
 
 
 def _reflect_color_set(es: EdgeSet, big_n: int) -> set:
@@ -210,11 +210,7 @@ def _reflect_color_set(es: EdgeSet, big_n: int) -> set:
         if len(qs) > 2:
             raise GridJctError("diagonal point touched from more than two quarters")
         if len(qs) == 2:
-            qa, qb = sorted(qs)
-            im1, im2 = _reflect(qa, w, big_n), _reflect(qb, w, big_n)
-            if im1 != im2:
-                for a, b in _connector_runs(im1, im2, big_n, qa):
-                    out.update(e.undirected() for e in _polyline(a, b))
+            out.update(e.undirected() for e in _connector(w, *qs, big_n))
     return out
 
 
@@ -259,17 +255,14 @@ def jct_witness_to_stconn(inst: Instance, w, *, scale: int = 1) -> GridPoint:
     big_n, dx, dy = _centering(inst)
     wb = GridPoint(w.x + dx, w.y + dy)
 
-    def quarters_at(es: EdgeSet) -> set:
-        out = set()
-        for e in es.edges:
-            ea = GridPoint(e.a.x + dx, e.a.y + dy)
-            eb = GridPoint(e.b.x + dx, e.b.y + dy)
-            if wb in (ea, eb):
-                out.add(_edge_quarter(ea, eb, big_n))
-        return out
+    def quarters_at(obj: GridObject) -> set:
+        """The quarters of the at most four edges of ``obj`` at ``w``."""
+        edges = obj.to_edge_set().edges
+        return {_edge_quarter(wb, GridPoint(wb.x + sx, wb.y + sy), big_n)
+                for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                if Edge.of(w, (w.x + sx, w.y + sy)) in edges}
 
-    bq = quarters_at(inst.blue.to_edge_set())
-    rq = quarters_at(inst.red.to_edge_set())
+    bq, rq = quarters_at(inst.blue), quarters_at(inst.red)
     if not bq or not rq:
         raise PreconditionViolation("shared point", f"{tuple(w)} is not shared")
     common = sorted(bq & rq)
@@ -287,49 +280,29 @@ def jct_witness_to_stconn(inst: Instance, w, *, scale: int = 1) -> GridPoint:
 
 # --- sequence form with the 16N^2 expansion --------------------------------
 
-@dataclass(frozen=True)
-class ExpansionBlock:
-    """Expansion of one input edge: its reflected image plus any connector
-    runs that follow it, padded by right-side excursions to 16N^2 edges."""
-
-    src: GridPoint
-    direction: Tuple[int, int]
-    detour_len: int  # connector length following the image edge (0 = inward)
-    runs: Tuple[Tuple[GridPoint, Tuple[int, int], int], ...]
+Quad = Tuple[int, int, int, int]
+Step = Tuple[int, int, int, int, Optional[int]]  # (x, y, dx, dy, h)
 
 
-def _seq_blocks(edges: List[DirectedEdge], big_n: int) -> List[ExpansionBlock]:
-    blocks = []
-    for i, e in enumerate(edges):
-        q = _edge_quarter(e.src, e.dst, big_n)
-        img_src = _reflect(q, e.src, big_n)
-        img_dst = _reflect(q, e.dst, big_n)
-        runs = []
-        detour = 0
-        if i + 1 < len(edges):
-            q2 = _edge_quarter(edges[i + 1].src, edges[i + 1].dst, big_n)
-            if q2 != q:
-                w = e.dst
-                im1, im2 = _reflect(q, w, big_n), _reflect(q2, w, big_n)
-                if im1 != im2:
-                    for a, b in _connector_runs(im1, im2, big_n, q):
-                        d = ((b.x - a.x > 0) - (b.x - a.x < 0),
-                             (b.y - a.y > 0) - (b.y - a.y < 0))
-                        length = abs(b.x - a.x) + abs(b.y - a.y)
-                        runs.append((a, d, length))
-                        detour += length
-        ell = detour // 2
-        if detour % 2 != 0 or (detour and not 1 <= ell < big_n):
+def _seq_core(edges, big_n: int) -> List[Step]:
+    """A color's reflected core as coarse unit steps ``(x, y, dx, dy, h)``:
+    each edge's image, with ``h`` the depth of the comb that pads its block
+    to 16N^2 edges (4N-2 inward, 4N-4l-2 after a connector of 2l steps),
+    then, with ``h`` None, the connector to the next edge's image when that
+    edge lies in another quarter."""
+    qs = [_edge_quarter(e.src, e.dst, big_n) for e in edges]
+    core = []
+    for e, q, q2 in zip(edges, qs, qs[1:] + qs[-1:]):  # the last edge has no successor
+        a, b = _reflect(q, e.src, big_n), _reflect(q, e.dst, big_n)
+        conn = _connector(e.dst, q, q2, big_n) if q2 != q else []
+        detour = len(conn)
+        if detour % 2 != 0 or (detour and not 1 <= detour // 2 < big_n):
             raise GridJctError(
                 f"outward run of length {detour + 1} is not of the form 2l+1 "
                 f"with 1 <= l < {big_n}")
-        blocks.append(ExpansionBlock(src=img_src,
-                                     direction=(img_dst.x - img_src.x, img_dst.y - img_src.y),
-                                     detour_len=detour, runs=tuple(runs)))
-    return blocks
-
-
-Quad = Tuple[int, int, int, int]
+        core.append((a.x, a.y, b.x - a.x, b.y - a.y, 4 * big_n - 2 * detour - 2))
+        core += [(*c.src, *c.direction, None) for c in conn]
+    return core
 
 
 def _comb(n: int, d: Tuple[int, int], h: int) -> List[Quad]:
@@ -385,19 +358,22 @@ class StConnSeqReduction:
     suffix boundary extensions are plain 8N-fold refinements with closed-form
     lengths.  ``iter_edges(color)`` walks a whole output path in order, and
     ``checked_pieces(color)`` gives it, checked, as translated templates: one
-    per coarse step, built once per handle on first use.  ``blocks`` and
-    ``ends`` map each color to its expansion blocks and to its (prefix,
-    suffix) runs.
+    per coarse step, built once per handle on first use.  ``core`` and
+    ``ends`` map each color to its reflected core (:func:`_seq_core`) and to
+    its (prefix, suffix) runs.  A block is one image step of the core and
+    the connector steps after it.
     """
 
     def __init__(self, source: Instance, big_n: int,
-                 blocks: Dict[str, List[ExpansionBlock]], ends: Dict[str, Tuple[list, list]]):
+                 core: Dict[str, List[Step]], ends: Dict[str, Tuple[list, list]]):
         self.source = source
         self.n_base = big_n
         self.factor = 8 * big_n
         self.block_size = 16 * big_n * big_n
         self.n_out = 2 * big_n * self.factor
-        self._blocks = blocks
+        self._core = core
+        self._blocks = {c: [k for k, step in enumerate(steps) if step[4] is not None]
+                        for c, steps in core.items()}  # the image steps' indices
         self._prefix = {c: pre for c, (pre, _) in ends.items()}
         self._suffix = {c: suf for c, (_, suf) in ends.items()}
         self._templates: Dict[Tuple[int, int, Optional[int]], Tuple[Quad, ...]] = {}
@@ -418,45 +394,37 @@ class StConnSeqReduction:
             raise PreconditionViolation("edge index within the expanded core",
                                         f"index {j} out of range")
         i, r = divmod(j, self.block_size)
-        return self._block_edge(blocks[i], r)
+        return self._block_edge(self._core[color], blocks[i], r)
 
-    def _block_edge(self, blk: ExpansionBlock, r: int) -> DirectedEdge:
+    def _block_edge(self, core: List[Step], k: int, r: int) -> DirectedEdge:
+        """Edge ``r`` of the block whose image step is ``core[k]``: the comb
+        of depth ``h``, then the 8N-fold refined connector steps after it."""
         n, f = self.n_base, self.factor
-        h = 4 * n - 2 * blk.detour_len - 2  # 4N-2 inward, 4N-4l-2 outward
-        d = blk.direction
-        perp = (d[1], -d[0])  # right of the direction of travel
-        sx, sy = blk.src.x * f, blk.src.y * f
+        x, y, dx, dy, h = core[k]
+        px, py = dy, -dx  # right of the direction of travel
+        sx, sy = x * f, y * f
         per = 1 + h
         phase1 = 4 * n * per
         if r < phase1:
             rep, o = divmod(r, per)
             alt = h if rep % 2 else 0
-            bx, by = sx + rep * d[0] + alt * perp[0], sy + rep * d[1] + alt * perp[1]
+            bx, by = sx + rep * dx + alt * px, sy + rep * dy + alt * py
             if o == 0:
-                return DirectedEdge(GridPoint(bx, by), GridPoint(bx + d[0], by + d[1]))
-            bx, by = bx + d[0], by + d[1]
+                return DirectedEdge(GridPoint(bx, by), GridPoint(bx + dx, by + dy))
+            bx, by = bx + dx, by + dy
             sgn = 1 if rep % 2 == 0 else -1
-            ax = bx + sgn * (o - 1) * perp[0]
-            ay = by + sgn * (o - 1) * perp[1]
-            return DirectedEdge(GridPoint(ax, ay),
-                                GridPoint(ax + sgn * perp[0], ay + sgn * perp[1]))
+            ax = bx + sgn * (o - 1) * px
+            ay = by + sgn * (o - 1) * py
+            return DirectedEdge(GridPoint(ax, ay), GridPoint(ax + sgn * px, ay + sgn * py))
         r -= phase1
         if r < 4 * n:
             o = 4 * n + r
-            ax, ay = sx + o * d[0], sy + o * d[1]
-            return DirectedEdge(GridPoint(ax, ay), GridPoint(ax + d[0], ay + d[1]))
-        r -= 4 * n
-        for start, rd, ln in blk.runs:
-            steps = ln * f
-            if r < steps:
-                ax, ay = start.x * f + r * rd[0], start.y * f + r * rd[1]
-                return DirectedEdge(GridPoint(ax, ay), GridPoint(ax + rd[0], ay + rd[1]))
-            r -= steps
-        raise GridJctError("block index arithmetic out of range (bug)")
-
-    def block_edges(self, i: int, color: str = "red"):
-        base = i * self.block_size
-        return [self.edge_at(base + r, color) for r in range(self.block_size)]
+            ax, ay = sx + o * dx, sy + o * dy
+            return DirectedEdge(GridPoint(ax, ay), GridPoint(ax + dx, ay + dy))
+        m, o = divmod(r - 4 * n, f)
+        x, y, dx, dy, _ = core[k + 1 + m]
+        ax, ay = x * f + o * dx, y * f + o * dy
+        return DirectedEdge(GridPoint(ax, ay), GridPoint(ax + dx, ay + dy))
 
     def _template(self, step: Tuple[int, int, Optional[int]]) -> Tuple[Quad, ...]:
         """The walk of a coarse step ``(dx, dy, h)`` at the origin, built once
@@ -470,20 +438,13 @@ class StConnSeqReduction:
                 else _comb(self.n_base, (dx, dy), h))
         return tpl
 
-    def _coarse(self, color: str) -> List[Tuple[int, int, int, int, Optional[int]]]:
+    def _coarse(self, color: str) -> List[Step]:
         """The unrefined path as ``(x, y, dx, dy, h)`` unit steps: the prefix
-        runs, each block's image edge (``h`` its comb depth, 4N-2 inward and
-        4N-4l-2 outward) and its connector runs from each run's own start,
-        then the suffix runs.  ``h`` is None off the image edges."""
-        n = self.n_base
+        runs, the core, then the suffix runs.  ``h`` is None off the image
+        edges."""
         pre, suf = ([(*e.src, *e.direction, None) for e in run]
                     for run in (self._prefix[color], self._suffix[color]))
-        core = []
-        for blk in self._blocks[color]:
-            core.append((*blk.src, *blk.direction, 4 * n - 2 * blk.detour_len - 2))
-            for start, d, length in blk.runs:
-                core += [(x, y, *d, None) for x, y, _, _ in _unit_steps(*start, *d, length)]
-        return pre + core + suf
+        return pre + self._core[color] + suf
 
     def _pieces(self, coarse) -> List[Tuple[Tuple[Quad, ...], int, int]]:
         """Each coarse step as ``(template, ox, oy)``: its template and the
@@ -494,7 +455,7 @@ class StConnSeqReduction:
     def iter_edges(self, color: str):
         """The color's whole output path in order, as ``(x1, y1, x2, y2)``
         ints, unchecked: the 8N-fold refined prefix, every block (its comb,
-        then its refined connector runs), the refined suffix.  :meth:`edge_at`
+        then its refined connector steps), the refined suffix.  :meth:`edge_at`
         is the per-index specification of the same blocks."""
         return _translated(self._pieces(self._coarse(color)))
 
@@ -578,13 +539,12 @@ def jct_to_stconn_seq(inst: Instance) -> StConnSeqReduction:
     blue = blue.rotate(next(i for i, e in enumerate(blue.edges) if e.src == center))
     if _edge_quarter(blue.edges[0].src, blue.edges[0].dst, big_n) != "L":
         blue = blue.reverse()  # reversal keeps the center first, now westward
-    blocks = {"red": _seq_blocks(list(red.edges), big_n),
-              "blue": _seq_blocks(list(blue.edges), big_n)}
-    if blocks["red"][0].src != GridPoint(big_n, 1):
+    core = {"red": _seq_core(red.edges, big_n), "blue": _seq_core(blue.edges, big_n)}
+    if core["red"][0][:2] != (big_n, 1):
         raise GridJctError("red core does not start at the lower image point (bug)")
-    if blocks["blue"][0].src != GridPoint(0, big_n):
+    if core["blue"][0][:2] != (0, big_n):
         raise GridJctError("blue core does not start at the left corner image (bug)")
-    return StConnSeqReduction(inst, big_n, blocks, _end_runs(big_n))
+    return StConnSeqReduction(inst, big_n, core, _end_runs(big_n))
 
 
 def edge_at(reduced: StConnSeqReduction, j: int) -> DirectedEdge:

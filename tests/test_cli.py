@@ -138,6 +138,25 @@ def test_reduce_edge_at(tmp_path, capsys):
     assert len(blob["edge"]) == 4 and blob["block_size"] > 0
 
 
+@pytest.mark.parametrize("source,form,with_out", [
+    ("jct", "seq", True),  # --edge-at answers on stdout, never to a file
+    ("stconn", "seq", False),
+    ("stconn", "set", False),
+    ("jct", "set", False),
+], ids=["jct-seq-with-out", "stconn-seq", "stconn-set", "jct-set"])
+def test_reduce_edge_at_rejected_outside_jct_seq(tmp_path, capsys, source, form, with_out):
+    # rejected before the instance is read: the file named here does not exist
+    argv = ["reduce", "--from", source, "--form", form, "--instance",
+            str(tmp_path / "missing.json"), "--edge-at", "0"]
+    if with_out:
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "--edge-at" in captured.err and "missing.json" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_subcommand(tmp_path, capsys):
     out = tmp_path / "f.cnf"
     assert main(["gen", "--family", "stconn", "--n", "2", "--out", str(out),

@@ -21,6 +21,7 @@ from gridjct.reduce import (
     StConnInstance,
     _centering,
     _comb,
+    _connector,
     _reflect,
     edge_at,
     jct_to_stconn_seq,
@@ -170,8 +171,7 @@ def test_jct_to_stconn_set_adds_no_new_contact():
     # Every shared output point is explained by a shared input point: either
     # a common-quarter image, or the overlapping connectors of a point both
     # colors cross.  The added machinery itself never creates contact.
-    from gridjct.reduce import (_centering, _connector_runs, _edge_quarter,
-                                _reflect, _strict_quarter)
+    from gridjct.reduce import _edge_quarter, _strict_quarter
     from gridjct.grid import translate
     for seed in range(15):
         inst = gen_crossing_instance(7, seed, avoid_midpoint=True)
@@ -189,16 +189,29 @@ def test_jct_to_stconn_set_adds_no_new_contact():
             for q in bq & rq:
                 expected.add(_reflect(q, w, big_n))
             if len(bq) == 2 and len(rq) == 2 and _strict_quarter(w, big_n) is None:
-                qa, qb = sorted(bq)
-                im1, im2 = _reflect(qa, w, big_n), _reflect(qb, w, big_n)
-                if im1 != im2:
-                    for a, b in _connector_runs(im1, im2, big_n, qa):
-                        steps = abs(b.x - a.x) + abs(b.y - a.y)
-                        sx = (b.x > a.x) - (b.x < a.x)
-                        sy = (b.y > a.y) - (b.y < a.y)
-                        for t in range(steps + 1):
-                            expected.add(GridPoint(a.x + sx * t, a.y + sy * t))
+                for e in _connector(w, *bq, big_n):
+                    expected.update(e)
         assert (out.blue.points & out.red.points) == expected
+
+
+@pytest.mark.parametrize("big_n", range(1, 7))
+def test_connector_is_the_same_route_either_way(big_n):
+    # One reflection of a B/T and L/R pair moves x and the other y, so they
+    # commute: the connector runs from the first image of a diagonal point
+    # to the second, and the other order gives the same route reversed.
+    # This is why the set form's order and the sequence form's travel order
+    # build the same edges.
+    m = 2 * big_n
+    diagonal = {GridPoint(t, t) for t in range(m + 1)} | {GridPoint(t, m - t)
+                                                          for t in range(m + 1)}
+    for w in sorted(diagonal - {GridPoint(big_n, big_n)}):
+        for qa in "BT":
+            for qb in "LR":
+                route = _connector(w, qa, qb, big_n)
+                assert _connector(w, qb, qa, big_n) == [e.reversed() for e in reversed(route)]
+                points = [_reflect(qa, w, big_n)] + [e.dst for e in route]
+                assert [e.src for e in route] == points[:-1]
+                assert points[-1] == _reflect(qb, w, big_n)
 
 
 def test_jct_to_stconn_set_rejects_red_through_midpoint():
@@ -302,7 +315,8 @@ def test_jct_to_stconn_seq_blocks_and_edge_at():
             assert handle.edge_at(j, color) == core_edges[j]
     # module-level accessor and block boundaries
     assert edge_at(handle, 0) == handle.edge_at(0, "red")
-    assert edge_at(handle, bs - 1) == handle.block_edges(0)[-1]
+    red_pre = len(handle._prefix["red"]) * handle.factor
+    assert edge_at(handle, bs - 1) == out.red.edges[red_pre + bs - 1]
     with pytest.raises(PreconditionViolation):
         edge_at(handle, handle.core_length("red"))
 
@@ -313,15 +327,14 @@ def test_expansion_blocks_stay_in_their_quarter():
     # never beyond the edge's own refined span.
     inst = gen_crossing_instance(6, 5, avoid_midpoint=True)
     handle = jct_to_stconn_seq(inst)
-    n, f = handle.n_base, handle.factor
+    n, f, bs = handle.n_base, handle.factor, handle.block_size
     for color in ("red", "blue"):
-        for i, blk in enumerate(handle._blocks[color]):
-            d = blk.direction
+        for i, k in enumerate(handle._blocks[color]):
+            x, y, *d, h = handle._core[color][k]
             perp = (d[1], -d[0])
-            h = 4 * n - 2 * blk.detour_len - 2
-            sx, sy = blk.src.x * f, blk.src.y * f
-            straight = 8 * n + blk.detour_len * f
-            for e in handle.block_edges(i, color)[: 8 * n + 4 * n * h]:
+            sx, sy = x * f, y * f
+            for r in range(8 * n + 4 * n * h):
+                e = handle.edge_at(i * bs + r, color)
                 for p in (e.src, e.dst):
                     fwd = (p.x - sx) * d[0] + (p.y - sy) * d[1]
                     side = (p.x - sx) * perp[0] + (p.y - sy) * perp[1]
@@ -388,7 +401,7 @@ def test_jct_to_stconn_seq_curve_orientation_irrelevant():
         handle = jct_to_stconn_seq(src)
         out = handle.instance
         out.validate()
-        assert handle._blocks["blue"][0].src == GridPoint(0, handle.n_base)
+        assert handle._core["blue"][0][:2] == (0, handle.n_base)
 
 
 def test_seq_reduction_shares_geometry_with_set_reduction():
@@ -400,15 +413,8 @@ def test_seq_reduction_shares_geometry_with_set_reduction():
         handle = jct_to_stconn_seq(inst)
         out_set = jct_to_stconn_set(_jct_set(inst))
         for color in ("blue", "red"):
-            coarse = set()
-            for blk in handle._blocks[color]:
-                dst = GridPoint(blk.src.x + blk.direction[0], blk.src.y + blk.direction[1])
-                coarse.add(Edge.of(blk.src, dst))
-                for start, d, length in blk.runs:
-                    x, y = start
-                    for _ in range(length):
-                        coarse.add(Edge.of((x, y), (x + d[0], y + d[1])))
-                        x, y = x + d[0], y + d[1]
+            coarse = {Edge.of((x, y), (x + dx, y + dy))
+                      for x, y, dx, dy, _ in handle._core[color]}
             for e in handle._prefix[color] + handle._suffix[color]:
                 coarse.add(e.undirected())
             assert coarse == set(getattr(out_set, color).edges)

@@ -1,7 +1,6 @@
 """The streamed sequence reduction: pinned output bytes, the closed-form
 edge walk against the ``edge_at`` oracle, and the one-pass output check."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -212,17 +211,9 @@ def test_iter_edges_matches_edge_at_and_refined_ends(n, seed):
 
 # --- each of the five stream checks, broken in turn ------------------------
 
-def _shift_run(handle, i, **change):
-    """Replace the first connector run of red block ``i``."""
-    blk = handle._blocks["red"][i]
-    (start, d, length), *rest = blk.runs
-    run = {"start": start, "d": d, "length": length, **change}
-    handle._blocks["red"][i] = dataclasses.replace(
-        blk, runs=((run["start"], run["d"], run["length"]), *rest))
-
-
-def _first_block_with_runs(handle):
-    return next(i for i, blk in enumerate(handle._blocks["red"]) if blk.runs)
+def _first_connector_step(handle):
+    """The index in the red core of its first connector step (``h`` None)."""
+    return next(k for k, step in enumerate(handle._core["red"]) if step[4] is None)
 
 
 def _break_bounds(handle):
@@ -233,15 +224,15 @@ def _break_bounds(handle):
 
 
 def _break_adjacency(handle):
-    i = _first_block_with_runs(handle)
-    dx, dy = handle._blocks["red"][i].runs[0][1]
-    _shift_run(handle, i, d=(2 * dx, 2 * dy))
+    core, k = handle._core["red"], _first_connector_step(handle)
+    x, y, dx, dy, h = core[k]
+    core[k] = (x, y, 2 * dx, 2 * dy, h)
 
 
 def _break_chaining(handle):
-    i = _first_block_with_runs(handle)
-    start = handle._blocks["red"][i].runs[0][0]
-    _shift_run(handle, i, start=GridPoint(start.x, start.y + 1))
+    core, k = handle._core["red"], _first_connector_step(handle)
+    x, y, dx, dy, h = core[k]
+    core[k] = (x, y + 1, dx, dy, h)
 
 
 def _break_simplicity(handle):
@@ -344,27 +335,26 @@ def _break_quarter(handle, monkeypatch):
 
 
 def _break_join(handle, monkeypatch):
-    blocks = handle._blocks["red"]
-    blk = blocks[1]
-    blocks[1] = dataclasses.replace(blk, src=GridPoint(blk.src.x, blk.src.y + 1))
+    # the second block's image step starts one row up
+    core, k = handle._core["red"], handle._blocks["red"][1]
+    x, y, dx, dy, h = core[k]
+    core[k] = (x, y + 1, dx, dy, h)
 
 
 def _break_overlap(handle, monkeypatch):
-    # out along a block's image edge, back, and out along it again
-    blocks = handle._blocks["red"]
-    i = next(i for i, blk in enumerate(blocks) if not blk.runs)
-    blk, (dx, dy) = blocks[i], blocks[i].direction
-    back = dataclasses.replace(blk, src=GridPoint(blk.src.x + dx, blk.src.y + dy),
-                               direction=(-dx, -dy))
-    blocks[i + 1:i + 1] = [back, blk]
+    # out along the image step of a block without a connector, back, and out
+    # along it again
+    core, blocks = handle._core["red"], handle._blocks["red"]
+    k = next(k for k, end in zip(blocks, blocks[1:] + [len(core)]) if end == k + 1)
+    x, y, dx, dy, h = step = core[k]
+    core[k + 1:k + 1] = [(x + dx, y + dy, -dx, -dy, h), step]
 
 
 def _break_comb_bounds(handle, monkeypatch):
-    # the prefix edges as blocks: the coarse path is the same, but the first
-    # comb hangs below the bottom row
+    # the prefix edges as image steps of depth 4N-2: the coarse path is the
+    # same, but the first comb hangs below the bottom row
     prefix = handle._prefix["red"]
-    handle._blocks["red"][:0] = [reduce_module.ExpansionBlock(e.src, e.direction, 0, ())
-                                 for e in prefix]
+    handle._core["red"][:0] = [(*e.src, *e.direction, 4 * handle.n_base - 2) for e in prefix]
     prefix.clear()
 
 
