@@ -28,7 +28,6 @@ from .cnf import (
     gen_stseq,
     solve,
     to_dimacs,
-    write_dimacs,
 )
 from .errors import (
     FormatError,
@@ -53,7 +52,6 @@ from .grid import (
     SidePair,
     check_crossing,
     connects,
-    degree,
     intersects,
     is_curve,
     on_different_sides,

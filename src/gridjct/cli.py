@@ -23,7 +23,6 @@ from .jsonio import (
     instance_to_json,
     load_instance,
     read_json,
-    save_instance,
     save_json,
     sink,
     write_seq_instance,
@@ -147,6 +146,7 @@ def cmd_reduce(args) -> int:
     if inst.form != args.form:
         raise InvalidInstance(f"instance form {inst.form!r} does not match --form {args.form}")
     _need(inst, "blue", "red")
+    pieces = None  # the 16N^2 reduction's checked pieces, written without an Instance
     if args.source == "stconn":
         src = reductions.StConnInstance(n=inst.n, blue=inst.blue, red=inst.red)
         if args.form == "set":
@@ -157,6 +157,7 @@ def cmd_reduce(args) -> int:
         _need(inst, "sides")
         if args.form == "set":
             out = reductions.jct_to_stconn_set(inst)
+            result = Instance(n=out.n, form=args.form, blue=out.blue, red=out.red)
         else:
             handle = reductions.jct_to_stconn_seq(inst)
             if args.edge_at is not None:
@@ -165,28 +166,20 @@ def cmd_reduce(args) -> int:
                            "block_size": handle.block_size}
                 _emit(args, payload, json.dumps(payload, sort_keys=True))
                 return 0
-            return _write_seq_reduction(args, handle)
-        result = Instance(n=out.n, form=args.form, blue=out.blue, red=out.red)
-    if args.out:
-        save_instance(result, args.out)
-        _emit(args, {"n": result.n, "out": args.out}, f"wrote n={result.n} instance to {args.out}")
-    else:
-        print(json.dumps(instance_to_json(result), sort_keys=True))
-    return 0
-
-
-def _write_seq_reduction(args, handle) -> int:
-    """Write both output paths of the 16N^2 reduction to JSON from their
-    checked pieces: the bytes ``save_instance`` or ``print(json.dumps(...))``
-    would write, and nothing at all if a check fails or the output is over
-    the size cap."""
-    n, size, cap = handle.n_out, handle.out_edges(), reductions.MAX_OUT_EDGES
-    if size > cap:
-        raise PreconditionViolation(f"output edges <= {cap}",
-                                    f"reduce would write {size} edges, over the cap of {cap}")
-    pieces = [handle.checked_pieces(c) for c in ("blue", "red")]  # every check, before a byte
+            size, cap = handle.out_edges(), reductions.MAX_OUT_EDGES
+            if size > cap:
+                raise PreconditionViolation(
+                    f"output edges <= {cap}",
+                    f"reduce would write {size} edges, over the cap of {cap}")
+            pieces = [handle.checked_pieces(c) for c in ("blue", "red")]  # every check, before a byte
+    n = handle.n_out if pieces else result.n
+    indent = 2 if args.out else None
     with sink(args.out) as fh:
-        write_seq_instance(fh, n, *pieces, indent=2 if args.out else None)
+        if pieces:
+            write_seq_instance(fh, n, *pieces, indent=indent)
+        else:
+            json.dump(instance_to_json(result), fh, indent=indent, sort_keys=True)
+            fh.write("\n")
     if args.out:
         _emit(args, {"n": n, "out": args.out}, f"wrote n={n} instance to {args.out}")
     return 0
@@ -202,10 +195,8 @@ def cmd_gen(args) -> int:
         if model is not None:
             blue, red = cnf.decode_model(formula, model)
             notes.append(f"c model decodes: blue={len(blue)} edges, red={len(red)} edges")
-    if args.out:
-        cnf.write_dimacs(formula, args.out)
-    else:
-        sys.stdout.write(cnf.to_dimacs(formula))
+    with sink(args.out) as fh:
+        fh.write(cnf.to_dimacs(formula))
     for line in notes:
         print(line, file=sys.stderr)
     return 0
@@ -253,10 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "region labeling, st-connectivity reductions, CNF generators.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, machine_readable=True, **kw):
         sp = sub.add_parser(name, **kw)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
+        if machine_readable:
+            sp.add_argument("--json", action="store_true", help="machine-readable output")
         return sp
 
     sp = add("validate", cmd_validate, help="validate an instance file")
@@ -293,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--out")
     group.add_argument("--edge-at", type=int, default=None)
 
-    sp = add("gen", cmd_gen, help="emit a DIMACS CNF family member")
+    sp = add("gen", cmd_gen, machine_readable=False, help="emit a DIMACS CNF family member")
     sp.add_argument("--family", choices=("stconn", "stseq"), required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--out")

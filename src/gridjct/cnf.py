@@ -18,14 +18,13 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GridJctError, InvalidInstance, PreconditionViolation, SolverBudgetExhausted
 from .grid import (
-    DirectedEdge,
+    OPEN,
     Edge,
     EdgeSequence,
     EdgeSet,
     GridPoint,
     corner_ends,
 )
-from .jsonio import sink
 
 BLUE, RED = "blue", "red"
 EXHAUSTIVE, DPLL = "exhaustive", "dpll"
@@ -437,16 +436,13 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
                     by_pos[role.position] = role.edge
             if not by_pos or sorted(by_pos) != list(range(1, len(by_pos) + 1)):
                 raise InvalidInstance(f"{color} positions are not a prefix")
-            cur = corner_ends(n)[color][0]
-            directed = []
+            pts = [corner_ends(n)[color][0]]
             for pos in range(1, len(by_pos) + 1):
                 e = by_pos[pos]
-                if cur not in (e.a, e.b):
+                if pts[-1] not in (e.a, e.b):
                     raise InvalidInstance(f"{color} edge at position {pos} does not chain")
-                nxt = e.b if e.a == cur else e.a
-                directed.append(DirectedEdge(cur, nxt))
-                cur = nxt
-            out[color] = EdgeSequence.open_path(directed, n)
+                pts.append(e.b if e.a == pts[-1] else e.a)
+            out[color] = EdgeSequence.from_points(pts, n, OPEN)
         return out[BLUE], out[RED]
     raise InvalidInstance(f"cannot decode family {family!r}")
 
@@ -463,8 +459,3 @@ def to_dimacs(f: CnfFormula) -> str:
     for clause in f.clauses:
         lines.append(" ".join(str(lit) for lit in clause) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def write_dimacs(f: CnfFormula, path):
-    with sink(path) as fh:
-        fh.write(to_dimacs(f))

@@ -61,13 +61,6 @@ class DirectedEdge(NamedTuple):
     src: GridPoint
     dst: GridPoint
 
-    @classmethod
-    def of(cls, p, q) -> "DirectedEdge":
-        pa, pb = GridPoint(*p), GridPoint(*q)
-        if abs(pb.x - pa.x) + abs(pb.y - pa.y) != 1:
-            raise InvalidInstance(f"edge endpoints not adjacent: {tuple(pa)}-{tuple(pb)}")
-        return cls(pa, pb)
-
     def undirected(self) -> Edge:
         return Edge.of(self.src, self.dst)
 
@@ -166,8 +159,8 @@ class EdgeSequence:
     """Ordered chained directed edges: a closed curve or an open path.
 
     The plain constructor performs no validation (diagnostic work needs
-    sequences that revisit points); use :meth:`closed` / :meth:`open_path`
-    or call :meth:`validate` when the spec invariants are required.  The
+    sequences that revisit points); use :meth:`from_points` or call
+    :meth:`validate` when the spec invariants are required.  The
     object is frozen, so :meth:`validate` checks it once and
     :meth:`to_edge_set` builds its set once; a failed check raises again.
     """
@@ -175,14 +168,6 @@ class EdgeSequence:
     edges: tuple
     n: int
     kind: str
-
-    @classmethod
-    def closed(cls, edges, n: int) -> "EdgeSequence":
-        return cls(tuple(_directed(e) for e in edges), n, CLOSED).validate()
-
-    @classmethod
-    def open_path(cls, edges, n: int) -> "EdgeSequence":
-        return cls(tuple(_directed(e) for e in edges), n, OPEN).validate()
 
     @classmethod
     def from_points(cls, pts: Sequence, n: int, kind: str) -> "EdgeSequence":
@@ -252,13 +237,6 @@ class EdgeSequence:
         return len(self.edges)
 
 
-def _directed(e) -> DirectedEdge:
-    if isinstance(e, DirectedEdge):
-        return e
-    p, q = e
-    return DirectedEdge(GridPoint(*p), GridPoint(*q))
-
-
 def checked_path(edges, n: int, ends=None, name: str = "", *, closed: bool = False,
                  simple: bool = True):
     """The one sequence checker: yield ``(x1, y1, x2, y2)`` edges unchanged
@@ -318,11 +296,6 @@ def _check_same_n(a: GridObject, b: GridObject):
         raise PreconditionViolation(
             "matching grid parameters", f"grid parameters differ: {a.n} != {b.n}"
         )
-
-
-def degree(edge_set: EdgeSet, p) -> int:
-    """Number of edges incident to ``p``; at most 4."""
-    return edge_set.degree(p)
 
 
 def is_curve(edge_set: EdgeSet) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import PreconditionViolation, TheoremViolation
 from .grid import (
@@ -37,7 +37,6 @@ class ParityProfile:
     """bits[k] = parity of the number of odd red edges in column k."""
 
     bits: tuple
-    m: Optional[int] = None
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -85,7 +84,7 @@ def _horizontal_rows_by_column(es: EdgeSet, n: int) -> list:
     return cols
 
 
-def parity_profile(blue: EdgeSet, red: EdgeSet, m: Optional[int] = None) -> ParityProfile:
+def parity_profile(blue: EdgeSet, red: EdgeSet) -> ParityProfile:
     """Per-column parities of the odd red edges, with respect to ``blue``."""
     _check_same_n(blue, red)
     n = blue.n
@@ -98,7 +97,7 @@ def parity_profile(blue: EdgeSet, red: EdgeSet, m: Optional[int] = None) -> Pari
         for yy in red_cols[k]:
             bit ^= bisect_left(below, yy) & 1
         bits.append(bit)
-    return ParityProfile(tuple(bits), m)
+    return ParityProfile(tuple(bits))
 
 
 def column_transition_parities(blue: EdgeSet, red: EdgeSet, k: int):
@@ -235,7 +234,7 @@ def check_parity_lemma(blue: EdgeSet, red: EdgeSet, sides: SidePair) -> LemmaRep
     n = blue.n
     if not 2 <= m <= n - 2:
         raise PreconditionViolation("2 <= m <= n-2")
-    profile = parity_profile(blue, red, m)
+    profile = parity_profile(blue, red)
     part_a = profile.bits[m - 1] != profile.bits[m]
     violations = tuple(k for k in range(n - 1)
                        if k != m - 1 and profile.bits[k] != profile.bits[k + 1])

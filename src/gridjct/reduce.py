@@ -506,10 +506,6 @@ class StConnSeqReduction:
             self._checked.add(key)
         return pieces
 
-    def checked_edges(self, color: str):
-        """:meth:`iter_edges` after the checks of :meth:`checked_pieces`."""
-        return _translated(self.checked_pieces(color))
-
     def materialize(self, color: str) -> EdgeSequence:
         """The color's path as an :class:`EdgeSequence`; an edge that starts
         where the previous one ends shares its point object."""

@@ -173,6 +173,19 @@ def test_gen_subcommand(tmp_path, capsys):
     assert "c check [dpll]: SAT" in captured.err and "model decodes" in captured.err
 
 
+@pytest.mark.parametrize("family,n", [("stconn", 3), ("stseq", 2)])
+@pytest.mark.parametrize("check", [[], ["--check", "dpll"]], ids=["plain", "dpll"])
+def test_gen_out_file_equals_stdout(tmp_path, capsys, family, n, check):
+    argv = ["gen", "--family", family, "--n", str(n), *check]
+    out = tmp_path / "f.cnf"
+    assert main(argv + ["--out", str(out)]) == 0
+    wrote = capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    assert wrote.out == "" and out.read_bytes() == printed.out.encode()
+    assert wrote.err == printed.err
+
+
 def test_render_subcommand(tmp_path, instance_file):
     svg = tmp_path / "out.svg"
     assert main(["render", "--instance", instance_file, "--svg", str(svg)]) == 0
@@ -353,7 +366,8 @@ def test_merge_rejects_points_outside_grid(tmp_path, capsys):
     ["connect", "--instance", "curve.json", "--point", "-1,-1"],  # read as an option
     ["frobnicate"],  # unknown subcommand
     ["validate"],  # missing required --instance
-], ids=["negative-point", "unknown-subcommand", "missing-flag"])
+    ["gen", "--family", "stconn", "--n", "2", "--json"],  # gen writes DIMACS only
+], ids=["negative-point", "unknown-subcommand", "missing-flag", "gen-json"])
 def test_usage_error_exits_1_with_one_line(capsys, argv):
     _exits_1_with_one_line(capsys, argv)
 

@@ -17,7 +17,6 @@ from gridjct.grid import (
     GridPoint,
     checked_path,
     connects,
-    degree,
     intersects,
     is_curve,
     on_different_sides,
@@ -63,10 +62,10 @@ def test_edge_column_and_row():
 
 
 def test_degree_examples(unit_square):
-    assert degree(unit_square, (0, 0)) == 2
-    assert degree(edge_set([], 4), (1, 1)) == 0
+    assert unit_square.degree((0, 0)) == 2
+    assert edge_set([], 4).degree((1, 1)) == 0
     single = edge_set([((0, 0), (1, 0))], 4)
-    assert degree(single, (1, 0)) == 1
+    assert single.degree((1, 0)) == 1
 
 
 def test_degree_handshake_random():
@@ -133,18 +132,25 @@ def test_side_pair_geometry():
         side_pair((3, 1), (4, 3))
 
 
+def _chain_break() -> EdgeSequence:
+    """An open path whose second edge does not start where the first ends;
+    the plain constructor checks nothing."""
+    return EdgeSequence((DirectedEdge(GridPoint(0, 0), GridPoint(1, 0)),
+                         DirectedEdge(GridPoint(2, 0), GridPoint(3, 0))), 4, OPEN)
+
+
 def test_sequence_validation():
     sq = rect_curve(0, 0, 1, 1, 4)
     assert len(sq) == 4 and sq.kind == CLOSED
     with pytest.raises(InvalidInstance):
-        EdgeSequence.closed([((0, 0), (1, 0)), ((1, 0), (0, 0))], 4)  # t < 4
+        EdgeSequence.from_points([(0, 0), (1, 0)], 4, CLOSED)  # t < 4
     with pytest.raises(InvalidInstance):
-        EdgeSequence.open_path([((0, 0), (1, 0)), ((2, 0), (3, 0))], 4)  # chain break
+        _chain_break().validate()
     with pytest.raises(InvalidInstance):  # revisiting open path
         EdgeSequence.from_points([(0, 0), (1, 0), (1, 1), (1, 0)], 4, OPEN)
     err = None
     try:
-        EdgeSequence.open_path([((0, 0), (1, 0)), ((2, 0), (3, 0))], 4)
+        _chain_break().validate()
     except InvalidInstance as exc:
         err = exc
     assert err is not None and err.edge_index == 1
@@ -236,8 +242,7 @@ def test_validate_checks_each_object_once(monkeypatch):
 
 
 def test_failed_validation_is_not_remembered():
-    broken = EdgeSequence((DirectedEdge.of((0, 0), (1, 0)), DirectedEdge.of((2, 0), (3, 0))),
-                          4, OPEN)  # the plain constructor checks nothing
+    broken = _chain_break()
     for _ in range(2):
         with pytest.raises(InvalidInstance):
             broken.validate()

@@ -75,9 +75,9 @@ def test_instance_n_mismatch():
 
 @pytest.mark.parametrize("indent", [None, 2])
 def test_write_seq_instance_matches_json_dumps(indent):
-    from gridjct.grid import EdgeSequence
-    blue = EdgeSequence.open_path([((0, 3), (0, 2)), ((0, 2), (1, 2)), ((1, 2), (1, 1))], 3)
-    red = EdgeSequence.open_path([((0, 0), (1, 0))], 3)
+    from gridjct.grid import OPEN, EdgeSequence
+    blue = EdgeSequence.from_points([(0, 3), (0, 2), (1, 2), (1, 1)], 3, OPEN)
+    red = EdgeSequence.from_points([(0, 0), (1, 0)], 3, OPEN)
     quads = [[(e.src.x, e.src.y, e.dst.x, e.dst.y) for e in p.edges] for p in (blue, red)]
     # pieces (template, ox, oy); blue's last two edges as a template moved by (1, 1)
     moved = tuple((x1 - 1, y1 - 1, x2 - 1, y2 - 1) for x1, y1, x2, y2 in quads[0][1:])

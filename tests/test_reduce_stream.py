@@ -45,6 +45,13 @@ def _input_file(tmp_path, n, seed):
     return str(path)
 
 
+def _checked_edges(handle, color):
+    """The edges of ``handle.checked_pieces(color)``, each template edge moved
+    by its piece's offset."""
+    return [(a + ox, b + oy, c + ox, d + oy)
+            for tpl, ox, oy in handle.checked_pieces(color) for a, b, c, d in tpl]
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -115,23 +122,68 @@ def _stdout_sha(capsys, argv):
     return _sha(capsys.readouterr().out.encode())
 
 
+def _pinned_argv(tmp_path, source, form, n):
+    """The ``reduce`` command line of one case of PINNED_STCONN or
+    PINNED_JCT_SET, its input written under ``tmp_path``."""
+    path = tmp_path / "in.json"
+    if source == "stconn":
+        src = staircase_instance(n, n, form)
+        save_instance(Instance(n=n, form=form, blue=src.blue, red=src.red), path)
+    else:
+        inst = gen_crossing_instance(n, n, avoid_midpoint=True)
+        save_instance(Instance(n=n, form="set", blue=inst.blue.to_edge_set(),
+                               red=inst.red.to_edge_set(), sides=inst.sides), path)
+    return ["reduce", "--from", source, "--form", form, "--instance", str(path)]
+
+
 @pytest.mark.parametrize("form,n", sorted(PINNED_STCONN))
 def test_reduce_stconn_output_pinned(tmp_path, capsys, form, n):
-    src = staircase_instance(n, n, form)
-    path = tmp_path / "in.json"
-    save_instance(Instance(n=n, form=form, blue=src.blue, red=src.red), path)
-    argv = ["reduce", "--from", "stconn", "--form", form, "--instance", str(path)]
+    argv = _pinned_argv(tmp_path, "stconn", form, n)
     assert _stdout_sha(capsys, argv) == PINNED_STCONN[(form, n)]
 
 
 @pytest.mark.parametrize("n", sorted(PINNED_JCT_SET))
 def test_reduce_jct_set_output_pinned(tmp_path, capsys, n):
-    inst = gen_crossing_instance(n, n, avoid_midpoint=True)
-    path = tmp_path / "in.json"
-    save_instance(Instance(n=n, form="set", blue=inst.blue.to_edge_set(),
-                           red=inst.red.to_edge_set(), sides=inst.sides), path)
-    argv = ["reduce", "--from", "jct", "--form", "set", "--instance", str(path)]
+    argv = _pinned_argv(tmp_path, "jct", "set", n)
     assert _stdout_sha(capsys, argv) == PINNED_JCT_SET[n]
+
+
+# SHA-256 of the --out file of the same reductions: (source, form, n) -> digest.
+PINNED_OUT = {
+    ("stconn", "seq", 2): "270a7dc2af83a2b5999e6808c557a78ddad10c50c755b3dcc4320d814aabcd63",
+    ("stconn", "seq", 3): "69cc6942fb203d8052cf376b8b7baf4ca5b65a3db04184d17068b64e77bd799b",
+    ("stconn", "seq", 4): "e05f3a4f7384bc7c051f40950bcc3f006476313f5484bb0dbeefe0fc122facee",
+    ("stconn", "seq", 5): "fef01083e20b2ee702599c90368e591d561fb18a01ae2df0c4f3b1cc1a283ffa",
+    ("stconn", "seq", 6): "15f33fa5ac922e2f981de0b31f1f608b521c79cd5cb4f87a5765806a2bd11ba7",
+    ("stconn", "seq", 7): "0b40043b35b55d49a35ca7588320548355f0974d827ca42313680618f1729896",
+    ("stconn", "seq", 8): "a60f43883613fce1ab95903862d0e714dbddc1ba63b815dd10dbd375ffd5ba41",
+    ("stconn", "set", 2): "26c48adc6159a1c0c878bbc73eb28c15161eb695d17925fbedb00c6fb0711d53",
+    ("stconn", "set", 3): "2fdb9aeca66c2e276a2328ecd668d3d06d04fa2c891c53145363d38459fe6975",
+    ("stconn", "set", 4): "45fbb7f7df69f35fd94c6a350f6af6cd9946e2deceabbf31f863afab0c16a080",
+    ("stconn", "set", 5): "8257eadfefda298dfcf252871c4395e0facab3af684af529b39cd2f251f9242d",
+    ("stconn", "set", 6): "d31acb12ae1141bd7d1617ff29b86f9fecf3a92f8f1fb39bb92a8a6c230cc3e1",
+    ("stconn", "set", 7): "0044322e36c7721928a2dca6d643ca6dfd0990e58d01ebadefe7bf48e0ad0f43",
+    ("stconn", "set", 8): "8a681ec9ceefb7c3bdd842ff82cb2b602fb2b6de4d9df9ef73be5ad4db623a1d",
+    ("jct", "set", 6): "3b548a118d9568f4dfeef3cc0bdcdc8f1f23c8565e1f67c3cd4451fe1d0a35f6",
+    ("jct", "set", 7): "9be880bf8ca40eb12378b2cd33bbbb82d9beb9d3147600d65c5c2a7e7839e000",
+    ("jct", "set", 8): "25debdc62ea3ab81d37087b7dfc0d7cd6dd291d3246013edf8f82c537e87ec3f",
+    ("jct", "set", 9): "018b717e56123deb3e2a00408e531ba2b3db8486cdad467abf157698cd085ca1",
+    ("jct", "set", 10): "f431c5b6a12ac40c5f0f2cc5e73d3166e6a82583cda8d6675c10c147f8139f9a",
+}
+
+
+@pytest.mark.parametrize("source,form,n", sorted(PINNED_OUT))
+def test_reduce_out_file_pinned(tmp_path, capsys, source, form, n):
+    """The file is indented by 2, stdout is compact: the same document."""
+    argv = _pinned_argv(tmp_path, source, form, n)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    wrote = capsys.readouterr()
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert json.loads(out.read_text()) == doc
+    assert wrote.out == f"wrote n={doc['n']} instance to {out}\n" and wrote.err == ""
+    assert _sha(out.read_bytes()) == PINNED_OUT[(source, form, n)]
 
 
 def _with_square_loop(es, avoid, rng):
@@ -206,7 +258,7 @@ def test_iter_edges_matches_edge_at_and_refined_ends(n, seed):
                                                     for j in range(core)]
         assert walked[len(pre) + core:] == [_quad(e) for e in suf.edges]
         assert [_quad(e) for e in handle.materialize(color).edges] == walked
-        assert list(handle.checked_edges(color)) == walked
+        assert _checked_edges(handle, color) == walked
 
 
 # --- each of the five stream checks, broken in turn ------------------------
@@ -262,8 +314,7 @@ def _mutated_handle(name):
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_stream_check_raises_what_validate_raises(name):
     with pytest.raises(GridJctError) as streamed:
-        for _ in _mutated_handle(name).checked_edges("red"):
-            pass
+        _checked_edges(_mutated_handle(name), "red")
     assert MESSAGES[name] in str(streamed.value)
     with pytest.raises(GridJctError) as validated:
         _mutated_handle(name).instance
@@ -308,7 +359,7 @@ def test_block_checks_match_the_per_edge_oracle(n):
     m = handle.n_out
     for color in ("blue", "red"):
         oracle = list(checked_path(handle.iter_edges(color), m, corner_ends(m)[color], color))
-        assert list(handle.checked_edges(color)) == oracle
+        assert _checked_edges(handle, color) == oracle
 
 
 _COMB = reduce_module._comb
@@ -377,7 +428,7 @@ def test_block_check_raises_its_class(monkeypatch, name):
         handle.checked_pieces("red")
     assert type(caught.value) is cls
     with pytest.raises(cls, match=message):
-        list(handle.checked_edges("red"))
+        _checked_edges(handle, "red")
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_MUTATIONS))
