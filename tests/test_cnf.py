@@ -46,6 +46,7 @@ def test_clause_counts_pinned():
     assert len(gen_stseq(1).clauses) == 42
     assert len(gen_stseq(2).clauses) == 2894
     assert len(gen_stseq(3).clauses) == 33654
+    assert len(gen_stseq(4).clauses) == 188814
 
 
 def test_stconn_clause_tally_independent():
@@ -78,7 +79,7 @@ def test_stconn_clause_tally_independent():
 
 
 def test_stseq_clause_tally_independent():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         f = gen_stseq(n)
         slots = edge_slots(n)
         s, length = len(slots), n * n
@@ -225,6 +226,21 @@ def test_dimacs_output():
     assert len(body) == len(f.clauses)
     assert all(line.endswith(" 0") for line in body)
     assert to_dimacs(f) == text  # deterministic
+    assert to_dimacs(CnfFormula(1, (), {})) == "c gridjct\np cnf 1 0\n"
+
+
+def test_dimacs_text_pinned():
+    # every clause of both families, in order, byte for byte; the digest was
+    # taken from the per-literal generators and emitter
+    h = hashlib.sha256()
+    for gen in (gen_stconn, gen_stseq):
+        for n in (1, 2, 3, 4):
+            for weakened in (False, True):
+                text = to_dimacs(gen(n, intersection_clauses=not weakened))
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                h.update(f"{gen.__name__}({n}) weakened={weakened}: {digest}\n".encode())
+    assert h.hexdigest() == \
+        "e987655a84c6d7289a549e39a760e4a5d2832fbb468ae99f6bfb6357066f104f"
 
 
 def test_solver_trivia():
@@ -265,10 +281,19 @@ def test_stconn_rejects_clauses_over_cap():
         gen_stconn(2000, intersection_clauses=False)
 
 
-@pytest.mark.parametrize("clauses", [((1, 3),), ((0,),), ((1,), ()), ((-3, 1),)])
+BAD_FORMULAS = {  # a valid clause first, so the message must name the second
+    ((1,), (1, 3)): "bad literal 3 in clause 1",
+    ((1,), ()): "empty clause at index 1",
+    ((1,), (0,)): "bad literal 0 in clause 1",
+    ((1,), (-3, 1)): "bad literal -3 in clause 1",
+}
+
+
+@pytest.mark.parametrize("clauses", list(BAD_FORMULAS))
 def test_bad_formula_rejected_when_built(clauses):
-    with pytest.raises(InvalidInstance):
+    with pytest.raises(InvalidInstance) as exc:
         CnfFormula(2, clauses, {})
+    assert str(exc.value) == BAD_FORMULAS[clauses]
 
 
 def _solver_transcript_digest():
