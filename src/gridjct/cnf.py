@@ -14,6 +14,7 @@ configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import GridJctError, InvalidInstance, PreconditionViolation, SolverBudgetExhausted
@@ -30,7 +31,9 @@ BLUE, RED = "blue", "red"
 EXHAUSTIVE, DPLL = "exhaustive", "dpll"
 _EXHAUSTIVE_CAP = 26
 # stseq clauses grow about as n^8: stseq(5) has 715,442 and stseq(8) would
-# have about 11.8 million, so larger n is rejected before any is built.
+# have about 11.8 million.  The cap bounds memory, which grows with the
+# clause count (a fresh ``gen`` of stseq(5) peaks near 150 MiB), so larger n
+# is rejected before any is built.
 MAX_STSEQ_N = 5
 # stconn clauses grow as about 30 n^2 (``stconn_clauses``); the cap admits
 # n <= 182 and is checked before any clause is built.
@@ -61,7 +64,14 @@ class CnfFormula:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Every formula is checked once, when it is built."""
+        """Every formula is checked once, when it is built: one pass over the
+        literals accepts it, and only a rejected formula is walked clause by
+        clause to name the first bad one."""
+        lits = set(chain.from_iterable(self.clauses))
+        if (all(self.clauses) and 0 not in lits
+                and -self.num_vars <= min(lits, default=0)
+                and max(lits, default=0) <= self.num_vars):
+            return
         for i, clause in enumerate(self.clauses):
             if not clause:
                 raise InvalidInstance(f"empty clause at index {i}")
@@ -90,12 +100,7 @@ def _slots_at(slots: Sequence[Edge]) -> Dict[GridPoint, List[int]]:
 def _degree_zero_or_two(vs: List[int]) -> List[Tuple[int, ...]]:
     """CNF for "the number of true vars among vs is 0 or 2" (|vs| <= 4)."""
     clauses = [tuple([-v] + [w for w in vs if w != v]) for v in vs]  # no degree 1
-    k = len(vs)
-    for i in range(k):  # no degree 3 or more
-        for j in range(i + 1, k):
-            for l in range(j + 1, k):
-                clauses.append((-vs[i], -vs[j], -vs[l]))
-    return clauses
+    return clauses + list(combinations([-v for v in vs], 3))  # no degree 3 or more
 
 
 def stconn_clauses(n: int, *, intersection_clauses: bool = True) -> int:
@@ -135,11 +140,8 @@ def gen_stconn(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
         other = RED if own == BLUE else BLUE
         mine = [var(i, own) for i in at[corner]]
         clauses.append(tuple(mine))  # at least one edge of the corner's color
-        for i in range(len(mine)):
-            for j in range(i + 1, len(mine)):
-                clauses.append((-mine[i], -mine[j]))  # at most one
-        for i in at[corner]:
-            clauses.append((-var(i, other),))  # none of the other color
+        clauses.extend(combinations([-v for v in mine], 2))  # at most one
+        clauses.extend([(-var(i, other),) for i in at[corner]])  # none of the other color
     for p in sorted(at):
         if p in corners:
             continue
@@ -150,12 +152,11 @@ def gen_stconn(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
         for p in sorted(at):
             if p in corners:
                 continue
-            for i in at[p]:
-                for j in at[p]:
-                    c = (-var(i, BLUE), -var(j, RED))
-                    if c not in seen:
-                        seen.add(c)
-                        clauses.append(c)
+            for i, j in product(at[p], repeat=2):
+                c = (-var(i, BLUE), -var(j, RED))
+                if c not in seen:
+                    seen.add(c)
+                    clauses.append(c)
 
     var_map = {}
     for idx, e in enumerate(slots):
@@ -182,58 +183,51 @@ def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
     def var(idx: int, color: str, pos: int) -> int:
         return (pos - 1) * 2 * s + 2 * idx + (1 if color == BLUE else 2)
 
-    shares_point = [[bool({slots[i].a, slots[i].b} & {slots[j].a, slots[j].b})
-                     for j in range(s)] for i in range(s)]
+    # neg[color][pos][i] and cols[color][i][pos - 1] are -var(i, color, pos);
+    # neg[color][0] is unused
+    neg = {color: [()] + [tuple(range(-var(0, color, pos), -var(s, color, pos), -2))
+                          for pos in range(1, length + 1)] for color in (BLUE, RED)}
+    cols = {color: [tuple(range(-var(i, color, 1), -var(i, color, length + 1), -2 * s))
+                    for i in range(s)] for color in (BLUE, RED)}
+    ends_of = [{e.a, e.b} for e in slots]
+    sharing = [(i, j) for i in range(s) for j in range(s) if ends_of[i] & ends_of[j]]
+    equal_or_apart = [(i, j) for i in range(s) for j in range(s)
+                      if i == j or not ends_of[i] & ends_of[j]]
 
     clauses: List[Tuple[int, ...]] = []
     for color in (BLUE, RED):
         start, goal = ends[color]
+        row, col = neg[color], cols[color]
+        off_goal = [i for i in range(s) if goal not in ends_of[i]]
         for pos in range(1, length + 1):  # at most one edge per position
-            for i in range(s):
-                for j in range(i + 1, s):
-                    clauses.append((-var(i, color, pos), -var(j, color, pos)))
-        clauses.append(tuple(var(i, color, 1) for i in at[start]))  # start corner
+            clauses.extend(combinations(row[pos], 2))
+        clauses.append(tuple(-row[1][i] for i in at[start]))  # start corner
         for pos in range(2, length + 1):  # empties form a terminal suffix
-            prev = tuple(var(i, color, pos - 1) for i in range(s))
-            for i in range(s):
-                clauses.append((-var(i, color, pos),) + prev)
+            prev = tuple(-v for v in row[pos - 1])
+            clauses.extend([(v,) + prev for v in row[pos]])
         for pos in range(1, length):  # consecutive edges share exactly one point
-            for i in range(s):
-                for j in range(s):
-                    if i == j or not shares_point[i][j]:
-                        clauses.append((-var(i, color, pos), -var(j, color, pos + 1)))
+            a, b = row[pos], row[pos + 1]
+            clauses.extend([(a[i], b[j]) for i, j in equal_or_apart])
         for pos in range(1, length):  # stopping early requires the goal corner
-            nxt = tuple(var(k, color, pos + 1) for k in range(s))
-            for i in range(s):
-                if goal not in (slots[i].a, slots[i].b):
-                    clauses.append((-var(i, color, pos),) + nxt)
-        for i in range(s):  # the last position, if used, must reach the goal
-            if goal not in (slots[i].a, slots[i].b):
-                clauses.append((-var(i, color, length),))
+            nxt = tuple(-v for v in row[pos + 1])
+            clauses.extend([(row[pos][i],) + nxt for i in off_goal])
+        # the last position, if used, must reach the goal
+        clauses.extend([(row[length][i],) for i in off_goal])
         for pos in range(1, length):  # touching the goal corner ends the path
-            for i in at[goal]:
-                for k in range(s):
-                    clauses.append((-var(i, color, pos), -var(k, color, pos + 1)))
+            clauses.extend(product([row[pos][i] for i in at[goal]], row[pos + 1]))
         for i in at[start]:  # the start corner is touched by the first edge only
-            for pos in range(2, length + 1):
-                clauses.append((-var(i, color, pos),))
+            clauses.extend([(v,) for v in col[i][1:]])
         for corner in ends[RED if color == BLUE else BLUE]:  # off the other color's corners
             for i in at[corner]:
-                for pos in range(1, length + 1):
-                    clauses.append((-var(i, color, pos),))
+                clauses.extend([(v,) for v in col[i]])
         for pos in range(1, length + 1):  # simple path: no revisited points
             for pos2 in range(pos + 2, length + 1):
-                for i in range(s):
-                    for j in range(s):
-                        if shares_point[i][j]:
-                            clauses.append((-var(i, color, pos), -var(j, color, pos2)))
+                a, b = row[pos], row[pos2]
+                clauses.extend([(a[i], b[j]) for i, j in sharing])
     if intersection_clauses:
         for p in sorted(at):
-            for i in at[p]:
-                for j in at[p]:
-                    for pos in range(1, length + 1):
-                        for pos2 in range(1, length + 1):
-                            clauses.append((-var(i, BLUE, pos), -var(j, RED, pos2)))
+            for i, j in product(at[p], repeat=2):
+                clauses.extend(product(cols[BLUE][i], cols[RED][j]))
 
     var_map = {}
     for pos in range(1, length + 1):
@@ -456,6 +450,6 @@ def to_dimacs(f: CnfFormula) -> str:
     for v in sorted(f.var_map):
         lines.append(f"c var {v} {f.var_map[v].describe()}")
     lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
-    for clause in f.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    formats = ["%d " * k + "0" for k in range(max(map(len, f.clauses), default=0) + 1)]
+    lines.extend([formats[len(clause)] % clause for clause in f.clauses])
     return "\n".join(lines) + "\n"
