@@ -31,9 +31,8 @@ BLUE, RED = "blue", "red"
 EXHAUSTIVE, DPLL = "exhaustive", "dpll"
 _EXHAUSTIVE_CAP = 26
 # stseq clauses grow about as n^8: stseq(5) has 715,442 and stseq(8) would
-# have about 11.8 million.  The cap bounds memory, which grows with the
-# clause count (a fresh ``gen`` of stseq(5) peaks near 150 MiB), so larger n
-# is rejected before any is built.
+# have about 11.8 million.  Generation is fast, so the cap bounds memory,
+# which grows with the clause count: larger n is rejected before any is built.
 MAX_STSEQ_N = 5
 # stconn clauses grow as about 30 n^2 (``stconn_clauses``); the cap admits
 # n <= 182 and is checked before any clause is built.
