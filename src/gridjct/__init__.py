@@ -99,6 +99,6 @@ from .reduce import (
     stconn_to_jct_seq,
     stconn_to_jct_set,
 )
-from .render import RenderSpec, render_svg
+from .render import render_svg
 
 __version__ = "0.1.0"

@@ -99,21 +99,17 @@ def reindex_canonical(seq: EdgeSequence) -> EdgeSequence:
     """Rotate a closed curve so its wrap-around edge sits on the rightmost
     occupied vertical line.
 
-    When the curve has a vertical edge on that line, index 0 becomes the head
-    of the lowest such edge; otherwise index 0 is the lowest point on the
-    line.  Either way no segment examined from the left ever spans the wrap.
+    A point on that line has at most one curve neighbour to its left, so the
+    line carries a vertical edge; index 0 becomes the head of the lowest one.
+    No segment examined from the left then spans the wrap.
     """
     if seq.validate().kind != CLOSED:
         raise PreconditionViolation("closed sequence")
-    pts = seq.points()
-    xmax = max(p.x for p in pts)
+    xmax = max(p.x for p in seq.points())
     vertical = [i for i, e in enumerate(seq.edges)
                 if e.src.x == xmax and e.dst.x == xmax]
-    if vertical:
-        k = min(vertical, key=lambda i: min(seq.edges[i].src.y, seq.edges[i].dst.y))
-        return seq.rotate(k + 1)  # edge k becomes the wrap edge <p_{t-1}, p_0>
-    start = min((i for i, p in enumerate(pts) if p.x == xmax), key=lambda i: pts[i].y)
-    return seq.rotate(start)
+    k = min(vertical, key=lambda i: min(seq.edges[i].src.y, seq.edges[i].dst.y))
+    return seq.rotate(k + 1)  # edge k becomes the wrap edge <p_{t-1}, p_0>
 
 
 def _require_canonical(pts: List[GridPoint]):

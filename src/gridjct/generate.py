@@ -12,14 +12,14 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
-from .errors import GenerationExhausted, PreconditionViolation
+from .errors import GenerationExhausted, PreconditionViolation, TheoremViolation
 from .grid import CLOSED, OPEN, EdgeSequence, GridPoint, Instance, SidePair
 
 _RING8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
-MAX_ATTEMPTS = 1000  # tries per generator call before GenerationExhausted
+MAX_ATTEMPTS = 1000  # curves gen_crossing_instance tries before GenerationExhausted
 MAX_N = 512  # the polyomino target grows as n^2; render.MAX_N is the same cap
 
 
@@ -77,8 +77,9 @@ def _grow_polyomino(n: int, rng: random.Random, margin: int,
     return cells
 
 
-def _trace_boundary(cells: Set[Tuple[int, int]], n: int) -> Optional[EdgeSequence]:
-    """Directed boundary with the interior on the left (counterclockwise)."""
+def _trace_boundary(cells: Set[Tuple[int, int]], n: int) -> EdgeSequence:
+    """Directed boundary with the interior on the left (counterclockwise).
+    :func:`_can_add` leaves no hole or corner-only touch, so it is one loop."""
     hops = {}
     for (i, j) in cells:
         if (i, j - 1) not in cells:
@@ -92,16 +93,16 @@ def _trace_boundary(cells: Set[Tuple[int, int]], n: int) -> Optional[EdgeSequenc
     total = sum(((i, j - 1) not in cells) + ((i + 1, j) not in cells)
                 + ((i, j + 1) not in cells) + ((i - 1, j) not in cells)
                 for (i, j) in cells)
-    if len(hops) != total:  # a pinch point carries two outgoing edges
-        return None
+    if len(hops) != total:  # a pinch point carries two outgoing edges; the walk would not end
+        raise TheoremViolation("polyomino boundary has a pinch point (bug)")
     start = min(hops)
     pts = [start]
     cur = hops[start]
     while cur != start:
         pts.append(cur)
         cur = hops[cur]
-    if len(pts) != total:  # boundary split into several loops
-        return None
+    if len(pts) != total:
+        raise TheoremViolation("polyomino boundary splits into several loops (bug)")
     return EdgeSequence.from_points(pts, n, CLOSED)
 
 
@@ -117,14 +118,7 @@ def gen_random_curve(n: int, seed: int, *, margin: int = 0,
         raise PreconditionViolation(f"n <= {MAX_N}", f"generators need n <= {MAX_N}, got n={n}")
     if n - 2 * margin < 1:
         raise PreconditionViolation("margin leaves room for at least one cell")
-    rng = random.Random(seed)
-    for _ in range(MAX_ATTEMPTS):
-        cells = _grow_polyomino(n, rng, margin, min_cells)
-        seq = _trace_boundary(cells, n)
-        if seq is not None:
-            return seq
-    raise GenerationExhausted(
-        f"no polyomino with a one-loop boundary in {MAX_ATTEMPTS} attempts (n={n}, seed={seed})")
+    return _trace_boundary(_grow_polyomino(n, random.Random(seed), margin, min_cells), n)
 
 
 def _side_candidates(curve: EdgeSequence) -> List[GridPoint]:
@@ -135,7 +129,9 @@ def _side_candidates(curve: EdgeSequence) -> List[GridPoint]:
 
 
 def _bfs_path(n: int, src: GridPoint, dst: GridPoint, rng: random.Random,
-              forbidden: Set[GridPoint]) -> Optional[List[GridPoint]]:
+              forbidden: Set[GridPoint]) -> List[GridPoint]:
+    """A shortest grid path from ``src`` to ``dst`` off ``forbidden``; the
+    grid less one inner point is connected, so one always exists."""
     order = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     rng.shuffle(order)
     parent = {src: None}
@@ -152,7 +148,6 @@ def _bfs_path(n: int, src: GridPoint, dst: GridPoint, rng: random.Random,
             if 0 <= np.x <= n and 0 <= np.y <= n and np not in parent and np not in forbidden:
                 parent[np] = cur
                 queue.append(np)
-    return None
 
 
 def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) -> Instance:
@@ -160,7 +155,7 @@ def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) ->
 
     The path is found by breadth-first search and may touch the curve (the
     crossing guarantee is the point).  ``avoid_midpoint`` keeps the path off
-    the side-pair midpoint whenever some path around it exists.
+    the side-pair midpoint.
     Deterministic per seed; ``n`` is capped by :func:`gen_random_curve`.
     """
     if n < 4:
@@ -177,10 +172,6 @@ def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) ->
         p2 = GridPoint(mid.x, mid.y + 1)
         skip_mid = avoid_midpoint or rng.random() < 0.5
         pts = _bfs_path(n, p1, p2, rng, {mid} if skip_mid else set())
-        if pts is None:
-            pts = _bfs_path(n, p1, p2, rng, set())
-        if pts is None or (avoid_midpoint and mid in pts):
-            continue
         red = EdgeSequence.from_points(pts, n, OPEN)
         return Instance(n=n, form="seq", blue=curve, red=red,
                         sides=SidePair(p1, p2, mid)).validate()

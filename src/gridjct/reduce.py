@@ -265,16 +265,12 @@ def jct_witness_to_stconn(inst: Instance, w, *, scale: int = 1) -> GridPoint:
     bq, rq = quarters_at(inst.blue), quarters_at(inst.red)
     if not bq or not rq:
         raise PreconditionViolation("shared point", f"{tuple(w)} is not shared")
+    # off the center a diagonal point meets two quarters: colors touching it from both share one
     common = sorted(bq & rq)
-    if common:
-        img = _reflect(common[0], wb, big_n)
-    elif len(bq) == 2 and len(rq) == 2:
-        qa, qb = sorted(bq)
-        img = _reflect(qb, _reflect(qa, wb, big_n), big_n)  # shared connector corner
-    else:
+    if not common:
         raise InvalidInstance(
-            "witness not transportable: the colors touch this diagonal point "
-            "from different single quarters")
+            "witness not transportable: the colors share no quarter at this diagonal point")
+    img = _reflect(common[0], wb, big_n)
     return GridPoint(img.x * scale, img.y * scale)
 
 
@@ -364,9 +360,8 @@ class StConnSeqReduction:
     the connector steps after it.
     """
 
-    def __init__(self, source: Instance, big_n: int,
-                 core: Dict[str, List[Step]], ends: Dict[str, Tuple[list, list]]):
-        self.source = source
+    def __init__(self, big_n: int, core: Dict[str, List[Step]],
+                 ends: Dict[str, Tuple[list, list]]):
         self.n_base = big_n
         self.factor = 8 * big_n
         self.block_size = 16 * big_n * big_n
@@ -521,9 +516,6 @@ class StConnSeqReduction:
         return StConnInstance(n=self.n_out, blue=self.materialize("blue"),
                               red=self.materialize("red")).validate()
 
-    def witness_point(self, w) -> GridPoint:
-        return jct_witness_to_stconn(self.source, w, scale=self.factor)
-
 
 def jct_to_stconn_seq(inst: Instance) -> StConnSeqReduction:
     """Reflect a sequence-form side-crossing instance and refine 8N-fold so
@@ -540,7 +532,7 @@ def jct_to_stconn_seq(inst: Instance) -> StConnSeqReduction:
         raise GridJctError("red core does not start at the lower image point (bug)")
     if core["blue"][0][:2] != (0, big_n):
         raise GridJctError("blue core does not start at the left corner image (bug)")
-    return StConnSeqReduction(inst, big_n, core, _end_runs(big_n))
+    return StConnSeqReduction(big_n, core, _end_runs(big_n))
 
 
 def edge_at(reduced: StConnSeqReduction, j: int) -> DirectedEdge:

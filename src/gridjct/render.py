@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 from .errors import PreconditionViolation
@@ -10,27 +9,6 @@ from .grid import EdgeSet, GridPoint, Instance
 
 # Every grid dot is drawn, so time, memory and output grow as n^2.
 MAX_N = 512
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    cell: int = 24
-    margin: int = 24
-    dot_radius: float = 1.5
-    grid_color: str = "#c8c8c8"
-    curve_color: str = "#1f4fd8"
-    curve_width: float = 3.0
-    path_color: str = "#d03030"
-    path_width: float = 3.0
-    path_dash: str = "7,5"
-    side_color: str = "#222222"
-    witness_color: str = "#0a8a0a"
-    witness_radius: float = 6.0
-
-
-def _fmt(v: float) -> str:
-    s = f"{v:.2f}"
-    return s.rstrip("0").rstrip(".") if "." in s else s
 
 
 def _edges_of(payload) -> Iterable[Tuple[GridPoint, GridPoint]]:
@@ -41,30 +19,28 @@ def _edges_of(payload) -> Iterable[Tuple[GridPoint, GridPoint]]:
     return [(e.src, e.dst) for e in payload.edges]
 
 
-def render_svg(inst: Instance, spec: RenderSpec = None, witnesses=()) -> str:
-    """SVG document for an instance; byte-identical for identical inputs.
-    Grids larger than ``MAX_N`` are rejected; an edge endpoint outside
-    [0, n]^2 raises ``KeyError``."""
-    spec = spec or RenderSpec()
+def render_svg(inst: Instance, witnesses=()) -> str:
+    """SVG document for an instance in one fixed style: 24-unit cells and a
+    one-cell margin; byte-identical for identical inputs.  Grids larger than
+    ``MAX_N`` are rejected; an edge endpoint outside [0, n]^2 raises
+    ``KeyError``."""
     n = inst.n
     if n > MAX_N:
         raise PreconditionViolation(f"n <= {MAX_N}", f"render needs n <= {MAX_N}, got n={n}")
-    size = 2 * spec.margin + n * spec.cell
+    size = 24 * (n + 2)
 
-    def sx(x: int) -> float:
-        return spec.margin + x * spec.cell
+    def sx(x: int) -> int:
+        return 24 * (x + 1)
 
-    def sy(y: int) -> float:
-        return spec.margin + (n - y) * spec.cell
+    def sy(y: int) -> int:
+        return 24 * (n - y + 1)
 
     # each grid coordinate's text and each element's constant tail, formatted once
-    xs = {x: _fmt(sx(x)) for x in range(n + 1)}
-    ys = {y: _fmt(sy(y)) for y in range(n + 1)}
-    dot = f'" r="{_fmt(spec.dot_radius)}" fill="{spec.grid_color}"/>'
-    curve = (f'" stroke="{spec.curve_color}" stroke-width="{_fmt(spec.curve_width)}" '
-             f'stroke-linecap="round"/>')
-    path = (f'" stroke="{spec.path_color}" stroke-width="{_fmt(spec.path_width)}" '
-            f'stroke-dasharray="{spec.path_dash}" stroke-linecap="round"/>')
+    xs = {x: str(sx(x)) for x in range(n + 1)}
+    ys = {y: str(sy(y)) for y in range(n + 1)}
+    dot = '" r="1.5" fill="#c8c8c8"/>'
+    curve = '" stroke="#1f4fd8" stroke-width="3" stroke-linecap="round"/>'
+    path = '" stroke="#d03030" stroke-width="3" stroke-dasharray="7,5" stroke-linecap="round"/>'
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -77,16 +53,14 @@ def render_svg(inst: Instance, spec: RenderSpec = None, witnesses=()) -> str:
                   for a, b in _edges_of(payload)]
     if inst.sides is not None:
         for label, p in (("p1", inst.sides.p1), ("p2", inst.sides.p2)):
-            parts.append(f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" r="4" '
-                         f'fill="{spec.side_color}"/>')
-            parts.append(f'<text x="{_fmt(sx(p.x) + 6)}" y="{_fmt(sy(p.y) - 6)}" '
-                         f'font-size="12" fill="{spec.side_color}">{label}</text>')
+            parts.append(f'<circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="4" fill="#222222"/>')
+            parts.append(f'<text x="{sx(p.x) + 6}" y="{sy(p.y) - 6}" '
+                         f'font-size="12" fill="#222222">{label}</text>')
     for w in witnesses:
         p = GridPoint(*w)
-        parts.append(f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" '
-                     f'r="{_fmt(spec.witness_radius)}" fill="none" '
-                     f'stroke="{spec.witness_color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_fmt(sx(p.x) + 8)}" y="{_fmt(sy(p.y) + 4)}" '
-                     f'font-size="12" fill="{spec.witness_color}">x</text>')
+        parts.append(f'<circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="6" fill="none" '
+                     f'stroke="#0a8a0a" stroke-width="2"/>')
+        parts.append(f'<text x="{sx(p.x) + 8}" y="{sy(p.y) + 4}" '
+                     f'font-size="12" fill="#0a8a0a">x</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

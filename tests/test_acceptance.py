@@ -237,7 +237,7 @@ def test_criterion_5_reduction_exactness():
         moved = None
         for w in sorted(inst.blue.point_set & inst.red.point_set):
             try:
-                moved = handle.witness_point(w)
+                moved = jct_witness_to_stconn(inst, w, scale=handle.factor)
             except InvalidInstance:
                 continue
             assert moved in (out.blue.point_set & out.red.point_set)

@@ -244,6 +244,7 @@ MALFORMED = {
     "offset-int": _doc(offset=5),
     "sides-ints": _doc(sides=[5, 6]),
     "sides-string-coordinate": _doc(sides=[[1, "a"], [1, 3]]),
+    "sides-not-two-apart": _doc(sides=[[2, 0], [2, 3]]),
     "set-not-a-list": _doc(_GOOD_SET, blue={"n": 4, "set": 5}),
     "seq-null": _doc(blue={"n": 4, "kind": "closed", "seq": None}),
     "boolean-coordinate": _doc(blue={"n": 4, "kind": "closed",
@@ -311,6 +312,14 @@ def test_malformed_instance_exits_1_with_one_line(tmp_path, capsys, name):
     else:
         path.write_text(MALFORMED[name])
     _exits_1_with_one_line(capsys, ["validate", "--instance", str(path)])
+
+
+def test_parity_without_red_exits_1(tmp_path, capsys):
+    path = tmp_path / "no-red.json"
+    path.write_text(json.dumps({k: v for k, v in _GOOD.items() if k != "red"}))
+    for argv in (["parity"], ["parity", "--witness"]):
+        assert main(argv + ["--instance", str(path)]) == 1
+        assert capsys.readouterr() == ("", 'error: instance is missing "red"\n')
 
 
 def test_validate_accepts_complete_and_partial_instances(tmp_path, capsys):
@@ -388,7 +397,7 @@ def test_fuzz_checks_regions_at_every_size(monkeypatch, capsys):
 
 
 def test_fuzz_generation_exhausted_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(generate, "_trace_boundary", lambda cells, n: None)
+    monkeypatch.setattr(generate, "_side_candidates", lambda curve: [])
     _exits_1_with_one_line(capsys, ["fuzz", "--count", "1", "--n", "4"])
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from gridjct import generate
 from gridjct.alternation import check_edge_alternation
-from gridjct.errors import GenerationExhausted, PreconditionViolation
+from gridjct.errors import GenerationExhausted, PreconditionViolation, TheoremViolation
 from gridjct.generate import gen_crossing_instance, gen_random_curve
 from gridjct.grid import connects, is_curve, on_different_sides
 
@@ -168,12 +168,15 @@ def test_incremental_candidates_match_rebuild():
                     assert len(cells) == target or _rebuilt_candidates(cells, lo, hi) == []
 
 
-def test_retry_cap_raises_generation_exhausted(monkeypatch):
-    monkeypatch.setattr(generate, "_trace_boundary", lambda cells, n: None)
-    with pytest.raises(GenerationExhausted, match="1000 attempts"):
-        gen_random_curve(4, 0)
-    with pytest.raises(GenerationExhausted):
-        gen_crossing_instance(6, 0)
+@pytest.mark.parametrize("cells, message", [
+    ({(1, 1), (2, 2)}, "pinch point"),  # a corner-only touch
+    ({(x, y) for x in (1, 2, 3) for y in (1, 2, 3)} - {(2, 2)}, "several loops"),  # a hole
+])
+def test_trace_boundary_raises_on_shapes_can_add_refuses(cells, message):
+    # no cell of either shape can be the last one grown
+    assert not any(generate._can_add(cells - {c}, c) for c in cells)
+    with pytest.raises(TheoremViolation, match=message):
+        generate._trace_boundary(cells, 5)
 
 
 def test_crossing_retry_cap_raises_generation_exhausted(monkeypatch):

@@ -23,6 +23,12 @@ from gridjct.generate import gen_crossing_instance
 from conftest import rect_curve, rect_set
 
 
+@pytest.mark.parametrize("sides", [[[2, 0], [2, 3]], [[2, 0], [3, 2]], [[2, 2], [2, 2]]])
+def test_sides_not_two_apart_raise_format_error(sides):
+    with pytest.raises(FormatError, match="vertically aligned two apart"):
+        instance_from_json({"n": 4, "form": "seq", "sides": sides})
+
+
 def test_edge_set_roundtrip():
     es = rect_set(1, 1, 3, 2, 6)
     assert edge_set_from_json(edge_set_to_json(es)) == es

@@ -243,6 +243,15 @@ def _mk_instance(walk, n=8):
     return rect_set(2, 2, 6, 4, n), red, side_pair(walk[0], walk[-1])
 
 
+def test_approaches_from_left_is_false_on_the_left_border_and_from_the_right():
+    red = edge_set([((0, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 2), (1, 3)), ((1, 3), (0, 3))], 8)
+    assert not approaches_from_left(red, side_pair((0, 1), (0, 3)))
+    _, red, sides = _mk_instance([(4, 1), (5, 1), (5, 2), (5, 3), (4, 3)])
+    assert not approaches_from_left(red, sides)
+    _, red, sides = _mk_instance([(4, 1), (3, 1), (3, 2), (3, 3), (3, 4), (4, 4), (4, 3)])
+    assert not approaches_from_left(red, sides)  # p1 from the left, p2 from above
+
+
 def test_normalize_arrival_from_right_both_ends():
     blue, red, sides = _mk_instance([(4, 1), (5, 1), (5, 2), (5, 3), (4, 3)])
     b2, r2, s2 = normalize_instance(blue, red, sides)

@@ -22,6 +22,7 @@ from gridjct.reduce import (
     _centering,
     _comb,
     _connector,
+    _edge_quarter,
     _reflect,
     edge_at,
     jct_to_stconn_seq,
@@ -214,6 +215,20 @@ def test_connector_is_the_same_route_either_way(big_n):
                 assert points[-1] == _reflect(qb, w, big_n)
 
 
+@pytest.mark.parametrize("big_n", range(1, 13))
+def test_off_center_diagonal_points_meet_two_quarters(big_n):
+    # So two colors that each touch such a point from two quarters share one,
+    # and jct_witness_to_stconn never needs a connector corner.
+    m = 2 * big_n
+    diagonal = {GridPoint(t, t) for t in range(m + 1)} | {GridPoint(t, m - t)
+                                                          for t in range(m + 1)}
+    for w in sorted(diagonal - {GridPoint(big_n, big_n)}):
+        quarters = {_edge_quarter(w, GridPoint(w.x + dx, w.y + dy), big_n)
+                    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                    if 0 <= w.x + dx <= m and 0 <= w.y + dy <= m}
+        assert len(quarters) == 2, (w, quarters)
+
+
 def test_jct_to_stconn_set_rejects_red_through_midpoint():
     for seed in range(50):
         inst = gen_crossing_instance(8, seed)
@@ -229,6 +244,13 @@ def test_jct_to_stconn_seq_rejects_red_through_midpoint():
     assert inst.sides.mid in inst.red.point_set
     with pytest.raises(InvalidInstance, match="touches the side-pair midpoint"):
         jct_to_stconn_seq(inst)
+
+
+def test_witness_at_the_midpoint_is_not_transported():
+    # blue meets the center from L and R, red from B and T: no quarter is shared
+    inst = gen_crossing_instance(8, 0)
+    with pytest.raises(InvalidInstance, match="share no quarter"):
+        jct_witness_to_stconn(inst, inst.sides.mid)
 
 
 def test_cli_reduce_seq_rejects_red_through_midpoint(tmp_path, capsys):
@@ -385,7 +407,7 @@ def test_jct_to_stconn_seq_witnesses_random():
         moved = None
         for w in sorted(inst.blue.point_set & inst.red.point_set):
             try:
-                moved = handle.witness_point(w)
+                moved = jct_witness_to_stconn(inst, w, scale=handle.factor)
             except InvalidInstance:
                 continue
             assert moved in shared_out

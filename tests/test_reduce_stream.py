@@ -236,6 +236,22 @@ def test_merge_output_pinned(tmp_path, capsys, name):
     assert _stdout_sha(capsys, argv) == PINNED_MERGE[name]
 
 
+def test_reduce_out_is_the_same_from_either_side_point(tmp_path, capsys):
+    # the reduction runs red from the lower side point, reversing it if needed
+    inst = gen_crossing_instance(6, 1, avoid_midpoint=True)
+    assert inst.red.start == inst.sides.p1 and inst.sides.p1.y < inst.sides.p2.y
+    written = []
+    for red in (inst.red, inst.red.reverse()):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        save_instance(Instance(n=6, form="seq", blue=inst.blue, red=red, sides=inst.sides), src)
+        assert main(["reduce", "--from", "jct", "--form", "seq", "--instance", str(src),
+                     "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    capsys.readouterr()
+    assert written[0] == written[1]
+    assert _sha(written[1]) == PINNED_REDUCE[(6, 1)][0]
+
+
 # --- the closed-form walk against the edge_at oracle -----------------------
 
 def _quad(e):

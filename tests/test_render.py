@@ -8,7 +8,7 @@ import pytest
 from gridjct.generate import gen_crossing_instance
 from gridjct.jordan import find_intersection_seq
 from gridjct.jsonio import Instance
-from gridjct.render import RenderSpec, render_svg
+from gridjct.render import render_svg
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "redpath.svg"
 
@@ -33,8 +33,7 @@ def test_instance_render_contents():
     assert svg.count("stroke-dasharray") == len(inst.red)
     assert svg.count("<line") == len(inst.blue) + len(inst.red)
     assert ">p1<" in svg and ">p2<" in svg
-    spec = RenderSpec()
-    cx = spec.margin + w.point.x * spec.cell
+    cx = 24 + w.point.x * 24  # one-cell margin, 24-unit cells
     assert f'cx="{cx}"' in svg  # witness marker at the witness point
 
 
@@ -59,17 +58,12 @@ def _render_case(name):
                                    red=inst.red.to_edge_set(), sides=inst.sides))
     if name == "empty":
         return render_svg(Instance(n=3, form="set"))
-    if name == "fractional-spec":
-        spec = RenderSpec(cell=7.3, margin=2.15, dot_radius=0.625, curve_width=2.5,
-                          path_width=1.25, witness_radius=3.333)
-        return render_svg(cont, spec, witnesses=[w])
     return render_svg(cont, witnesses=[w, (0, 6)])  # sides and two witnesses
 
 
 RENDER_DIGESTS = {
     "set-form": "a3fb6f5066a4e2c15ba3ddfc654e324c5654e7743d305ecdfbf490132ecd5d2c",
     "empty": "55db948772b87b95e9a9500f306d70013f2e8179d5df56d319b2d7bc45ee966b",
-    "fractional-spec": "6a6f8dbb3f97a14d80601e8f64de23429fa2541c3cb968e112efabbc0eb80319",
     "sides-two-witnesses": "e35a428ba22ed24c50ff00b5d9252c58053fad121ba2b413ff55013c75467d69",
 }
 
