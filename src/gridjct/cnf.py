@@ -43,7 +43,6 @@ MAX_DECISIONS = 3_000_000
 
 
 class VarRole(NamedTuple):
-    family: str  # "stconn" | "stseq"
     color: str
     edge: Edge
     position: Optional[int]  # 1-based sequence slot; None for stconn
@@ -159,8 +158,8 @@ def gen_stconn(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
 
     var_map = {}
     for idx, e in enumerate(slots):
-        var_map[var(idx, BLUE)] = VarRole("stconn", BLUE, e, None)
-        var_map[var(idx, RED)] = VarRole("stconn", RED, e, None)
+        var_map[var(idx, BLUE)] = VarRole(BLUE, e, None)
+        var_map[var(idx, RED)] = VarRole(RED, e, None)
     meta = {"family": "stconn", "n": n, "weakened": not intersection_clauses}
     return CnfFormula(2 * len(slots), tuple(clauses), var_map, meta)
 
@@ -231,8 +230,8 @@ def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
     var_map = {}
     for pos in range(1, length + 1):
         for idx, e in enumerate(slots):
-            var_map[var(idx, BLUE, pos)] = VarRole("stseq", BLUE, e, pos)
-            var_map[var(idx, RED, pos)] = VarRole("stseq", RED, e, pos)
+            var_map[var(idx, BLUE, pos)] = VarRole(BLUE, e, pos)
+            var_map[var(idx, RED, pos)] = VarRole(RED, e, pos)
     meta = {"family": "stseq", "n": n, "weakened": not intersection_clauses}
     return CnfFormula(2 * s * length, tuple(clauses), var_map, meta)
 

@@ -90,10 +90,7 @@ def _trace_boundary(cells: Set[Tuple[int, int]], n: int) -> EdgeSequence:
             hops[GridPoint(i + 1, j + 1)] = GridPoint(i, j + 1)
         if (i - 1, j) not in cells:
             hops[GridPoint(i, j + 1)] = GridPoint(i, j)
-    total = sum(((i, j - 1) not in cells) + ((i + 1, j) not in cells)
-                + ((i, j + 1) not in cells) + ((i - 1, j) not in cells)
-                for (i, j) in cells)
-    if len(hops) != total:  # a pinch point carries two outgoing edges; the walk would not end
+    if len(set(hops.values())) != len(hops):  # a pinch point is entered twice: the walk never ends
         raise TheoremViolation("polyomino boundary has a pinch point (bug)")
     start = min(hops)
     pts = [start]
@@ -101,7 +98,7 @@ def _trace_boundary(cells: Set[Tuple[int, int]], n: int) -> EdgeSequence:
     while cur != start:
         pts.append(cur)
         cur = hops[cur]
-    if len(pts) != total:
+    if len(pts) != len(hops):
         raise TheoremViolation("polyomino boundary splits into several loops (bug)")
     return EdgeSequence.from_points(pts, n, CLOSED)
 

@@ -59,17 +59,13 @@ def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeS
     u = GridPoint(lower.x + 1, lower.y)
     if not (_left_approach(red, lower, upper) and u not in bpts and u not in rpts):
         blue, red, lower, upper, mid = _double_and_fix_ends(blue, red, lower, upper, mid)
-        bpts = set(blue.points())
         u = GridPoint(lower.x + 1, lower.y)
 
-    # Orient the curve so some pass through the midpoint runs east -> mid -> west.
+    # Splice at a pass east -> mid -> west.  Red joins the side points off the
+    # curve, so the curve passes the midpoint westward as often as eastward.
     east = GridPoint(mid.x + 1, mid.y)
     b1 = DirectedEdge(mid, GridPoint(mid.x - 1, mid.y))
-    e_in = DirectedEdge(east, mid)
-    i = _find_splice(blue, b1, e_in)
-    if i is None:
-        blue = blue.reverse()
-        i = _find_splice(blue, b1, e_in)
+    i = _find_splice(blue, b1, DirectedEdge(east, mid))
     if i is None:
         raise InvalidInstance("curve has no horizontal pass through the midpoint")
     rotated = blue.rotate(i).edges  # starts with b1, ends with the east in-edge
@@ -99,13 +95,10 @@ def _left_approach(red: EdgeSequence, lower: GridPoint, upper: GridPoint) -> boo
 def _double_and_fix_ends(blue, red, lower, upper, mid):
     """Refine x2, then trim or extend the path ends along
     :func:`~gridjct.parity.left_approach_route` so both meet the new side
-    points horizontally from the left.  An end arriving via the midpoint
-    cannot be rerouted so, nor can a side pair on the left border."""
+    points horizontally from the left, which a side pair on the left border
+    cannot.  A red end through the midpoint is left to the disjointness check
+    or the splice search."""
     d0, dl = red.edges[0].direction, red.edges[-1].direction
-    if d0 == (0, 1):
-        raise InvalidInstance("red path leaves the lower side point via the midpoint")
-    if dl == (0, -1):
-        raise InvalidInstance("red path enters the upper side point via the midpoint")
     if lower.x == 0:
         raise InvalidInstance(f"side pair {tuple(lower)}, {tuple(upper)} is on the left border: "
                               "its red ends cannot be rerouted from the left")

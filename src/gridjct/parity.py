@@ -143,8 +143,6 @@ def column_transition_parities(blue: EdgeSet, red: EdgeSet, k: int):
 def approaches_from_left(red: EdgeSet, sides: SidePair) -> bool:
     """Both red end edges are horizontal, entering p1 and p2 from the left."""
     for p in (sides.p1, sides.p2):
-        if p.x == 0:
-            return False
         left = Edge(GridPoint(p.x - 1, p.y), p)
         if red.degree(p) != 1 or left not in red.edges:
             return False

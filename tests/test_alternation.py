@@ -110,6 +110,19 @@ def test_lemma_witness_rejects_crossing():
         alternation_lemma_witness({1, 6}, {4, 8}, {1: 4, 6: 8}, 1, 6)
 
 
+@pytest.mark.parametrize("xs,ys,f,x1,x2,condition", [
+    ({1, 2}, {5, 6}, {1: 5, 2: 6}, 1, 2, "alternate(X, Y)"),
+    ({0, 2}, {1, 3}, {0: 1}, 0, 2, "f is a bijection from X onto Y"),
+    ({0, 2, 4}, {1, 3, 5}, {0: 3, 2: 5, 4: 1}, 0, 4, "non-crossing bijection"),
+    ({0, 4, 6}, {1, 5, 7}, {0: 5, 4: 1, 6: 7}, 6, 4, "x1 < x2 in X"),
+    ({0, 4, 6}, {1, 5, 7}, {0: 5, 4: 1, 6: 7}, 4, 8, "x1 < x2 in X"),
+], ids=["not-alternating", "not-onto", "crossing", "x1-after-x2", "x2-outside-X"])
+def test_lemma_witness_preconditions(xs, ys, f, x1, x2, condition):
+    with pytest.raises(PreconditionViolation) as info:
+        alternation_lemma_witness(xs, ys, f, x1, x2)
+    assert info.value.condition == condition
+
+
 def notched_curve():
     """Rectangle with two notches cut into its right side (x = 4)."""
     pts = [(4, 0), (4, 1), (3, 1), (3, 2), (4, 2), (4, 3), (3, 3), (3, 4), (4, 4),
@@ -139,6 +152,13 @@ def test_classify_segments_on_notched_curve():
     # an interior point right of the line kills every flag
     inner = classify_segment(seq, idx[GridPoint(3, 1)], idx[GridPoint(3, 3)], 3)
     assert inner == (False, False, False)
+
+
+@pytest.mark.parametrize("a,b", [(-1, 2), (3, 2), (0, 22)])
+def test_classify_segment_rejects_bad_indices(a, b):
+    seq = reindex_canonical(notched_curve())  # 22 points
+    with pytest.raises(PreconditionViolation, match=f"bad segment indices {a}, {b} \\(t=22\\)"):
+        classify_segment(seq, a, b, 4)
 
 
 def test_minimal_segments_rectangle():

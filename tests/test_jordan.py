@@ -9,7 +9,7 @@ from gridjct import jordan
 from gridjct.alternation import check_edge_alternation
 from gridjct.cli import main
 from gridjct.errors import InvalidInstance, PreconditionViolation, TheoremViolation
-from gridjct.generate import gen_crossing_instance, gen_random_curve
+from gridjct.generate import _bfs_path, gen_crossing_instance, gen_random_curve
 from gridjct.grid import (
     CLOSED,
     OPEN,
@@ -64,8 +64,10 @@ def test_merge_violates_alternation_by_construction():
     assert DirectedEdge(GridPoint(3, 2), GridPoint(2, 2)) in merged.edges
 
 
-def test_merge_reverses_curve_when_needed():
-    blue = retraced_arc(range(1, 6), 2, 8)  # forward pass goes eastward
+def test_merge_splices_an_eastward_arc_on_its_return_pass():
+    # the chain starts eastward; its westward return pass runs
+    # east -> mid -> west, so it is spliced as given
+    blue = retraced_arc(range(1, 6), 2, 8)
     red = path_around_left(GridPoint(3, 2), 8)
     merged = merge_paths(blue, red, side_pair((3, 1), (3, 3)))
     assert not check_edge_alternation(merged)
@@ -123,6 +125,190 @@ def test_cli_merge_rejects_a_left_border_side_pair(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "side pair (0, 1), (0, 3) is on the left border" in captured.err
     assert not out.exists()
+
+
+# red leaves p1 westward and runs around the arc's left end, so it enters
+# p2 = (3, 3) downward from above: not via the midpoint (3, 2) below it
+FROM_ABOVE = [(3, 1), (2, 1), (1, 1), (0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4),
+              (3, 4), (3, 3)]
+
+
+@pytest.mark.parametrize("pts", [FROM_ABOVE, FROM_ABOVE[::-1]], ids=["from-p1", "from-p2"])
+def test_merge_accepts_red_entering_the_upper_side_point_from_above(pts):
+    blue = retraced_arc(range(5, 0, -1), 2, 8)
+    red = EdgeSequence.from_points(pts, 8, OPEN)
+    merged = merge_paths(blue, red, side_pair((3, 1), (3, 3)))
+    assert merged.n == 16  # doubled to re-route the end from the left
+    assert not check_edge_alternation(merged)
+
+
+def _write_merge_inputs(tmp_path, blue, red):
+    bluef, redf = tmp_path / "b.json", tmp_path / "r.json"
+    bluef.write_text(json.dumps({"n": blue.n, "kind": "closed", "seq": [
+        [e.src.x, e.src.y, e.dst.x, e.dst.y] for e in blue.edges]}))
+    redf.write_text(json.dumps(edge_sequence_to_json(red)))
+    return ["--blue", str(bluef), "--red", str(redf)]
+
+
+@pytest.mark.parametrize("pts", [FROM_ABOVE, FROM_ABOVE[::-1]], ids=["from-p1", "from-p2"])
+def test_cli_merge_accepts_red_entering_the_upper_side_point_from_above(tmp_path, capsys, pts):
+    red = EdgeSequence.from_points(pts, 8, OPEN)
+    argv = _write_merge_inputs(tmp_path, retraced_arc(range(5, 0, -1), 2, 8), red)
+    assert main(["merge", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["alternates"] is False
+
+
+STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def tree_walk_chain(rng, n, mid, arms, size):
+    """Closed chain that walks around a random tree of ``size`` points and
+    retraces every tree edge.  The tree holds mid, whose only tree
+    neighbours are its ``arms`` (east and/or west); the points above and
+    below mid stay off it.  The chain starts at a random point."""
+    x, y = mid
+    off = {(x, y - 1), (x, y + 1)}
+    children = {mid: [(x + dx, y) for dx in arms]}
+    grow = list(children[mid])
+    children.update((p, []) for p in grow)
+    while len(children) < size:
+        p = rng.choice(grow)
+        dx, dy = rng.choice(STEPS)
+        q = (p[0] + dx, p[1] + dy)
+        if 0 <= q[0] <= n and 0 <= q[1] <= n and q not in children and q not in off:
+            children[p].append(q)
+            children[q] = []
+            grow.append(q)
+    pts = []
+
+    def walk(p):
+        pts.append(p)
+        for c in children[p]:
+            walk(c)
+            pts.append(p)
+
+    walk(mid)
+    pts.pop()  # back at mid: the chain closes
+    k = rng.randrange(len(pts))
+    return pts[k:] + pts[:k]
+
+
+def loop_walk_chain(rng, n, mid, steps):
+    """Closed chain from mid: a random walk of ``steps`` points, then a
+    shortest way back; it may wind around points.  Neither walk touches the
+    points above and below mid."""
+    x, y = mid
+    off = {(x, y - 1), (x, y + 1)}
+    pts = [mid]
+    while len(pts) < steps:
+        dx, dy = rng.choice(STEPS)
+        q = (pts[-1][0] + dx, pts[-1][1] + dy)
+        if 0 <= q[0] <= n and 0 <= q[1] <= n and q not in off:
+            pts.append(q)
+    return (pts + _bfs_path(n, GridPoint(*pts[-1]), mid, rng, off)[1:])[:-1]
+
+
+def _closed(pts, n):
+    """The closed chain through ``pts``, unchecked: it may revisit points."""
+    return EdgeSequence(tuple(DirectedEdge(GridPoint(*p), GridPoint(*q))
+                              for p, q in zip(pts, pts[1:] + pts[:1])), n, CLOSED)
+
+
+def _has_east_west_pass(pts, mid):
+    east, west, t = (mid[0] + 1, mid[1]), (mid[0] - 1, mid[1]), len(pts)
+    return any(pts[i - 1] == east and p == mid and pts[(i + 1) % t] == west
+               for i, p in enumerate(pts))
+
+
+def _seeded_pairs(make_chain, seeds, n=8):
+    """(blue points, red path, mid) for each seed whose red path exists."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        mid = GridPoint(rng.randrange(1, n), rng.randrange(1, n))
+        pts = make_chain(rng, n, mid)
+        red = _bfs_path(n, GridPoint(mid.x, mid.y - 1), GridPoint(mid.x, mid.y + 1), rng, set(pts))
+        if red is not None:
+            yield pts, red, mid
+
+
+def test_merge_breaks_alternation_on_random_tree_walk_chains():
+    # every pair merges, including the reds that enter the upper side point
+    # from above, which an old midpoint test rejected
+    merged = from_above = 0
+    for pts, red, mid in _seeded_pairs(
+            lambda rng, n, mid: tree_walk_chain(rng, n, mid, (1, -1), rng.randrange(3, 25)),
+            range(400)):
+        from_above += red[-2] == (mid[0], mid[1] + 2)
+        out = merge_paths(_closed(pts, 8), EdgeSequence.from_points(red, 8, OPEN),
+                          side_pair(red[0], red[-1]))
+        assert not check_edge_alternation(out)
+        merged += 1
+    assert merged >= 200 and from_above >= 20
+
+
+CHAINS = {
+    "tree-east-west": lambda rng, n, mid: tree_walk_chain(rng, n, mid, (1, -1), rng.randrange(3, 25)),
+    "tree-east": lambda rng, n, mid: tree_walk_chain(rng, n, mid, (1,), rng.randrange(3, 25)),
+    "tree-west": lambda rng, n, mid: tree_walk_chain(rng, n, mid, (-1,), rng.randrange(3, 25)),
+    "loop": lambda rng, n, mid: loop_walk_chain(rng, n, mid, rng.randrange(5, 40)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_a_pass_exists_in_either_orientation_or_in_neither(name):
+    # red joins the side points off the chain, so the chain winds the same
+    # around both and passes the midpoint westward as often as eastward:
+    # merge never needs the reversed chain
+    found = [0, 0]
+    for pts, red, mid in _seeded_pairs(CHAINS[name], range(200)):
+        has = _has_east_west_pass(pts, mid)
+        assert has == _has_east_west_pass(pts[::-1], mid)
+        found[has] += 1
+        args = (_closed(pts, 8), EdgeSequence.from_points(red, 8, OPEN), side_pair(red[0], red[-1]))
+        if has:
+            assert not check_edge_alternation(merge_paths(*args))
+        else:
+            with pytest.raises(InvalidInstance, match="no horizontal pass through the midpoint"):
+                merge_paths(*args)
+    assert sum(found) >= 50
+
+
+@pytest.mark.parametrize("blue,message", [
+    # the curve misses the midpoint: the splice search rejects the pair
+    (EdgeSequence.from_points([(5, 5), (6, 5), (6, 6), (5, 6)], 8, CLOSED),
+     "curve has no horizontal pass through the midpoint"),
+    # the curve holds the midpoint: the disjointness check rejects the pair
+    (retraced_arc(range(5, 0, -1), 2, 8), "share a grid point"),
+], ids=["curve-misses-mid", "curve-holds-mid"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["up", "down"])
+def test_merge_rejects_red_through_the_midpoint_once(blue, message, reverse):
+    red = EdgeSequence.from_points([(3, 1), (3, 2), (3, 3)], 8, OPEN)
+    with pytest.raises(InvalidInstance, match=message):
+        merge_paths(blue, red.reverse() if reverse else red, side_pair((3, 1), (3, 3)))
+
+
+def test_cli_merge_rejects_red_through_a_midpoint_the_curve_misses(tmp_path, capsys):
+    blue = EdgeSequence.from_points([(5, 5), (6, 5), (6, 6), (5, 6)], 8, CLOSED)
+    red = EdgeSequence.from_points([(3, 1), (3, 2), (3, 3)], 8, OPEN)
+    assert main(["merge", *_write_merge_inputs(tmp_path, blue, red)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "curve has no horizontal pass through the midpoint" in captured.err
+
+
+def test_merge_preconditions():
+    blue = retraced_arc(range(5, 0, -1), 2, 8)
+    red = path_around_left(GridPoint(3, 2), 8)
+    sides = side_pair((3, 1), (3, 3))
+    with pytest.raises(PreconditionViolation, match="closed chain and open path"):
+        merge_paths(EdgeSequence(blue.edges, 8, OPEN), red, sides)
+    with pytest.raises(PreconditionViolation, match="closed chain and open path"):
+        merge_paths(blue, EdgeSequence(red.edges, 8, CLOSED), sides)
+    with pytest.raises(InvalidInstance, match="red path endpoints are not the side pair"):
+        merge_paths(blue, red, side_pair((3, 0), (3, 2)))
 
 
 def test_find_intersection_seq_examples():
