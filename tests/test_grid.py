@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -28,7 +29,7 @@ from gridjct.grid import (
 )
 from gridjct.generate import gen_crossing_instance, gen_random_curve
 
-from conftest import edge_set, rect_curve, rect_set
+from conftest import edge_set, rect_curve, rect_points, rect_set
 
 
 def test_pair_code_examples():
@@ -198,6 +199,57 @@ def test_validate_and_checked_path_raise_alike(name):
     for exc in (validated.value, streamed.value):
         assert type(exc) is InvalidInstance
         assert (str(exc), exc.edge_index) == (message, index)
+
+
+def _random_walk(rng):
+    """A seeded unit walk as [x1, y1, x2, y2] edges on a small grid: it may
+    revisit, break its chain, take a diagonal or zero step, leave the grid
+    or close on its start."""
+    n = rng.randint(1, 6)
+    x, y = rng.randint(-1, n + 1) if rng.random() < 0.1 else rng.randint(0, n), rng.randint(0, n)
+    quads = []
+    if rng.random() < 0.3:  # a rectangle, closed on its start
+        pts = rect_points(0, 0, rng.randint(1, n), rng.randint(1, n)) if n > 1 else [(0, 0)]
+        quads = [[*pts[i], *pts[(i + 1) % len(pts)]] for i in range(len(pts))]
+    for _ in range(rng.randint(0 if quads else 1, 10)):
+        if quads:
+            x, y = quads[-1][2:]
+        dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        r = rng.random()
+        if r < 0.04:
+            x, y = rng.randint(0, n), rng.randint(0, n)  # a chain break
+        elif r < 0.08:
+            dx, dy = rng.choice(((1, 1), (0, 0), (2, 0), (0, -2)))
+        quads.append([x, y, x + dx, y + dy])
+    if quads and rng.random() < 0.2:
+        quads.append([*quads[-1][2:], *quads[0][:2]])  # a closing edge, unit or not
+    return n, quads
+
+
+def test_validate_and_check_chain_agree_with_checked_path_on_random_walks():
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(4000):
+        n, quads = _random_walk(rng)
+        for kind in (OPEN, CLOSED):
+            for simple in (True, False):
+                seq = EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2))
+                                         for x1, y1, x2, y2 in quads), n, kind)
+                check = seq.validate if simple else seq.check_chain
+                got, want = [], []
+                for fn, out in ((check, got), (lambda: list(checked_path(
+                        iter(quads), n, closed=kind == CLOSED, simple=simple)), want)):
+                    try:
+                        fn()
+                        out.append("ok")
+                    except InvalidInstance as exc:
+                        out.append((type(exc), str(exc), exc.edge_index))
+                assert got == want, (n, kind, simple, quads)
+                verdicts.add(want[0] if want[0] == "ok" else " ".join(re.findall("[a-z]+", want[0][1])))
+    assert verdicts == {"ok", "point outside grid", "edge does not chain", "edge endpoints not adjacent",
+                        "open path revisits a point", "closed curve revisits a point",
+                        "closed sequence does not return to its start",
+                        "closed curve needs at least edges"}
 
 
 def test_checked_path_passes_edges_through_and_skips_simplicity_on_request():

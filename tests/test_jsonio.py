@@ -2,10 +2,11 @@
 
 import io
 import json
+import random
 
 import pytest
 
-from gridjct.errors import FormatError
+from gridjct.errors import FormatError, InvalidInstance
 from gridjct.jsonio import (
     Instance,
     edge_sequence_from_json,
@@ -19,6 +20,17 @@ from gridjct.jsonio import (
     write_seq_instance,
 )
 from gridjct.generate import gen_crossing_instance
+from gridjct.grid import (
+    CLOSED,
+    OPEN,
+    DirectedEdge,
+    Edge,
+    EdgeSequence,
+    EdgeSet,
+    GridPoint,
+    checked_path,
+    side_pair,
+)
 
 from conftest import rect_curve, rect_set
 
@@ -81,7 +93,6 @@ def test_instance_n_mismatch():
 
 @pytest.mark.parametrize("indent", [None, 2])
 def test_write_seq_instance_matches_json_dumps(indent):
-    from gridjct.grid import OPEN, EdgeSequence
     blue = EdgeSequence.from_points([(0, 3), (0, 2), (1, 2), (1, 1)], 3, OPEN)
     red = EdgeSequence.from_points([(0, 0), (1, 0)], 3, OPEN)
     quads = [[(e.src.x, e.src.y, e.dst.x, e.dst.y) for e in p.edges] for p in (blue, red)]
@@ -94,6 +105,42 @@ def test_write_seq_instance_matches_json_dumps(indent):
     assert fh.getvalue() == json.dumps(doc, indent=indent, sort_keys=True) + "\n"
     with pytest.raises(KeyError):
         write_seq_instance(io.StringIO(), 3, [(((0, 0, 0, 1),), 0, 3)], pieces[1], indent=indent)
+
+
+def _save_cases():
+    """name -> instance; together they cover both forms, empty and missing
+    payloads, the side pair, an offset, and coordinates of 1 to 3 digits."""
+    inst = gen_crossing_instance(12, 3)
+    big = rect_curve(0, 7, 512, 96, 512)
+    big_red = EdgeSequence.from_points([(250, y) for y in range(0, 100)], 512, OPEN)
+    big_sides = side_pair((250, 0), (250, 2))
+    return {
+        "seq": Instance(n=12, form="seq", blue=inst.blue, red=inst.red, sides=inst.sides),
+        "set": Instance(n=12, form="set", blue=inst.blue.to_edge_set(),
+                        red=inst.red.to_edge_set(), sides=inst.sides),
+        "set-empty-payload": Instance(n=4, form="set", blue=EdgeSet(frozenset(), 4),
+                                      red=rect_set(1, 1, 2, 3, 4)),
+        "seq-empty-payload": Instance(n=4, form="seq", blue=rect_curve(0, 0, 4, 1, 4),
+                                      red=EdgeSequence((), 4, OPEN)),
+        "seq-no-red": Instance(n=12, form="seq", blue=inst.blue, sides=inst.sides),
+        "set-no-red": Instance(n=12, form="set", blue=inst.blue.to_edge_set()),
+        "no-payloads": Instance(n=3, form="seq"),
+        "offset": Instance(n=12, form="seq", blue=inst.blue, red=inst.red, sides=inst.sides,
+                           offset=(3, 11)),
+        "set-offset": Instance(n=12, form="set", red=inst.red.to_edge_set(), offset=(0, 5)),
+        "n512-seq": Instance(n=512, form="seq", blue=big, red=big_red, sides=big_sides),
+        "n512-set": Instance(n=512, form="set", blue=big.to_edge_set(),
+                             red=big_red.to_edge_set(), sides=big_sides),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_save_cases()))
+def test_save_instance_writes_the_indented_json_dumps_text(tmp_path, name):
+    inst = _save_cases()[name]
+    path = tmp_path / "inst.json"
+    save_instance(inst, path)
+    want = json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes().decode() == want
 
 
 _SQUARE = [[1, 1, 2, 1], [2, 1, 3, 1], [3, 1, 3, 2], [3, 2, 3, 3],
@@ -153,3 +200,118 @@ def test_loader_error_contract(form, name):
     with pytest.raises(FormatError) as exc:
         load(obj)
     assert (str(exc.value), exc.value.edge_index) == want
+
+
+def _per_entry_load(form, obj):
+    """The loader's contract restated entry by entry: for each entry its
+    shape and int type, then its bounds, then its adjacency, then (set form)
+    whether it repeats an earlier edge; then (sequence form) the chain checks
+    of ``checked_path``.  Returns what the loader returns or raises what it
+    raises."""
+    n, entries = obj["n"], obj[form]
+    if not isinstance(entries, (list, tuple)):
+        raise FormatError(f'"{form}" must be a list of [x1,y1,x2,y2] entries')
+    quads, seen = [], set()
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 4
+                and all(type(v) is int for v in entry)):
+            raise FormatError(f"edge {i}: expected [x1,y1,x2,y2] of ints", edge_index=i)
+        x1, y1, x2, y2 = entry
+        if not all(0 <= v <= n for v in entry):
+            raise FormatError(f"edge {i}: endpoint outside grid [0,{n}]^2", edge_index=i)
+        if form == "set" and (x2, y2) < (x1, y1):
+            x1, y1, x2, y2 = x2, y2, x1, y1
+        if abs(x2 - x1) + abs(y2 - y1) != 1:
+            raise FormatError(f"edge {i}: edge endpoints not adjacent: {(x1, y1)}-{(x2, y2)}",
+                              edge_index=i)
+        if form == "set" and (x1, y1, x2, y2) in seen:
+            raise FormatError(f"edge {i}: duplicate edge", edge_index=i)
+        seen.add((x1, y1, x2, y2))
+        quads.append((x1, y1, x2, y2))
+    pairs = [(GridPoint(x1, y1), GridPoint(x2, y2)) for x1, y1, x2, y2 in quads]
+    if form == "set":
+        return EdgeSet(frozenset(Edge(a, b) for a, b in pairs), n)
+    try:
+        list(checked_path(iter(quads), n, closed=obj["kind"] == CLOSED))
+    except InvalidInstance as exc:
+        raise FormatError(str(exc), edge_index=exc.edge_index) from None
+    return EdgeSequence(tuple(DirectedEdge(a, b) for a, b in pairs), n, obj["kind"])
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the class, message and index are compared
+        return ("raised", type(exc), str(exc), getattr(exc, "edge_index", None))
+
+
+def _assert_loads_as_per_entry(n, entries, kind):
+    for form, load in (("set", edge_set_from_json), ("seq", edge_sequence_from_json)):
+        obj = {"n": n, form: entries, "kind": kind} if form == "seq" else {"n": n, form: entries}
+        assert _outcome(load, obj) == _outcome(_per_entry_load, form, obj), (form, entries)
+
+
+def _mutated(rng, quads, n):
+    """``quads`` (lists of [x1, y1, x2, y2]) after one seeded mutation."""
+    out = [list(q) for q in quads]
+    i = rng.randrange(len(out))
+    k = rng.randrange(4)
+    what = rng.randrange(14)
+    if what == 0:
+        out[i][k] = rng.choice([True, False, 1.0, float(out[i][k]), "3", str(out[i][k]), None])
+    elif what == 1:
+        out[i][k] = rng.choice([-1, n + 1, -5, 2 * n + 3])
+    elif what == 2:
+        out[i][k] = rng.randint(0, n)
+    elif what == 3:
+        out[i] = rng.choice([out[i][:3], out[i] + [0], out[i][:2], []])
+    elif what == 4:
+        out[i] = rng.choice([[out[i][:2], out[i][2:]], [[v] for v in out[i]], [out[i]]])
+    elif what == 5:
+        out[i] = rng.choice([5, "2131", {"x": 1}, None, tuple(out[i])])
+    elif what == 6:
+        del out[i]  # a chain break, or a closed curve that does not return
+    elif what == 7:
+        out.insert(i, list(out[i]))  # a revisit, or a duplicate set edge
+    elif what == 8:
+        out[i] = out[i][2:] + out[i][:2]  # reversed: a chain break
+    elif what == 9:
+        a, b = rng.sample(range(len(out)), 2) if len(out) > 1 else (0, 0)
+        out[a], out[b] = out[b], out[a]
+    elif what == 10:
+        out = out[:rng.randrange(4)]  # fewer than 4 edges
+    elif what == 11:
+        out = rng.choice([[], [[0, 0, 1, 0], [1, 0, 0, 0]], [[0, 0, 1, 0], [1, 0, 1, 1], [1, 1, 0, 0]]])
+    elif what == 12:
+        out[i] = [out[i][0], out[i][1], out[i][0] + rng.choice([-1, 0, 1, 2]),
+                  out[i][1] + rng.choice([-1, 0, 1])]  # a diagonal, zero or long step
+    else:
+        j = rng.randrange(len(out))  # a revisit in the middle of the chain
+        out[i:i + 1] = [[*out[i][:2], *out[j][:2]], [*out[j][:2], *out[i][2:]]]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_FAULTS))
+def test_loader_faults_match_the_per_entry_contract(name):
+    _assert_loads_as_per_entry(4, LOADER_FAULTS[name][0], CLOSED)
+    _assert_loads_as_per_entry(4, LOADER_FAULTS[name][0], OPEN)
+
+
+def test_seeded_mutations_load_as_the_per_entry_contract():
+    rng = random.Random(2024)
+    for seed in range(400):
+        n = rng.randint(4, 16)
+        inst = gen_crossing_instance(n, seed)
+        for payload in (inst.blue, inst.red):
+            quads = edge_sequence_to_json(payload)["seq"]
+            _assert_loads_as_per_entry(n, quads, payload.kind)
+            entries = quads
+            for _ in range(rng.randint(1, 3)):
+                if entries and all(isinstance(q, list) and len(q) == 4
+                                   and all(type(v) is int for v in q) for q in entries):
+                    entries = _mutated(rng, entries, n)
+            _assert_loads_as_per_entry(n, entries, payload.kind)
+            _assert_loads_as_per_entry(n, edge_set_to_json(payload.to_edge_set())["set"],
+                                       payload.kind)
+    for entries in ([], {"x": 1}, 7, "seq", [[0, 0, 1, 0]], (), [(0, 0, 1, 0), (1, 0, 1, 1)]):
+        _assert_loads_as_per_entry(4, entries, OPEN)

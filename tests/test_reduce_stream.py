@@ -236,6 +236,20 @@ def test_merge_output_pinned(tmp_path, capsys, name):
     assert _stdout_sha(capsys, argv) == PINNED_MERGE[name]
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_MERGE))
+def test_merge_out_file_is_the_indented_json_of_stdout(tmp_path, capsys, name):
+    blue, red = tmp_path / "blue.json", tmp_path / "red.json"
+    blue.write_text(json.dumps(edge_sequence_to_json(retraced_arc(range(5, 0, -1), 2, 8))))
+    red.write_text(json.dumps(edge_sequence_to_json(
+        EdgeSequence.from_points(MERGE_REDS[name], 8, OPEN))))
+    argv = ["merge", "--blue", str(blue), "--red", str(red)]
+    assert main(argv + ["--json"]) == 0
+    merged = json.loads(capsys.readouterr().out)["merged"]
+    out = tmp_path / "merged.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes().decode() == json.dumps(merged, indent=2, sort_keys=True) + "\n"
+
+
 def test_reduce_out_is_the_same_from_either_side_point(tmp_path, capsys):
     # the reduction runs red from the lower side point, reversing it if needed
     inst = gen_crossing_instance(6, 1, avoid_midpoint=True)
