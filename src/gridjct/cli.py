@@ -23,8 +23,8 @@ from .jsonio import (
     instance_to_json,
     load_instance,
     read_json,
-    save_json,
     sink,
+    write_json,
     write_seq_instance,
 )
 from .render import render_svg
@@ -131,7 +131,8 @@ def cmd_merge(args) -> int:
         _write_svg(args.svg, Instance(n=merged.n, form="seq", blue=merged))
     payload = {"merged": edge_sequence_to_json(merged), "alternates": ok}
     if args.out:
-        save_json(payload["merged"], args.out)
+        with sink(args.out) as fh:
+            write_json(fh, payload["merged"])
         _emit(args, {"alternates": ok, "out": args.out},
               f"merged {len(merged)} edges -> {args.out}; alternates: {ok}")
     else:
@@ -178,8 +179,7 @@ def cmd_reduce(args) -> int:
         if pieces:
             write_seq_instance(fh, n, *pieces, indent=indent)
         else:
-            json.dump(instance_to_json(result), fh, indent=indent, sort_keys=True)
-            fh.write("\n")
+            write_json(fh, instance_to_json(result), indent)
     if args.out:
         _emit(args, {"n": n, "out": args.out}, f"wrote n={n} instance to {args.out}")
     return 0
@@ -196,7 +196,7 @@ def cmd_gen(args) -> int:
             blue, red = cnf.decode_model(formula, model)
             notes.append(f"c model decodes: blue={len(blue)} edges, red={len(red)} edges")
     with sink(args.out) as fh:
-        fh.write(cnf.to_dimacs(formula))
+        cnf.to_dimacs(formula, fh)
     for line in notes:
         print(line, file=sys.stderr)
     return 0

@@ -439,15 +439,20 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
     raise InvalidInstance(f"cannot decode family {family!r}")
 
 
-def to_dimacs(f: CnfFormula) -> str:
-    """DIMACS CNF text with a commented variable map."""
-    lines = []
-    meta = f.meta
-    head = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-    lines.append(f"c gridjct {head}".rstrip())
-    for v in sorted(f.var_map):
-        lines.append(f"c var {v} {f.var_map[v].describe()}")
-    lines.append(f"p cnf {f.num_vars} {len(f.clauses)}")
-    formats = ["%d " * k + "0" for k in range(max(map(len, f.clauses), default=0) + 1)]
-    lines.extend([formats[len(clause)] % clause for clause in f.clauses])
-    return "\n".join(lines) + "\n"
+_BATCH = 4096  # clauses joined into one string: the text held at once stays small
+
+
+def to_dimacs(f: CnfFormula, fh=None):
+    """DIMACS CNF text with a commented variable map, returned whole, or
+    written to the text file ``fh`` a batch of clauses at a time.  Each
+    clause is formatted with one ``%`` format picked by its length."""
+    head = " ".join(f"{k}={f.meta[k]}" for k in sorted(f.meta))
+    names = [f"c var {v} {f.var_map[v].describe()}\n" for v in sorted(f.var_map)]
+    formats = ["%d " * k + "0\n" for k in range(max(map(len, f.clauses), default=0) + 1)]
+    batches = chain([f"c gridjct {head}".rstrip() + "\n", "".join(names),
+                     f"p cnf {f.num_vars} {len(f.clauses)}\n"],
+                    ("".join([formats[len(c)] % c for c in f.clauses[k:k + _BATCH]])
+                     for k in range(0, len(f.clauses), _BATCH)))
+    if fh is None:
+        return "".join(batches)
+    fh.writelines(batches)

@@ -10,7 +10,7 @@ seed; identical seeds give identical outputs.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from typing import List, Set, Tuple
 
@@ -36,71 +36,81 @@ def _one_arc(mask: int) -> bool:
 _ONE_ARC = tuple(_one_arc(mask) for mask in range(256))
 
 
-def _can_add(cells: Set[Tuple[int, int]], c: Tuple[int, int]) -> bool:
-    """Whether ``c``'s occupied 8 neighbors pass :func:`_one_arc`."""
-    x, y = c
-    return _ONE_ARC[((x + 1, y) in cells) | ((x + 1, y + 1) in cells) << 1
-                    | ((x, y + 1) in cells) << 2 | ((x - 1, y + 1) in cells) << 3
-                    | ((x - 1, y) in cells) << 4 | ((x - 1, y - 1) in cells) << 5
-                    | ((x, y - 1) in cells) << 6 | ((x + 1, y - 1) in cells) << 7]
+def _can_add(cells: Set[int], c: int, m: int) -> bool:
+    """Whether cell ``c``'s occupied 8 neighbors pass :func:`_one_arc`; a
+    cell (x, y) is coded ``x * m + y``."""
+    return _ONE_ARC[(c + m in cells) | (c + m + 1 in cells) << 1
+                    | (c + 1 in cells) << 2 | (c - m + 1 in cells) << 3
+                    | (c - m in cells) << 4 | (c - m - 1 in cells) << 5
+                    | (c - 1 in cells) << 6 | (c + m - 1 in cells) << 7]
 
 
 def _grow_polyomino(n: int, rng: random.Random, margin: int,
-                    min_cells: int = 1) -> Set[Tuple[int, int]]:
+                    min_cells: int = 1) -> Set[int]:
+    """Cells (x, y) in [0, n)^2, coded ``x * (n + 2) + y``: the codes sort as
+    the pairs do, and a neighbor off the square has no cell's code."""
     lo, hi = margin, n - 1 - margin
     span = hi - lo + 1
     min_cells = min(min_cells, span * span)
     target = rng.randint(min_cells, max(min_cells, (span * span) // 3))
-    added = (rng.randint(lo, hi), rng.randint(lo, hi))
+    m = n + 2
+    ring = [(dx, dy, dx * m + dy) for dx, dy in _RING8]
+    added = rng.randint(lo, hi) * m + rng.randint(lo, hi)
     cells = {added}
-    # Sorted in-bounds free cells that _can_add accepts.  Adding a cell
-    # changes the 8-neighborhood only of the 8 cells around it, so only
+    # Sorted in-bounds free cells that _can_add accepts (also as a set).  Adding
+    # a cell changes the 8-neighborhood only of the 8 cells around it, so only
     # those are re-tested.
-    candidates: List[Tuple[int, int]] = []
+    candidates: List[int] = []
+    listed = set()
     while len(cells) < target:
-        for dx, dy in _RING8:
-            c = (added[0] + dx, added[1] + dy)
-            if not (lo <= c[0] <= hi and lo <= c[1] <= hi) or c in cells:
+        x, y = divmod(added, m)
+        inside = lo < x < hi and lo < y < hi  # then so are its 8 neighbors
+        for dx, dy, d in ring:
+            c = added + d
+            if c in cells or not (inside or (lo <= x + dx <= hi and lo <= y + dy <= hi)):
                 continue
-            k = bisect_left(candidates, c)
-            listed = k < len(candidates) and candidates[k] == c
-            if _can_add(cells, c):
-                if not listed:
-                    candidates.insert(k, c)
-            elif listed:
-                del candidates[k]
+            if _can_add(cells, c, m):
+                if c not in listed:
+                    listed.add(c)
+                    insort(candidates, c)
+            elif c in listed:
+                listed.remove(c)
+                del candidates[bisect_left(candidates, c)]
         if not candidates:
             break
         added = rng.choice(candidates)
         cells.add(added)
+        listed.remove(added)
         del candidates[bisect_left(candidates, added)]
     return cells
 
 
-def _trace_boundary(cells: Set[Tuple[int, int]], n: int) -> EdgeSequence:
-    """Directed boundary with the interior on the left (counterclockwise).
+def _trace_boundary(cells: Set[int], n: int) -> EdgeSequence:
+    """Directed boundary with the interior on the left (counterclockwise), with
+    cells and points coded as :func:`_grow_polyomino` codes cells.
     :func:`_can_add` leaves no hole or corner-only touch, so it is one loop."""
+    m = n + 2
     hops = {}
-    for (i, j) in cells:
-        if (i, j - 1) not in cells:
-            hops[GridPoint(i, j)] = GridPoint(i + 1, j)
-        if (i + 1, j) not in cells:
-            hops[GridPoint(i + 1, j)] = GridPoint(i + 1, j + 1)
-        if (i, j + 1) not in cells:
-            hops[GridPoint(i + 1, j + 1)] = GridPoint(i, j + 1)
-        if (i - 1, j) not in cells:
-            hops[GridPoint(i, j + 1)] = GridPoint(i, j)
+    for c in cells:
+        if c - 1 not in cells:
+            hops[c] = c + m
+        if c + m not in cells:
+            hops[c + m] = c + m + 1
+        if c + 1 not in cells:
+            hops[c + m + 1] = c + 1
+        if c - m not in cells:
+            hops[c + 1] = c
     if len(set(hops.values())) != len(hops):  # a pinch point is entered twice: the walk never ends
         raise TheoremViolation("polyomino boundary has a pinch point (bug)")
     start = min(hops)
-    pts = [start]
+    codes = [start]
     cur = hops[start]
     while cur != start:
-        pts.append(cur)
+        codes.append(cur)
         cur = hops[cur]
-    if len(pts) != len(hops):
+    if len(codes) != len(hops):
         raise TheoremViolation("polyomino boundary splits into several loops (bug)")
-    return EdgeSequence.from_points(pts, n, CLOSED)
+    return EdgeSequence.from_points([divmod(c, m) for c in codes], n, CLOSED)
 
 
 def gen_random_curve(n: int, seed: int, *, margin: int = 0,

@@ -10,9 +10,11 @@ the path joins, in either form.  Everything is immutable and pure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, itemgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInstance, PreconditionViolation
@@ -95,6 +97,11 @@ def corner_ends(n: int) -> dict:
             "red": (GridPoint(0, 0), GridPoint(n, n))}
 
 
+def make_all(cls, items):
+    """``cls._make(item)`` for each item, built in C (``_make`` calls ``tuple.__new__``)."""
+    return map(tuple.__new__, repeat(cls), items)
+
+
 def pair_code(x: int, y: int) -> int:
     """Injective encoding of a coordinate pair as a single number."""
     return (x + y) * (x + y + 1) + 2 * y
@@ -120,11 +127,7 @@ class EdgeSet:
 
     @cached_property
     def degree_map(self) -> dict:
-        d: dict[GridPoint, int] = {}
-        for e in self.edges:
-            d[e.a] = d.get(e.a, 0) + 1
-            d[e.b] = d.get(e.b, 0) + 1
-        return d
+        return Counter(chain.from_iterable(self.edges))
 
     @cached_property
     def points(self) -> frozenset:
@@ -171,9 +174,9 @@ class EdgeSequence:
 
     @classmethod
     def from_points(cls, pts: Sequence, n: int, kind: str) -> "EdgeSequence":
-        pts = [GridPoint(*p) for p in pts]
+        pts = list(make_all(GridPoint, pts))
         ends = pts[1:] + pts[:1] if kind == CLOSED else pts[1:]
-        return cls(tuple(map(DirectedEdge, pts, ends)), n, kind).validate()
+        return cls(tuple(make_all(DirectedEdge, zip(pts, ends))), n, kind).validate()
 
     def validate(self) -> "EdgeSequence":
         """Bounds, adjacency, chaining and simplicity, checked once per object."""
@@ -189,10 +192,20 @@ class EdgeSequence:
 
     def check_chain(self, simple: bool = False) -> "EdgeSequence":
         """:func:`checked_path` over the edges, which may revisit points
-        unless ``simple``: :meth:`validate` adds simplicity."""
-        for _ in checked_path(((*e.src, *e.dst) for e in self.edges), self.n,
-                              closed=self.kind == CLOSED, simple=simple):
-            pass
+        unless ``simple``: :meth:`validate` adds simplicity.  A chain is
+        accepted in bulk, over its points; only a rejected one is walked
+        edge by edge, to name its first fault."""
+        closed, srcs = self.kind == CLOSED, list(map(itemgetter(0), self.edges))
+        pts = srcs + [e.dst for e in self.edges[-1:]]  # in travel order, if the edges chain
+        xs, ys = list(map(itemgetter(0), pts)), list(map(itemgetter(1), pts))
+        if not (srcs and pts[1:] == list(map(itemgetter(1), self.edges))
+                and set(map(add, map(abs, map(sub, xs[1:], xs)), map(abs, map(sub, ys[1:], ys))))
+                == {1} and 0 <= min(chain(xs, ys)) and max(chain(xs, ys)) <= self.n
+                and (not closed or (len(srcs) >= 4 and pts[-1] == pts[0]))
+                and (not simple or len(set(pts)) == len(pts) - closed)):  # closed: ends at pts[0]
+            for _ in checked_path(((*e.src, *e.dst) for e in self.edges), self.n,
+                                  closed=closed, simple=simple):
+                pass
         return self
 
     def points(self) -> list:
@@ -230,8 +243,7 @@ class EdgeSequence:
     @cached_property
     def _edge_set(self) -> EdgeSet:
         # each edge's bounds and unit step were checked where it was parsed or built
-        return EdgeSet(frozenset(Edge(e.src, e.dst) if e.src < e.dst else Edge(e.dst, e.src)
-                                 for e in self.edges), self.n)
+        return EdgeSet(frozenset(make_all(Edge, map(sorted, self.edges))), self.n)
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -15,6 +15,8 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
+from operator import add, sub
 
 from .errors import FormatError, InvalidInstance
 from .grid import (
@@ -26,6 +28,7 @@ from .grid import (
     EdgeSet,
     GridPoint,
     Instance,
+    make_all,
     side_pair,
 )
 
@@ -36,14 +39,27 @@ def _parse_n(n) -> int:
     return n
 
 
-def _parse_edges(obj, key, n, make):
-    """Yield ``make(p, q)`` for each ``[x1,y1,x2,y2]`` entry of ``obj[key]``,
-    checking in one pass its shape and int type, then its bounds, then its
-    adjacency; the first faulty entry raises.  ``Edge`` gets its endpoints in
+def _parse_edges(obj, key, n, make) -> list:
+    """``make(p, q)`` for each ``[x1,y1,x2,y2]`` entry of ``obj[key]``: lists
+    of four ints in [0, n] whose points are adjacent, each ``Edge`` once, are
+    accepted in bulk and built in C.  Other entries are walked one by one,
+    checking shape and int type, bounds, adjacency, then (``Edge``) repeats;
+    the first faulty entry raises.  ``Edge`` gets its endpoints in
     lexicographic order, as :meth:`Edge.of` would give them."""
     entries = obj[key]
     if not isinstance(entries, (list, tuple)):
         raise FormatError(f'"{key}" must be a list of [x1,y1,x2,y2] entries')
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {4}:
+        flat = list(chain.from_iterable(entries))
+        x1, y1, x2, y2 = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
+        if (set(map(type, flat)) <= {int} and 0 <= min(flat, default=0)
+                and max(flat, default=0) <= n
+                and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) <= {1}):
+            pairs = zip(make_all(GridPoint, zip(x1, y1)), make_all(GridPoint, zip(x2, y2)))
+            edges = list(make_all(make, map(sorted, pairs) if make is Edge else pairs))
+            if make is DirectedEdge or len(set(edges)) == len(edges):
+                return edges
+    edges, seen = [], set()
     for i, entry in enumerate(entries):
         # "type(v) is int" because JSON true/false parse to bool, a subclass of int
         if not (isinstance(entry, (list, tuple)) and len(entry) == 4
@@ -57,23 +73,28 @@ def _parse_edges(obj, key, n, make):
         if abs(x2 - x1) + abs(y2 - y1) != 1:
             raise FormatError(f"edge {i}: edge endpoints not adjacent: {(x1, y1)}-{(x2, y2)}",
                               edge_index=i)
-        yield make(GridPoint(x1, y1), GridPoint(x2, y2))
+        edges.append(make(GridPoint(x1, y1), GridPoint(x2, y2)))
+        if make is Edge and edges[-1] in seen:
+            raise FormatError(f"edge {i}: duplicate edge", edge_index=i)
+        seen.add(edges[-1])
+    return edges
 
 
 def edge_set_from_json(obj) -> EdgeSet:
     if not isinstance(obj, dict) or "n" not in obj or "set" not in obj:
         raise FormatError('edge set payload needs keys "n" and "set"')
     n = _parse_n(obj["n"])
-    edges = set()
-    for i, e in enumerate(_parse_edges(obj, "set", n, Edge)):
-        if e in edges:
-            raise FormatError(f"edge {i}: duplicate edge", edge_index=i)
-        edges.add(e)
-    return EdgeSet(frozenset(edges), n)
+    return EdgeSet(frozenset(_parse_edges(obj, "set", n, Edge)), n)
+
+
+def _coordinates(edges) -> list:
+    """The edges, each a pair of points, as ``[x1, y1, x2, y2]`` lists."""
+    flat = iter(chain.from_iterable(chain.from_iterable(edges)))
+    return list(map(list, zip(flat, flat, flat, flat)))
 
 
 def edge_set_to_json(es: EdgeSet) -> dict:
-    return {"n": es.n, "set": [[e.a.x, e.a.y, e.b.x, e.b.y] for e in es.sorted_edges()]}
+    return {"n": es.n, "set": _coordinates(es.sorted_edges())}
 
 
 def edge_sequence_from_json(obj, *, validate: bool = True) -> EdgeSequence:
@@ -97,7 +118,7 @@ def edge_sequence_from_json(obj, *, validate: bool = True) -> EdgeSequence:
 def edge_sequence_to_json(seq: EdgeSequence) -> dict:
     return {
         "n": seq.n,
-        "seq": [[e.src.x, e.src.y, e.dst.x, e.dst.y] for e in seq.edges],
+        "seq": _coordinates(seq.edges),
         "kind": seq.kind,
     }
 
@@ -171,51 +192,63 @@ def load_instance(path) -> Instance:
     return instance_from_json(read_json(path))
 
 
-def save_json(obj, path):
-    """``obj`` as sorted JSON indented by 2, and a newline, through :func:`sink`."""
-    with sink(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def save_instance(inst: Instance, path):
-    save_json(instance_to_json(inst), path)
+    """``inst`` as sorted JSON indented by 2, and a newline, through :func:`sink`."""
+    with sink(path) as fh:
+        write_json(fh, instance_to_json(inst))
 
 
-# How json.dumps(..., sort_keys=True) writes one [x1, y1, x2, y2] entry of a
-# sequence payload, by indent (None or 2): the opening, each of the first
-# three numbers, the last number, the closing, and the separator between
-# entries.
-_QUAD_PARTS = {None: ("[", "{}, ", "{}", "]", ", "),
-               2: ("[\n", "        {},\n", "        {}\n", "      ]", ",\n      ")}
+_BATCH = 512  # entries joined into one string: the text held at once stays small
+
+
+def _holed(doc: dict, pieces: list) -> dict:
+    """``doc`` with each nonempty edge list replaced by the hole ``["\\0"]``
+    and appended to ``pieces`` as one piece."""
+    if "form" in doc:
+        return {**doc, **{k: _holed(doc[k], pieces) for k in ("blue", "red") if k in doc}}
+    key = "seq" if "seq" in doc else "set"
+    if doc[key]:
+        pieces.append([(doc[key], 0, 0)])
+        doc = {**doc, key: ["\0"]}
+    return doc
+
+
+def write_json(fh, doc: dict, indent=2, pieces=None):
+    """Write ``json.dumps(doc, indent=indent, sort_keys=True)`` and a newline,
+    ``indent`` None or 2, for a set, sequence or instance document as the
+    ``*_to_json`` functions give it; or, given ``pieces``, for one whose edge
+    lists are holes ``["\\0"]`` that ``pieces`` fills in key order, each with a
+    nonempty list of pieces ``(template, ox, oy)``: the edges ``(a + ox,
+    b + oy, c + ox, d + oy)`` for each ``(a, b, c, d)`` of the template.
+    Every number is in [0, doc["n"]] (one outside raises ``KeyError``); its
+    text is looked up in one table, and ``_BATCH`` entries at most are
+    joined and written at a time."""
+    if pieces is None:
+        pieces = []
+        doc = _holed(doc, pieces)
+    texts = json.dumps(doc, indent=indent, sort_keys=True).split('"\\u0000"')
+    pad = texts[0][texts[0].rfind("[") + 1:]  # a newline and the entries' indent, or ""
+    inner = pad + "  " if indent else ""
+    item, between = ("," + inner, f"{pad}],{pad}[{inner}") if indent else (", ", "], [")
+    num = {i: str(i) for i in range(doc["n"] + 1)}
+    fh.write(texts[0])
+    for parts, after in zip(pieces, texts[1:]):
+        lead = "[" + inner
+        for tpl, ox, oy in parts:
+            for k in range(0, len(tpl), _BATCH):
+                fh.write(lead + between.join([
+                    f"{num[x1 + ox]}{item}{num[y1 + oy]}{item}{num[x2 + ox]}{item}{num[y2 + oy]}"
+                    for x1, y1, x2, y2 in tpl[k:k + _BATCH]]))
+                lead = between
+        fh.write(pad + "]" + after)
+    fh.write("\n")
 
 
 def write_seq_instance(fh, n: int, blue, red, *, indent=None):
     """Write a sequence-form instance whose two open paths are given as
-    nonempty lists of pieces ``(template, ox, oy)``: the edges ``(a + ox,
-    b + oy, c + ox, d + oy)`` for each ``(a, b, c, d)`` of the template, in
-    order, all ints in [0, n] (a number outside raises ``KeyError``).  Each
-    piece is formatted and written as a whole.
-
-    The text equals ``json.dumps(instance_to_json(inst), indent=indent,
-    sort_keys=True)`` plus a newline for the same edges, with ``indent`` None
-    or 2: what ``print`` and :func:`save_instance` write."""
+    pieces, as :func:`write_json` writes ``instance_to_json(inst)``."""
     payload = {"n": n, "kind": OPEN, "seq": ["\0"]}
-    doc = {"n": n, "form": "seq", "blue": payload, "red": payload}
-    head, middle, tail = json.dumps(doc, indent=indent, sort_keys=True).split('"\\u0000"')
-    opening, mid, last, closing, sep = _QUAD_PARTS[indent]
-    # the numbers' texts, looked up instead of formatted edge by edge
-    num = {i: mid.format(i) for i in range(n + 1)}
-    end = {i: last.format(i) for i in range(n + 1)}
-    fh.write(head)
-    for pieces, after in ((blue, middle), (red, tail + "\n")):
-        lead = ""
-        for tpl, ox, oy in pieces:
-            fh.write(lead + sep.join([
-                f"{opening}{num[x1 + ox]}{num[y1 + oy]}{num[x2 + ox]}{end[y2 + oy]}{closing}"
-                for x1, y1, x2, y2 in tpl]))
-            lead = sep
-        fh.write(after)
+    write_json(fh, {"n": n, "form": "seq", "blue": payload, "red": payload}, indent, (blue, red))
 
 
 @contextmanager

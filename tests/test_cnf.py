@@ -1,6 +1,7 @@
 """CNF families, the two solver modes, decoding, DIMACS output."""
 
 import hashlib
+import io
 import json
 import random
 
@@ -227,6 +228,18 @@ def test_dimacs_output():
     assert all(line.endswith(" 0") for line in body)
     assert to_dimacs(f) == text  # deterministic
     assert to_dimacs(CnfFormula(1, (), {})) == "c gridjct\np cnf 1 0\n"
+
+
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+def test_dimacs_written_in_batches_is_the_whole_text(monkeypatch, batch):
+    monkeypatch.setattr(cnf, "_BATCH", batch)
+    for f in (gen_stconn(2), gen_stseq(2), CnfFormula(1, (), {})):
+        fh = io.StringIO()
+        assert to_dimacs(f, fh) is None
+        assert fh.getvalue() == to_dimacs(f)
+        monkeypatch.setattr(cnf, "_BATCH", 4096)
+        assert fh.getvalue() == to_dimacs(f)
+        monkeypatch.setattr(cnf, "_BATCH", batch)
 
 
 def test_dimacs_text_pinned():

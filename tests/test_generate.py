@@ -143,10 +143,15 @@ class _RecordingRandom(random.Random):
         return picked
 
 
+def _codes(cells, m):
+    """Cells (x, y) as the generator codes them, ``x * m + y``."""
+    return {x * m + y for x, y in cells}
+
+
 def test_can_add_matches_arc_rule_on_every_neighborhood():
     for mask in range(256):
         cells = {d for i, d in enumerate(_RING8) if mask >> i & 1}
-        assert generate._can_add(cells, (0, 0)) == _arc_oracle(cells, (0, 0)), mask
+        assert generate._can_add(_codes(cells, 4), 0, 4) == _arc_oracle(cells, (0, 0)), mask
 
 
 def test_incremental_candidates_match_rebuild():
@@ -158,12 +163,14 @@ def test_incremental_candidates_match_rebuild():
             for min_cells in (1, n * n):  # n * n: grow until nothing is addable
                 for seed in range(15):
                     rng = _RecordingRandom(seed)
-                    cells = generate._grow_polyomino(n, rng, margin, min_cells)
+                    cells = {divmod(c, n + 2)
+                             for c in generate._grow_polyomino(n, rng, margin, min_cells)}
                     target, x, y = rng.ints
                     grown = {(x, y)}
                     for offered, picked in rng.choices:
-                        assert offered == _rebuilt_candidates(grown, lo, hi)
-                        grown.add(picked)
+                        assert [divmod(c, n + 2) for c in offered] == _rebuilt_candidates(
+                            grown, lo, hi)
+                        grown.add(divmod(picked, n + 2))
                     assert grown == cells
                     assert len(cells) == target or _rebuilt_candidates(cells, lo, hi) == []
 
@@ -174,9 +181,10 @@ def test_incremental_candidates_match_rebuild():
 ])
 def test_trace_boundary_raises_on_shapes_can_add_refuses(cells, message):
     # no cell of either shape can be the last one grown
-    assert not any(generate._can_add(cells - {c}, c) for c in cells)
+    codes = _codes(cells, 7)  # on the n = 5 grid
+    assert not any(generate._can_add(codes - {c}, c, 7) for c in codes)
     with pytest.raises(TheoremViolation, match=message):
-        generate._trace_boundary(cells, 5)
+        generate._trace_boundary(codes, 5)
 
 
 def test_crossing_retry_cap_raises_generation_exhausted(monkeypatch):

@@ -325,7 +325,7 @@ def test_find_intersection_seq_corner_touch_witness():
     from gridjct.generate import _trace_boundary
 
     cells = {(x, y) for x in (1, 2, 3) for y in (1, 2, 3)} - {(1, 1)}
-    curve = _trace_boundary(cells, 6).validate()
+    curve = _trace_boundary({x * 8 + y for x, y in cells}, 6).validate()  # cells coded on n = 6
     red = EdgeSequence.from_points(
         [(3, 3), (2, 3), (2, 2), (3, 2), (4, 2), (5, 2), (5, 3), (5, 4),
          (5, 5), (4, 5), (3, 5)], 6, OPEN)
@@ -416,7 +416,7 @@ def pocket_curve(n=7):
     cells = {(x, 1) for x in range(1, 6)}
     cells |= {(1, y) for y in range(2, 5)} | {(5, y) for y in range(2, 5)}
     cells |= {(2, 4), (4, 4)}
-    curve = _trace_boundary(cells, n)
+    curve = _trace_boundary({x * (n + 2) + y for x, y in cells}, n)  # cells coded on the grid
     assert curve is not None
     return curve.validate()
 

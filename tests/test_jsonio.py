@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from gridjct import jsonio
 from gridjct.errors import FormatError, InvalidInstance
 from gridjct.jsonio import (
     Instance,
@@ -141,6 +142,25 @@ def test_save_instance_writes_the_indented_json_dumps_text(tmp_path, name):
     save_instance(inst, path)
     want = json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n"
     assert path.read_bytes().decode() == want
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_writer_batches_join_into_the_json_dumps_text(tmp_path, monkeypatch, batch):
+    monkeypatch.setattr(jsonio, "_BATCH", batch)
+    cases = _save_cases()
+    for name in ("seq", "n512-set", "set-empty-payload"):
+        path = tmp_path / f"{name}.json"
+        save_instance(cases[name], path)
+        want = json.dumps(instance_to_json(cases[name]), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes().decode() == want, name
+    tpl = tuple((x, 0, x + 1, 0) for x in range(7))
+    for indent in (None, 2):
+        fh = io.StringIO()
+        write_seq_instance(fh, 9, [(tpl, 0, 1), (tpl[:2], 7, 1)], [(tpl[:1], 2, 9)], indent=indent)
+        blue = EdgeSequence.from_points([(x, 1) for x in range(10)], 9, OPEN)
+        red = EdgeSequence.from_points([(2, 9), (3, 9)], 9, OPEN)
+        doc = instance_to_json(Instance(n=9, form="seq", blue=blue, red=red))
+        assert fh.getvalue() == json.dumps(doc, indent=indent, sort_keys=True) + "\n"
 
 
 _SQUARE = [[1, 1, 2, 1], [2, 1, 3, 1], [3, 1, 3, 2], [3, 2, 3, 3],
