@@ -155,6 +155,7 @@ class EdgeSet:
 
 CLOSED = "closed"
 OPEN = "open"
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -195,13 +196,13 @@ class EdgeSequence:
         unless ``simple``: :meth:`validate` adds simplicity.  A chain is
         accepted in bulk, over its points; only a rejected one is walked
         edge by edge, to name its first fault."""
-        closed, srcs = self.kind == CLOSED, list(map(itemgetter(0), self.edges))
-        pts = srcs + [e.dst for e in self.edges[-1:]]  # in travel order, if the edges chain
-        xs, ys = list(map(itemgetter(0), pts)), list(map(itemgetter(1), pts))
-        if not (srcs and pts[1:] == list(map(itemgetter(1), self.edges))
+        edges, closed, n = self.edges, self.kind == CLOSED, self.n
+        pts = list(map(_FIRST, edges)) + list(map(_SECOND, edges[-1:]))  # travel order, if chained
+        xs, ys = list(map(_FIRST, pts)), list(map(_SECOND, pts))
+        if not (edges and pts[1:] == list(map(_SECOND, edges))
                 and set(map(add, map(abs, map(sub, xs[1:], xs)), map(abs, map(sub, ys[1:], ys))))
-                == {1} and 0 <= min(chain(xs, ys)) and max(chain(xs, ys)) <= self.n
-                and (not closed or (len(srcs) >= 4 and pts[-1] == pts[0]))
+                == {1} and 0 <= min(xs) and 0 <= min(ys) and max(xs) <= n and max(ys) <= n
+                and (not closed or (len(edges) >= 4 and pts[-1] == pts[0]))
                 and (not simple or len(set(pts)) == len(pts) - closed)):  # closed: ends at pts[0]
             for _ in checked_path(((*e.src, *e.dst) for e in self.edges), self.n,
                                   closed=closed, simple=simple):

@@ -52,8 +52,7 @@ def _parse_edges(obj, key, n, make) -> list:
     if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {4}:
         flat = list(chain.from_iterable(entries))
         x1, y1, x2, y2 = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
-        if (set(map(type, flat)) <= {int} and 0 <= min(flat, default=0)
-                and max(flat, default=0) <= n
+        if (set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) and max(flat) <= n)
                 and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) <= {1}):
             pairs = zip(make_all(GridPoint, zip(x1, y1)), make_all(GridPoint, zip(x2, y2)))
             edges = list(make_all(make, map(sorted, pairs) if make is Edge else pairs))
