@@ -98,7 +98,7 @@ def corner_ends(n: int) -> dict:
 
 
 def make_all(cls, items):
-    """``cls._make(item)`` for each item, built in C (``_make`` calls ``tuple.__new__``)."""
+    """``cls._make(item)`` for each item, built in C by the ``tuple.__new__`` it calls."""
     return map(tuple.__new__, repeat(cls), items)
 
 
@@ -204,8 +204,8 @@ class EdgeSequence:
                 == {1} and 0 <= min(xs) and 0 <= min(ys) and max(xs) <= n and max(ys) <= n
                 and (not closed or (len(edges) >= 4 and pts[-1] == pts[0]))
                 and (not simple or len(set(pts)) == len(pts) - closed)):  # closed: ends at pts[0]
-            for _ in checked_path(((*e.src, *e.dst) for e in self.edges), self.n,
-                                  closed=closed, simple=simple):
+            for _ in checked_path(((*e.src, *e.dst) for e in edges), n, closed=closed,
+                                  simple=simple):
                 pass
         return self
 

@@ -200,40 +200,40 @@ def save_instance(inst: Instance, path):
 _BATCH = 512  # entries joined into one string: the text held at once stays small
 
 
-def _holed(doc: dict, pieces: list) -> dict:
-    """``doc`` with each nonempty edge list replaced by the hole ``["\\0"]``
-    and appended to ``pieces`` as one piece."""
+def _holed(doc: dict, lists: list) -> dict:
+    """``doc`` with each nonempty edge list made a hole ``["\\0"]``, and
+    appended to ``lists`` as one piece."""
     if "form" in doc:
-        return {**doc, **{k: _holed(doc[k], pieces) for k in ("blue", "red") if k in doc}}
+        return {**doc, **{k: _holed(doc[k], lists) for k in ("blue", "red") if k in doc}}
     key = "seq" if "seq" in doc else "set"
     if doc[key]:
-        pieces.append([(doc[key], 0, 0)])
+        lists.append([(doc[key], 0, 0)])
         doc = {**doc, key: ["\0"]}
     return doc
 
 
-def write_json(fh, doc: dict, indent=2, pieces=None):
+def write_json(fh, doc: dict, indent=2, lists=None):
     """Write ``json.dumps(doc, indent=indent, sort_keys=True)`` and a newline,
     ``indent`` None or 2, for a set, sequence or instance document as the
-    ``*_to_json`` functions give it; or, given ``pieces``, for one whose edge
-    lists are holes ``["\\0"]`` that ``pieces`` fills in key order, each with a
-    nonempty list of pieces ``(template, ox, oy)``: the edges ``(a + ox,
+    ``*_to_json`` functions give it; or, given ``lists``, for one whose edge
+    lists are holes ``["\\0"]``, filled in key order by ``lists``: each a
+    nonempty list of pieces ``(template, ox, oy)``, the edges ``(a + ox,
     b + oy, c + ox, d + oy)`` for each ``(a, b, c, d)`` of the template.
     Every number is in [0, doc["n"]] (one outside raises ``KeyError``); its
     text is looked up in one table, and ``_BATCH`` entries at most are
     joined and written at a time."""
-    if pieces is None:
-        pieces = []
-        doc = _holed(doc, pieces)
+    if lists is None:
+        lists = []
+        doc = _holed(doc, lists)
     texts = json.dumps(doc, indent=indent, sort_keys=True).split('"\\u0000"')
     pad = texts[0][texts[0].rfind("[") + 1:]  # a newline and the entries' indent, or ""
     inner = pad + "  " if indent else ""
     item, between = ("," + inner, f"{pad}],{pad}[{inner}") if indent else (", ", "], [")
     num = {i: str(i) for i in range(doc["n"] + 1)}
     fh.write(texts[0])
-    for parts, after in zip(pieces, texts[1:]):
+    for pieces, after in zip(lists, texts[1:]):
         lead = "[" + inner
-        for tpl, ox, oy in parts:
+        for tpl, ox, oy in pieces:
             for k in range(0, len(tpl), _BATCH):
                 fh.write(lead + between.join([
                     f"{num[x1 + ox]}{item}{num[y1 + oy]}{item}{num[x2 + ox]}{item}{num[y2 + oy]}"
