@@ -7,13 +7,16 @@ check, which is why point-disjoint valid inputs cannot exist.
 
 ``side_sequences`` builds the two unit-offset rings of a refined (x3) curve;
 ``region_connect`` routes any free refined point to whichever side point
-shares its region, and ``count_regions`` is the flood-fill oracle for the
-two-region statement.  All three work on refined points coded as ints.
+shares its region, and ``count_regions`` counts the regions by joining
+column runs, the check of the two-region statement.  All three work on refined points coded as ints.
 """
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import sub
 from typing import List, Tuple
 
 from .errors import InvalidInstance, PreconditionViolation, TheoremViolation
@@ -154,23 +157,27 @@ def _refined_codes(curve: EdgeSequence) -> Tuple[List[int], int]:
 
 def _ring_points(codes: List[int], s: int, side: int) -> List[int]:
     """Codes one unit to the left (``side`` +1) or right (-1) of the coded
-    curve, unchecked: a cut corner where the curve turns toward that side,
-    three points around the corner where it turns away."""
+    x3 curve, unchecked: a cut corner where the curve turns toward that side,
+    three points around the corner where it turns away.  Only the coarse
+    vertices ``codes[::3]`` can turn, so each adds the points its (in, out)
+    turn gives, up to the two straight points after it."""
     normal = {s: side, -s: -side, 1: -side * s, -1: side * s}  # left of (dx, dy) is (-dy, dx)
-    t = len(codes)
-    raw = []
-    for i, cur in enumerate(codes):
-        din, dout = cur - codes[i - 1], codes[(i + 1) % t] - cur
-        nin, nout = normal[din], normal[dout]
-        if din == dout:
-            raw.append(cur + nin)
-        elif dout == nin:  # turning toward the ring: cut the corner
-            raw.append(cur + nin + nout)
-        else:  # turning away: go around the corner
-            raw += (cur + nin, cur + nin + nout, cur + nout)
-    ring = [c for i, c in enumerate(raw) if i == 0 or c != raw[i - 1]]
-    while len(ring) > 1 and ring[0] == ring[-1]:
-        ring.pop()
+    turns = {}
+    for din, nin in normal.items():
+        for dout, nout in normal.items():
+            straight = (dout + nout, 2 * dout + nout)
+            if din == dout:
+                turns[din, dout] = (nin, *straight)
+            elif dout == nin:  # turning toward the ring: the cut corner is
+                turns[din, dout] = straight[1:]  # the points before and after
+            else:  # turning away: go around the corner
+                turns[din, dout] = (nin, nin + nout, nout, *straight)
+    vertices = codes[::3]
+    dirs = list(map(sub, codes[1::3], vertices))
+    ring = [cur + o for cur, turn in zip(vertices, zip(dirs[-1:] + dirs[:-1], dirs))
+            for o in turns[turn]]
+    if dirs[0] == normal[dirs[-1]]:  # a cut corner at the start comes first
+        ring.insert(0, ring.pop())
     return ring
 
 
@@ -180,13 +187,14 @@ def _offset_ring(codes: List[int], s: int, side: int, on: set) -> List[int]:
     ring = _ring_points(codes, s, side)
     if len(ring) < 4:
         raise TheoremViolation("offset ring has fewer than 4 points (bug)")
-    if any(not 0 <= c < s * (s - 1) or c % s == s - 1 for c in ring):
+    seen = set(ring)
+    if min(ring) < 0 or max(ring) >= s * (s - 1) or not seen.isdisjoint(range(s - 1, s * s, s)):
         raise TheoremViolation("offset ring leaves the grid (bug)")
-    if any(b - a not in (1, -1, s, -s) for a, b in zip(ring, ring[1:] + ring[:1])):
+    if not set(map(sub, ring[1:] + ring[:1], ring)) <= {1, -1, s, -s}:
         raise TheoremViolation("offset ring takes a non-unit step (bug)")
-    if len(set(ring)) != len(ring):
+    if len(seen) != len(ring):
         raise TheoremViolation("offset ring revisits a point (bug)")
-    if not on.isdisjoint(ring):
+    if not on.isdisjoint(seen):
         raise TheoremViolation("offset ring touches the curve (bug)")
     return ring
 
@@ -214,35 +222,54 @@ def side_sequences(curve: EdgeSequence) -> SideSequences:
 def count_regions(curve: EdgeSequence) -> int:
     """Connected components of refined-grid points off the x3-refined curve.
 
-    Flat-array labelling: the curve's bounding box grown by one unit is
-    flooded in one ``bytearray`` indexed ``x * h + y``, framed by a blocked
-    sentinel border so no neighbour needs a bounds test.  The curve is off
-    the grid border, so the one-unit ring lies inside the grid, is free, and
-    joins every point outside it into one region: the work follows the
-    curve, not the grid.
+    The curve's bounding box grown by one unit is laid out in one
+    ``bytearray`` indexed ``x * h + y``, framed by a blocked sentinel border,
+    and :func:`_free_components` counts its free cells by column runs.  The
+    curve is off the grid border, so the one-unit ring lies inside the grid,
+    is free, and joins every point outside it into one region.  Only the
+    refined points are needed, not their order.
     """
     codes, s = _refined_codes(curve)
     pts = [divmod(c, s) for c in codes]
-    x0, y0 = min(x for x, _ in pts) - 2, min(y for _, y in pts) - 2  # ring, then frame
-    w, h = max(x for x, _ in pts) + 3 - x0, max(y for _, y in pts) + 3 - y0
+    xs, ys = zip(*pts)
+    x0, y0 = min(xs) - 2, min(ys) - 2  # ring, then frame
+    w, h = max(xs) + 3 - x0, max(ys) + 3 - y0
     grid = bytearray(w * h)
     grid[:h] = grid[-h:] = b"\1" * h
     grid[::h] = grid[h - 1::h] = b"\1" * w
     for x, y in pts:
         grid[(x - x0) * h + y - y0] = 1
-    comps = 0
-    i = grid.find(0)
-    while i >= 0:
-        comps += 1
-        grid[i] = 1
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            for k in (j + 1, j - 1, j + h, j - h):
-                if not grid[k]:
-                    grid[k] = 1
-                    stack.append(k)
-        i = grid.find(0, i)
+    return _free_components(grid, h)
+
+
+_FREE_RUN = re.compile(b"\0+")
+
+
+def _free_components(grid: bytearray, h: int) -> int:
+    """4-connected components of the zero cells of a grid of columns of
+    height ``h`` whose first and last cell are blocked: each column's free
+    runs, joined across neighbouring columns where their heights overlap
+    (Rosenfeld & Pfaltz's two-pass labeling, by union-find over runs)."""
+    runs = [m.span() for m in _FREE_RUN.finditer(grid)]
+    parent = list(range(len(runs)))
+    comps = len(runs)
+    i = 0
+    for j, (b0, b1) in enumerate(runs):  # run i is in the column left of run j
+        b0, b1 = b0 - h, b1 - h
+        while i < j:
+            a0, a1 = runs[i]
+            if a0 < b1 and b0 < a1:  # a shared height, not just a corner
+                ra, rb = i, j
+                while parent[ra] != ra:
+                    parent[ra] = ra = parent[parent[ra]]
+                while parent[rb] != rb:
+                    parent[rb] = rb = parent[parent[rb]]
+                if ra != rb:
+                    parent[ra] = rb
+                    comps -= 1
+            if a1 > b1:
+                break
+            i += 1
     return comps
 
 
@@ -253,8 +280,9 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     Works on int-coded refined points.  Builds both offset rings once with
     the checked builder behind :func:`side_sequences`, hops to the
     Manhattan-nearest ring point (x-moves first; pair-code ties), then
-    follows the shorter arc of that ring to its side point.  ``p`` and
-    ``sides`` live on the refined grid.
+    follows the shorter arc of that ring to its side point.  The nearest
+    point is found by bisection in the sorted ring codes, one column at a
+    time outward from ``p``.  ``p`` and ``sides`` live on the refined grid.
     """
     codes, s = _refined_codes(curve)
     n3, on = s - 2, set(codes)
@@ -283,12 +311,23 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     if homes[0] == homes[1]:
         raise TheoremViolation("side points landed on the same ring (bug)")
 
-    pts = [[divmod(c, s) for c in ring] for ring in rings]
-    d = min(abs(p.x - x) + abs(p.y - y) for ring in pts for x, y in ring)
-    (qx, qy), ring_idx = min(((q, i) for i in (0, 1) for q in pts[i]
-                              if abs(p.x - q[0]) + abs(p.y - q[1]) == d),
-                             key=lambda qi: pair_code(*qi[0]))
-    qc, corner = qx * s + qy, qx * s + p.y
+    # codes sort column by column: in each column the nearest ring points
+    # flank p's height; columns farther off than the best hop cannot win
+    ordered = sorted(rings[0] + rings[1])
+    best = (2 * s,)  # (distance, pair code, code), past every grid point at first
+    for dx in range(n3 + 1):
+        if dx > best[0]:
+            break
+        for x in {p.x - dx, p.x + dx}:
+            lo = x * s
+            i = bisect_left(ordered, lo + p.y)
+            for c in ordered[i - 1 if i else 0:i + 1]:
+                if lo <= c < lo + s:
+                    best = min(best, (dx + abs(c - lo - p.y), pair_code(x, c - lo), c))
+    qc = best[2]
+    qx, qy = divmod(qc, s)
+    ring_idx = 0 if qc in sets[0] else 1
+    corner = qx * s + p.y
     hop = [*range(pc, corner, s if qx > p.x else -s),  # x-moves, then y-moves
            *range(corner, qc, 1 if qy > p.y else -1), qc]
     if not on.isdisjoint(hop):
