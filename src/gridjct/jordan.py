@@ -8,7 +8,8 @@ check, which is why point-disjoint valid inputs cannot exist.
 ``side_sequences`` builds the two unit-offset rings of a refined (x3) curve;
 ``region_connect`` routes any free refined point to whichever side point
 shares its region, and ``count_regions`` counts the regions by joining
-column runs, the check of the two-region statement.  All three work on refined points coded as ints.
+column runs, checking the two-region statement.  All three work on refined
+points coded as ints.
 """
 
 from __future__ import annotations
@@ -159,8 +160,7 @@ def _ring_points(codes: List[int], s: int, side: int) -> List[int]:
     """Codes one unit to the left (``side`` +1) or right (-1) of the coded
     x3 curve, unchecked: a cut corner where the curve turns toward that side,
     three points around the corner where it turns away.  Only the coarse
-    vertices ``codes[::3]`` can turn, so each adds the points its (in, out)
-    turn gives, up to the two straight points after it."""
+    vertices ``codes[::3]`` turn; each adds its (in, out) turn's table entry."""
     normal = {s: side, -s: -side, 1: -side * s, -1: side * s}  # left of (dx, dy) is (-dy, dx)
     turns = {}
     for din, nin in normal.items():
@@ -168,15 +168,15 @@ def _ring_points(codes: List[int], s: int, side: int) -> List[int]:
             straight = (dout + nout, 2 * dout + nout)
             if din == dout:
                 turns[din, dout] = (nin, *straight)
-            elif dout == nin:  # turning toward the ring: the cut corner is
-                turns[din, dout] = straight[1:]  # the points before and after
+            elif dout == nin:  # turning toward the ring: its cut corner is the
+                turns[din, dout] = straight[1:]  # point before and the first after
             else:  # turning away: go around the corner
                 turns[din, dout] = (nin, nin + nout, nout, *straight)
     vertices = codes[::3]
     dirs = list(map(sub, codes[1::3], vertices))
     ring = [cur + o for cur, turn in zip(vertices, zip(dirs[-1:] + dirs[:-1], dirs))
             for o in turns[turn]]
-    if dirs[0] == normal[dirs[-1]]:  # a cut corner at the start comes first
+    if dirs[0] == normal[dirs[-1]]:  # the ring starts at the first vertex's cut corner
         ring.insert(0, ring.pop())
     return ring
 
@@ -314,7 +314,7 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     # codes sort column by column: in each column the nearest ring points
     # flank p's height; columns farther off than the best hop cannot win
     ordered = sorted(rings[0] + rings[1])
-    best = (2 * s,)  # (distance, pair code, code), past every grid point at first
+    best = (2 * s,)  # (distance, pair code, code); starts farther off than any grid point
     for dx in range(n3 + 1):
         if dx > best[0]:
             break
