@@ -366,3 +366,110 @@ def test_decision_budget_raises_in_exhaustive_mode(monkeypatch):
     monkeypatch.setattr(cnf, "MAX_DECISIONS", 3)
     with pytest.raises(SolverBudgetExhausted, match="after 3 decisions"):
         solve(gen_stconn(2), "exhaustive")
+
+
+def _mixed_cnf(rng, nv):
+    """A random CNF over nv variables whose clauses have 1-4 literals, mostly
+    two; about one clause in five repeats or negates its first literal."""
+    clauses = []
+    for _ in range(rng.randint(1, 3 * nv)):
+        k = rng.choices((1, 2, 3, 4), weights=(1, 8, 3, 1))[0]
+        clause = [rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(k)]
+        odd = rng.random()
+        if k > 1 and odd < 0.1:
+            clause[rng.randrange(1, k)] = clause[0]
+        elif k > 1 and odd < 0.2:
+            clause[rng.randrange(1, k)] = -clause[0]
+        clauses.append(tuple(clause))
+    return CnfFormula(nv, tuple(clauses), {})
+
+
+ODD_CLAUSES = [  # repeated and complementary literals in every clause length
+    ((3, 3),), ((3, 3), (-3,)), ((2, -2),), ((2, -2), (-2,), (2, 1)),
+    ((1, -1, 2),), ((1, -1, 2), (-2,), (-1,)), ((3, 3, 4), (-4,), (-3, 1)),
+    ((3, 3, 4), (-4,), (-3,)), ((1, 1), (-1, -1)), ((1, 2, 2, -1), (-2, -2)),
+]
+
+
+def _mixed_transcript():
+    """(name, formula, line) per case: the dpll model or verdict and the
+    exhaustive model or verdict, of the odd clause sets and 400 seeded CNFs."""
+    cases = [(f"odd {k}", CnfFormula(4, clauses, {})) for k, clauses in enumerate(ODD_CLAUSES)]
+    rng = random.Random(20)
+    cases += [(f"mixed {k}", _mixed_cnf(rng, rng.randint(2, 10))) for k in range(400)]
+    out = []
+    for name, f in cases:
+        lines = []
+        for mode in ("dpll", "exhaustive"):
+            model = solve(f, mode)
+            lines.append("UNSAT" if model is None else json.dumps(sorted(model.items())))
+        out.append((name, f, lines))
+    return out
+
+
+def test_mixed_length_cnfs_pinned():
+    # clause lengths 1-4, mostly binary, with repeated and complementary
+    # literals: each verdict matches the truth table, and the digest pins
+    # every model
+    transcript = _mixed_transcript()
+    h = hashlib.sha256()
+    for name, f, (dpll_line, exhaustive_line) in transcript:
+        unsat = brute_unsat(f)
+        assert (dpll_line == "UNSAT") == (exhaustive_line == "UNSAT") == unsat, name
+        for line in (dpll_line, exhaustive_line):
+            if line != "UNSAT":
+                model = dict(json.loads(line))
+                assert all(any(model[abs(l)] == (l > 0) for l in c) for c in f.clauses), name
+        h.update(f"{name}: dpll {dpll_line} exhaustive {exhaustive_line}\n".encode())
+    verdicts = [lines[0] == "UNSAT" for _, _, lines in transcript]
+    assert sum(verdicts) == 105  # of 410: both verdicts are well represented
+    assert h.hexdigest() == "c1a2db0604a3bfbb376ba1553b536971a0a2783d6793c9a3dc0eb12504082d53"
+
+
+def test_exhaustive_decision_count_pinned(monkeypatch):
+    # the count test_decision_budget_raises_in_exhaustive_mode names
+    monkeypatch.setattr(cnf, "MAX_DECISIONS", 974)
+    assert solve(gen_stconn(2), "exhaustive") is None
+    monkeypatch.setattr(cnf, "MAX_DECISIONS", 973)
+    with pytest.raises(SolverBudgetExhausted, match="after 973 decisions"):
+        solve(gen_stconn(2), "exhaustive")
+
+
+def test_decode_names_the_first_violated_clause():
+    f = CnfFormula(3, ((1,), (2, 3), (-1, -2), (-3,)), {})
+    with pytest.raises(InvalidInstance) as exc:
+        decode_model(f, {1: True, 2: True, 3: False})
+    assert str(exc.value) == "assignment violates clause 2: [-1, -2]"
+    # a weakened model meets the intact formula's cross-color clauses last
+    for gen, message in ((gen_stconn, "assignment violates clause 76: [-3, -2]"),
+                         (gen_stseq, "assignment violates clause 2312: [-55, -56]")):
+        model = solve(gen(2, intersection_clauses=False))
+        with pytest.raises(InvalidInstance) as exc:
+            decode_model(gen(2), model)
+        assert str(exc.value) == message
+
+
+def test_decode_reads_ints_and_missing_variables_as_today():
+    # a value satisfies a literal when it == the literal's sign, and a
+    # missing variable reads False
+    for gen in (gen_stconn, gen_stseq):
+        f = gen(2, intersection_clauses=False)
+        model = solve(f)
+        want = decode_model(f, model)
+        as_ints = {v: int(b) for v, b in model.items()}
+        only_true = {v: 1 for v, b in model.items() if b}
+        for assignment in (as_ints, only_true):
+            assert decode_model(f, assignment) == want
+        v = min(v for v, b in model.items() if b)
+        for assignment in ({**as_ints, v: 0}, {w: 1 for w in only_true if w != v}):
+            with pytest.raises(InvalidInstance, match="violates clause"):
+                decode_model(f, assignment)
+    f = CnfFormula(2, ((1,), (-2,)), {})
+    for assignment in ({1: 1, 2: 0}, {1: 1}, {1: True}):
+        with pytest.raises(InvalidInstance, match="cannot decode family None"):
+            decode_model(f, assignment)
+    # a value equal to neither sign, such as 2 or None, satisfies neither literal
+    for assignment, ci in (({1: 0}, 0), ({}, 0), ({1: 1, 2: 1}, 1), ({1: True, 2: 1}, 1),
+                           ({1: 2}, 0), ({1: 1, 2: None}, 1)):
+        with pytest.raises(InvalidInstance, match=f"violates clause {ci}:"):
+            decode_model(f, assignment)
