@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import GridJctError, InvalidInstance, PreconditionViolation, SolverBudgetExhausted
+from .errors import InvalidInstance, PreconditionViolation, SolverBudgetExhausted
 from .grid import (
     OPEN,
     Edge,
@@ -241,23 +241,31 @@ def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
 # ---------------------------------------------------------------------------
 
 class _ClauseState:
-    """Counter-based assignment engine shared by both search modes.
+    """Assignment engine shared by both search modes.
 
-    ``n_live[ci]`` counts the literals of clause ci that are not false: 0
-    means the clause is falsified, and 1 means it is either satisfied or a
-    unit.  ``trail`` lists the literals made true, in order, so
-    ``undo(mark)`` takes back everything assigned since ``len(trail)`` was
-    ``mark``.  ``occ`` and ``truth`` are indexed by a literal: Python puts
-    index ``-v`` at ``2 * num_vars + 1 - v``, so v and -v have their own slots.
+    A binary clause (a, b) is two implications: ``imp[-a]`` holds b and
+    ``imp[-b]`` holds a.  Every other clause is counted: ``n_live[ci]`` counts
+    the literals of clause ci that are not false, 0 meaning falsified and 1
+    satisfied or a unit; ``occ`` lists each literal's counted clauses.
+    ``trail`` lists the literals made true, in order, so ``undo(mark)`` takes
+    back everything assigned since ``len(trail)`` was ``mark``.  ``imp``,
+    ``occ`` and ``truth`` are indexed by a literal: Python puts index ``-v``
+    at ``2 * num_vars + 1 - v``, so v and -v have their own slots.
     """
 
     def __init__(self, f: CnfFormula):
         self.clauses = f.clauses
         self.num_vars = f.num_vars
+        self.imp: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
         self.occ: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
         for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                self.occ[lit].append(ci)
+            if len(clause) == 2:
+                a, b = clause
+                self.imp[-a].append(b)
+                self.imp[-b].append(a)
+            else:
+                for lit in clause:
+                    self.occ[lit].append(ci)
         self.n_live = [len(c) for c in self.clauses]
         self.truth: List[Optional[bool]] = [None] * (2 * f.num_vars + 1)
         self.trail: List[int] = []
@@ -272,18 +280,29 @@ class _ClauseState:
         return self.set_true(lit, units)
 
     def set_true(self, lit: int, units: List[int]) -> bool:
-        """Make lit true; each clause this leaves with one live literal is
-        appended to ``units``.  False on a falsified clause."""
-        truth, n_live = self.truth, self.n_live
+        """Make lit true and append to ``units`` the literals this implies:
+        the free ones of ``imp[lit]`` and the live one of each counted clause
+        left with one.  False on a falsified clause, that is, an implied
+        literal already false or a counted clause with none live."""
+        truth, n_live, clauses = self.truth, self.n_live, self.clauses
         truth[lit] = True
         truth[-lit] = False
         self.trail.append(lit)
         ok = True
+        for other in self.imp[lit]:
+            x = truth[other]
+            if x is None:
+                units.append(other)
+            elif not x:
+                ok = False
         for ci in self.occ[-lit]:
             left = n_live[ci] - 1
             n_live[ci] = left
             if left == 1:
-                units.append(ci)
+                for other in clauses[ci]:
+                    if truth[other] is not False:
+                        units.append(other)
+                        break
             elif not left:
                 ok = False
         return ok
@@ -297,24 +316,14 @@ class _ClauseState:
                 n_live[ci] += 1
 
     def propagate(self, units: List[int]) -> bool:
-        """Make true the open literal of each clause in ``units`` that is a
-        unit, and of every clause that becomes one on the way; False on a
-        conflict.  A queued clause keeps one live literal until a conflict
-        ends the loop."""
-        truth, clauses = self.truth, self.clauses
-        i = 0
-        while i < len(units):
-            for lit in clauses[units[i]]:
-                x = truth[lit]
-                if x is None:
-                    if not self.set_true(lit, units):
-                        return False
-                    break
-                if x:
-                    break
-            else:
-                raise GridJctError("a queued clause has no live literal (bug)")
-            i += 1
+        """Make true each literal in ``units`` that is free, and every literal
+        this implies on the way; False on a conflict.  A queued literal that
+        is false needs no test: the ``set_true`` that made it false found its
+        clause falsified and ended the loop."""
+        truth = self.truth
+        for lit in units:
+            if truth[lit] is None and not self.set_true(lit, units):
+                return False
         return True
 
     def model(self) -> Dict[int, bool]:
@@ -345,14 +354,15 @@ def _solve_dpll(f: CnfFormula) -> Optional[Dict[int, bool]]:
     """Unit propagation plus branching, lowest free variable first, true
     branch first, on an explicit stack of (variable, value, trail mark).
 
-    Only the root scans every clause for units.  At a fixpoint no clause is
-    unit, so after a branch the only candidates are the clauses it falsified
-    a literal of; unit propagation is confluent, so this reaches the fixpoint
-    and the conflicts a full rescan would, and gives the same search tree.
+    Only the root reads every clause, for the length-1 ones.  At a fixpoint
+    no clause is unit, so after a branch the only candidates are the clauses
+    it falsified a literal of, whose literals ``set_true`` queues; unit
+    propagation is confluent, so this reaches the fixpoint and the conflicts
+    a full rescan would, and gives the same search tree.
     """
     state = _ClauseState(f)
     truth = state.truth
-    ok = state.propagate([ci for ci, live in enumerate(state.n_live) if live == 1])
+    ok = state.propagate([c[0] for c in f.clauses if len(c) == 1])
     stack: List[Tuple[int, bool, int]] = []
     v = 1
     while True:
@@ -406,10 +416,13 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
     EdgeSequences for stseq.  The assignment must satisfy ``f``; the first
     violated clause is reported otherwise.
     """
-    for ci, clause in enumerate(f.clauses):
-        if not any(assignment.get(abs(lit), False) == (lit > 0) for lit in clause):
-            raise InvalidInstance(
-                f"assignment violates clause {ci}: {list(clause)}")
+    get = assignment.get
+    true = {lit for v in range(1, f.num_vars + 1) for lit in (v, -v)
+            if get(v, False) == (lit > 0)}
+    violated = list(map(true.isdisjoint, f.clauses))
+    if True in violated:
+        ci = violated.index(True)
+        raise InvalidInstance(f"assignment violates clause {ci}: {list(f.clauses[ci])}")
     family, n = f.meta.get("family"), f.meta.get("n")
     if family == "stconn":
         picked = {BLUE: [], RED: []}
