@@ -13,9 +13,11 @@ configurations.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain, combinations, groupby, product, repeat
+from operator import itemgetter
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidInstance, PreconditionViolation, SolverBudgetExhausted
 from .grid import (
@@ -30,9 +32,11 @@ from .grid import (
 BLUE, RED = "blue", "red"
 EXHAUSTIVE, DPLL = "exhaustive", "dpll"
 _EXHAUSTIVE_CAP = 26
-# stseq clauses grow about as n^8: stseq(5) has 715,442 and stseq(8) would
-# have about 11.8 million.  Generation is fast, so the cap bounds memory,
-# which grows with the clause count: larger n is rejected before any is built.
+# stseq clauses grow about as n^8: stseq(5) has 715,442 and stseq(6) would
+# have 2,120,622.  Flat, stseq(5) is 2,480,090 ints (9.5 MiB) and a fresh
+# ``gen --out`` of it peaks at 31 MiB; stseq(6) would be 7,325,734 ints, a
+# 55 MiB peak and 34 MB of DIMACS.  The cap bounds that output: larger n is
+# rejected before any clause is built.
 MAX_STSEQ_N = 5
 # stconn clauses grow as about 30 n^2 (``stconn_clauses``); the cap admits
 # n <= 182 and is checked before any clause is built.
@@ -54,28 +58,98 @@ class VarRole(NamedTuple):
         return f"{self.color} edge {e} at position {self.position}"
 
 
+class Clauses:
+    """The flat clause store, read as a sequence of literal tuples.  ``lits``
+    holds each clause's literals and then a 0, in DIMACS order; ``spans``
+    indexes it with ``(width, start, stop)`` for each maximal stretch
+    ``lits[start:stop]`` of clauses of ``width`` literals.  The generators
+    add whole blocks with ``_pairs`` and ``_rows``."""
+
+    __slots__ = ("lits", "spans", "_len", "_starts")
+
+    def __init__(self, clauses=()):
+        self.lits, self.spans, self._len, self._starts = array("i"), [], 0, None
+        for width, group in groupby(clauses, len):
+            self._put(width, chain.from_iterable(chain.from_iterable(zip(group, repeat((0,))))))
+
+    def _put(self, width: int, block: Iterable[int]):
+        """Append ``block``: clauses of ``width`` literals, each with its 0."""
+        end = len(self.lits)
+        start = self.spans.pop()[1] if self.spans and self.spans[-1][0] == width else end
+        self.lits.extend(block)
+        self._len += (len(self.lits) - end) // (width + 1)
+        if start < len(self.lits):
+            self.spans.append((width, start, len(self.lits)))
+
+    def _pairs(self, xs: Sequence[int], ys: Sequence[int]):
+        """The binary clauses (xs[t], ys[t]), in order."""
+        block = _ZERO * (3 * len(xs))
+        block[0::3], block[1::3] = array("i", xs), array("i", ys)
+        self._put(2, block)
+
+    def _rows(self, firsts: Sequence[int], rest: Sequence[int] = ()):
+        """The clauses (x, *rest) for each x in firsts, in order."""
+        block = (_ZERO + array("i", rest) + _ZERO) * len(firsts)
+        block[0::len(rest) + 2] = array("i", firsts)
+        self._put(len(rest) + 1, block)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        for width, start, stop in self.spans:
+            yield from map(_BODY, zip(*[iter(self.lits[start:stop])] * (width + 1)))
+
+    def __getitem__(self, i: int) -> Tuple[int, ...]:
+        if self._starts is None:  # where each clause starts, found on the first lookup
+            self._starts = [at for width, start, stop in self.spans
+                            for at in range(start, stop, width + 1)] + [len(self.lits)]
+        i = range(self._len)[i]
+        return tuple(self.lits[self._starts[i]:self._starts[i + 1] - 1])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Clauses) and (self.lits, self.spans) == (other.lits, other.spans)
+
+
+_ZERO = array("i", [0])
+_BODY = itemgetter(slice(-1))  # a clause's literals, without its 0
+
+
 @dataclass(frozen=True)
 class CnfFormula:
     num_vars: int
-    clauses: tuple
+    clauses: Clauses  # literal sequences are stored as Clauses(clauses)
     var_map: dict
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Every formula is checked once, when it is built: one pass over the
-        literals accepts it, and only a rejected formula is walked clause by
-        clause to name the first bad one."""
-        lits = set(chain.from_iterable(self.clauses))
-        if (all(self.clauses) and 0 not in lits
-                and -self.num_vars <= min(lits, default=0)
-                and max(lits, default=0) <= self.num_vars):
-            return
+        """Every formula is checked once, when it is built: one pass collects
+        the store's literals, a span at a time, and checks that a 0 ends each
+        clause; only a rejected formula is walked clause by clause to name
+        the first bad one."""
+        n = self.num_vars
+        try:
+            if not isinstance(self.clauses, Clauses):
+                object.__setattr__(self, "clauses", Clauses(self.clauses))
+        except OverflowError:  # a literal past the store's range: walk the sequences given
+            pass
+        else:
+            lits, spans = self.clauses.lits, self.clauses.spans
+            found = set(chain.from_iterable(lits[start + k:stop:width + 1]
+                                            for width, start, stop in spans for k in range(width)))
+            if (0 not in found and -n <= min(found, default=0) and max(found, default=0) <= n
+                    and len(lits) == (spans[-1][2] if spans else 0)
+                    and all(width and lits[start + width:stop:width + 1]
+                            == _ZERO * ((stop - start) // (width + 1))
+                            for width, start, stop in spans)):
+                return
         for i, clause in enumerate(self.clauses):
             if not clause:
                 raise InvalidInstance(f"empty clause at index {i}")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
+                if lit == 0 or abs(lit) > n:
                     raise InvalidInstance(f"bad literal {lit} in clause {i}")
+        raise InvalidInstance("the 0s of the clause store do not end its clauses")
 
 
 def edge_slots(n: int) -> List[Edge]:
@@ -93,12 +167,6 @@ def _slots_at(slots: Sequence[Edge]) -> Dict[GridPoint, List[int]]:
         at.setdefault(e.a, []).append(idx)
         at.setdefault(e.b, []).append(idx)
     return at
-
-
-def _degree_zero_or_two(vs: List[int]) -> List[Tuple[int, ...]]:
-    """CNF for "the number of true vars among vs is 0 or 2" (|vs| <= 4)."""
-    clauses = [tuple([-v] + [w for w in vs if w != v]) for v in vs]  # no degree 1
-    return clauses + list(combinations([-v for v in vs], 3))  # no degree 3 or more
 
 
 def stconn_clauses(n: int, *, intersection_clauses: bool = True) -> int:
@@ -133,35 +201,27 @@ def gen_stconn(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
     def var(idx: int, color: str) -> int:
         return 2 * idx + (1 if color == BLUE else 2)
 
-    clauses: List[Tuple[int, ...]] = []
-    for corner, own in corners.items():
-        other = RED if own == BLUE else BLUE
-        mine = [var(i, own) for i in at[corner]]
-        clauses.append(tuple(mine))  # at least one edge of the corner's color
-        clauses.extend(combinations([-v for v in mine], 2))  # at most one
-        clauses.extend([(-var(i, other),) for i in at[corner]])  # none of the other color
-    for p in sorted(at):
-        if p in corners:
-            continue
-        for color in (BLUE, RED):
-            clauses.extend(_degree_zero_or_two([var(i, color) for i in at[p]]))
-    if intersection_clauses:
-        seen = set()
-        for p in sorted(at):
-            if p in corners:
-                continue
-            for i, j in product(at[p], repeat=2):
-                c = (-var(i, BLUE), -var(j, RED))
-                if c not in seen:
-                    seen.add(c)
-                    clauses.append(c)
+    def clauses():
+        for corner, own in corners.items():
+            other = RED if own == BLUE else BLUE
+            mine = [var(i, own) for i in at[corner]]
+            yield mine  # at least one edge of the corner's color
+            yield from combinations([-v for v in mine], 2)  # at most one
+            yield from [(-var(i, other),) for i in at[corner]]  # none of the other color
+        inner = [p for p in sorted(at) if p not in corners]
+        for p in inner:  # per color, 0 or 2 of the (at most 4) edges at p
+            for color in (BLUE, RED):
+                vs = [var(i, color) for i in at[p]]
+                yield from [tuple([-v] + [w for w in vs if w != v]) for v in vs]  # not 1
+                yield from combinations([-v for v in vs], 3)  # not 3 or more
+        if intersection_clauses:  # each pair once, where it first meets
+            yield from dict.fromkeys((-var(i, BLUE), -var(j, RED))
+                                     for p in inner for i, j in product(at[p], repeat=2))
 
-    var_map = {}
-    for idx, e in enumerate(slots):
-        var_map[var(idx, BLUE)] = VarRole(BLUE, e, None)
-        var_map[var(idx, RED)] = VarRole(RED, e, None)
+    var_map = {var(idx, color): VarRole(color, e, None)
+               for idx, e in enumerate(slots) for color in (BLUE, RED)}
     meta = {"family": "stconn", "n": n, "weakened": not intersection_clauses}
-    return CnfFormula(2 * len(slots), tuple(clauses), var_map, meta)
+    return CnfFormula(2 * len(slots), Clauses(clauses()), var_map, meta)
 
 
 def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
@@ -181,59 +241,61 @@ def gen_stseq(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
     def var(idx: int, color: str, pos: int) -> int:
         return (pos - 1) * 2 * s + 2 * idx + (1 if color == BLUE else 2)
 
-    # neg[color][pos][i] and cols[color][i][pos - 1] are -var(i, color, pos);
-    # neg[color][0] is unused
-    neg = {color: [()] + [tuple(range(-var(0, color, pos), -var(s, color, pos), -2))
-                          for pos in range(1, length + 1)] for color in (BLUE, RED)}
+    def row(color: str, pos: int, sign: int = -1) -> tuple:  # sign * var(i, color, pos) by slot i
+        return tuple(range(sign * var(0, color, pos), sign * var(s, color, pos), sign * 2))
+
+    # cols[color][i][pos - 1] is -var(i, color, pos)
     cols = {color: [tuple(range(-var(i, color, 1), -var(i, color, length + 1), -2 * s))
                     for i in range(s)] for color in (BLUE, RED)}
     ends_of = [{e.a, e.b} for e in slots]
-    sharing = [(i, j) for i in range(s) for j in range(s) if ends_of[i] & ends_of[j]]
-    equal_or_apart = [(i, j) for i in range(s) for j in range(s)
-                      if i == j or not ends_of[i] & ends_of[j]]
+    # each getter picks one side of a list of slot pairs out of a row
+    sharing = [itemgetter(*side) for side in zip(*[
+        (i, j) for i in range(s) for j in range(s) if ends_of[i] & ends_of[j]])]
+    equal_or_apart = [itemgetter(*side) for side in zip(*[
+        (i, j) for i in range(s) for j in range(s) if i == j or not ends_of[i] & ends_of[j]])]
+    distinct = [itemgetter(*side) for side in zip(*combinations(range(s), 2))]
 
-    clauses: List[Tuple[int, ...]] = []
+    out = Clauses()
     for color in (BLUE, RED):
         start, goal = ends[color]
-        row, col = neg[color], cols[color]
-        off_goal = [i for i in range(s) if goal not in ends_of[i]]
+        neg = [()] + [row(color, pos) for pos in range(1, length + 1)]
+        col = cols[color]
+        off_goal = itemgetter(*[i for i in range(s) if goal not in ends_of[i]])
+        at_goal = itemgetter(*[i for i in at[goal] for _ in range(s)])
         for pos in range(1, length + 1):  # at most one edge per position
-            clauses.extend(combinations(row[pos], 2))
-        clauses.append(tuple(-row[1][i] for i in at[start]))  # start corner
+            out._pairs(distinct[0](neg[pos]), distinct[1](neg[pos]))
+        out._put(len(at[start]), [-neg[1][i] for i in at[start]] + [0])  # start corner
         for pos in range(2, length + 1):  # empties form a terminal suffix
-            prev = tuple(-v for v in row[pos - 1])
-            clauses.extend([(v,) + prev for v in row[pos]])
+            out._rows(neg[pos], row(color, pos - 1, 1))
         for pos in range(1, length):  # consecutive edges share exactly one point
-            a, b = row[pos], row[pos + 1]
-            clauses.extend([(a[i], b[j]) for i, j in equal_or_apart])
+            out._pairs(equal_or_apart[0](neg[pos]), equal_or_apart[1](neg[pos + 1]))
         for pos in range(1, length):  # stopping early requires the goal corner
-            nxt = tuple(-v for v in row[pos + 1])
-            clauses.extend([(row[pos][i],) + nxt for i in off_goal])
+            out._rows(off_goal(neg[pos]), row(color, pos + 1, 1))
         # the last position, if used, must reach the goal
-        clauses.extend([(row[length][i],) for i in off_goal])
+        out._rows(off_goal(neg[length]))
         for pos in range(1, length):  # touching the goal corner ends the path
-            clauses.extend(product([row[pos][i] for i in at[goal]], row[pos + 1]))
+            out._pairs(at_goal(neg[pos]), neg[pos + 1] * len(at[goal]))
         for i in at[start]:  # the start corner is touched by the first edge only
-            clauses.extend([(v,) for v in col[i][1:]])
+            out._rows(col[i][1:])
         for corner in ends[RED if color == BLUE else BLUE]:  # off the other color's corners
             for i in at[corner]:
-                clauses.extend([(v,) for v in col[i]])
-        for pos in range(1, length + 1):  # simple path: no revisited points
-            for pos2 in range(pos + 2, length + 1):
-                a, b = row[pos], row[pos2]
-                clauses.extend([(a[i], b[j]) for i, j in sharing])
-    if intersection_clauses:
+                out._rows(col[i])
+        firsts = [array("i", sharing[0](r)) for r in neg[1:]]
+        seconds = [array("i", sharing[1](r)) for r in neg[1:]]
+        for pos in range(length):  # simple path: no revisited points
+            for pos2 in range(pos + 2, length):
+                out._pairs(firsts[pos], seconds[pos2])
+    if intersection_clauses:  # product(blue column i, red column j) per pair
+        blue = [array("i", chain.from_iterable(repeat(v, length) for v in c)) for c in cols[BLUE]]
+        red = [array("i", c * length) for c in cols[RED]]
         for p in sorted(at):
             for i, j in product(at[p], repeat=2):
-                clauses.extend(product(cols[BLUE][i], cols[RED][j]))
+                out._pairs(blue[i], red[j])
 
-    var_map = {}
-    for pos in range(1, length + 1):
-        for idx, e in enumerate(slots):
-            var_map[var(idx, BLUE, pos)] = VarRole(BLUE, e, pos)
-            var_map[var(idx, RED, pos)] = VarRole(RED, e, pos)
+    var_map = {var(idx, color, pos): VarRole(color, e, pos) for pos in range(1, length + 1)
+               for idx, e in enumerate(slots) for color in (BLUE, RED)}
     meta = {"family": "stseq", "n": n, "weakened": not intersection_clauses}
-    return CnfFormula(2 * s * length, tuple(clauses), var_map, meta)
+    return CnfFormula(2 * s * length, out, var_map, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +306,10 @@ class _ClauseState:
     """Assignment engine shared by both search modes.
 
     A binary clause (a, b) is two implications: ``imp[-a]`` holds b and
-    ``imp[-b]`` holds a.  Every other clause is counted: ``n_live[ci]`` counts
-    the literals of clause ci that are not false, 0 meaning falsified and 1
-    satisfied or a unit; ``occ`` lists each literal's counted clauses.
+    ``imp[-b]`` holds a.  Every other clause is counted: ``clauses`` lists
+    them in order, ``n_live[ci]`` counts the literals of ``clauses[ci]`` that
+    are not false, 0 meaning falsified and 1 satisfied or a unit, and ``occ``
+    lists each literal's counted clauses.
     ``trail`` lists the literals made true, in order, so ``undo(mark)`` takes
     back everything assigned since ``len(trail)`` was ``mark``.  ``imp``,
     ``occ`` and ``truth`` are indexed by a literal: Python puts index ``-v``
@@ -254,19 +317,22 @@ class _ClauseState:
     """
 
     def __init__(self, f: CnfFormula):
-        self.clauses = f.clauses
         self.num_vars = f.num_vars
         self.imp: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
         self.occ: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
-        for ci, clause in enumerate(self.clauses):
-            if len(clause) == 2:
-                a, b = clause
-                self.imp[-a].append(b)
-                self.imp[-b].append(a)
+        self.clauses: List[Tuple[int, ...]] = []
+        for width, start, stop in f.clauses.spans:  # a run of equal-width clauses at a time
+            it = iter(f.clauses.lits[start:stop].tolist())
+            if width == 2:
+                for a, b, _ in zip(it, it, it):
+                    self.imp[-a].append(b)
+                    self.imp[-b].append(a)
             else:
-                for lit in clause:
-                    self.occ[lit].append(ci)
-        self.n_live = [len(c) for c in self.clauses]
+                self.clauses.extend(map(_BODY, zip(*[it] * (width + 1))))
+        for ci, clause in enumerate(self.clauses):
+            for lit in clause:
+                self.occ[lit].append(ci)
+        self.n_live = list(map(len, self.clauses))
         self.truth: List[Optional[bool]] = [None] * (2 * f.num_vars + 1)
         self.trail: List[int] = []
         self.decisions = 0
@@ -354,7 +420,7 @@ def _solve_dpll(f: CnfFormula) -> Optional[Dict[int, bool]]:
     """Unit propagation plus branching, lowest free variable first, true
     branch first, on an explicit stack of (variable, value, trail mark).
 
-    Only the root reads every clause, for the length-1 ones.  At a fixpoint
+    Only the root reads every counted clause, for the length-1 ones.  At a fixpoint
     no clause is unit, so after a branch the only candidates are the clauses
     it falsified a literal of, whose literals ``set_true`` queues; unit
     propagation is confluent, so this reaches the fixpoint and the conflicts
@@ -362,7 +428,7 @@ def _solve_dpll(f: CnfFormula) -> Optional[Dict[int, bool]]:
     """
     state = _ClauseState(f)
     truth = state.truth
-    ok = state.propagate([c[0] for c in f.clauses if len(c) == 1])
+    ok = state.propagate([c[0] for c in state.clauses if len(c) == 1])
     stack: List[Tuple[int, bool, int]] = []
     v = 1
     while True:
@@ -416,13 +482,18 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
     EdgeSequences for stseq.  The assignment must satisfy ``f``; the first
     violated clause is reported otherwise.
     """
-    get = assignment.get
-    true = {lit for v in range(1, f.num_vars + 1) for lit in (v, -v)
-            if get(v, False) == (lit > 0)}
-    violated = list(map(true.isdisjoint, f.clauses))
-    if True in violated:
-        ci = violated.index(True)
-        raise InvalidInstance(f"assignment violates clause {ci}: {list(f.clauses[ci])}")
+    truth, ci, lits = [0] * (2 * f.num_vars + 1), 0, f.clauses.lits
+    for v in range(1, f.num_vars + 1):  # a value satisfies the literal of its sign
+        truth[v], truth[-v] = assignment.get(v, False) == 1, assignment.get(v, False) == 0
+    for width, start, stop in f.clauses.spans:
+        met = 0  # byte t is 1 when the span's clause t has a true literal
+        for k in range(width):  # the span's k-th literals at a time
+            met |= int.from_bytes(bytes(map(truth.__getitem__, lits[start + k:stop:width + 1])), "big")
+        unmet = met.to_bytes((stop - start) // (width + 1), "big").find(0)
+        if unmet >= 0:
+            ci += unmet
+            raise InvalidInstance(f"assignment violates clause {ci}: {list(f.clauses[ci])}")
+        ci += (stop - start) // (width + 1)
     family, n = f.meta.get("family"), f.meta.get("n")
     if family == "stconn":
         picked = {BLUE: [], RED: []}
@@ -452,20 +523,23 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
     raise InvalidInstance(f"cannot decode family {family!r}")
 
 
-_BATCH = 4096  # clauses joined into one string: the text held at once stays small
+_BATCH = 1 << 16  # store elements (literals and 0s) joined into one string
 
 
 def to_dimacs(f: CnfFormula, fh=None):
     """DIMACS CNF text with a commented variable map, returned whole, or
-    written to the text file ``fh`` a batch of clauses at a time.  Each
-    clause is formatted with one ``%`` format picked by its length."""
+    written to the text file ``fh`` a batch at a time.  The clause lines are
+    the flat store mapped through one table of literal texts, indexed like
+    ``_ClauseState``'s lists, in which ``table[0]`` is ``"0\n"``: each
+    element maps on its own, so a batch may end inside a clause."""
     head = " ".join(f"{k}={f.meta[k]}" for k in sorted(f.meta))
     names = [f"c var {v} {f.var_map[v].describe()}\n" for v in sorted(f.var_map)]
-    formats = ["%d " * k + "0\n" for k in range(max(map(len, f.clauses), default=0) + 1)]
+    table = ["0\n", *(f"{v} " for v in chain(range(1, f.num_vars + 1), range(-f.num_vars, 0)))]
+    lits = f.clauses.lits
     batches = chain([f"c gridjct {head}".rstrip() + "\n", "".join(names),
                      f"p cnf {f.num_vars} {len(f.clauses)}\n"],
-                    ("".join([formats[len(c)] % c for c in f.clauses[k:k + _BATCH]])
-                     for k in range(0, len(f.clauses), _BATCH)))
+                    ("".join(map(table.__getitem__, lits[k:k + _BATCH]))
+                     for k in range(0, len(lits), _BATCH)))
     if fh is None:
         return "".join(batches)
     fh.writelines(batches)

@@ -9,6 +9,7 @@ import pytest
 
 from gridjct import cnf
 from gridjct.cnf import (
+    Clauses,
     CnfFormula,
     check_unsat,
     decode_model,
@@ -473,3 +474,78 @@ def test_decode_reads_ints_and_missing_variables_as_today():
                            ({1: 2}, 0), ({1: 1, 2: None}, 1)):
         with pytest.raises(InvalidInstance, match=f"violates clause {ci}:"):
             decode_model(f, assignment)
+
+
+def _parse_clauses(text):
+    """The ``p cnf`` clause count and the clause lines of DIMACS text, as tuples."""
+    lines = text.splitlines()
+    header = next(line for line in lines if line.startswith("p cnf "))
+    body = [line for line in lines if not line.startswith(("c", "p"))]
+    return int(header.split()[3]), [tuple(map(int, line.split()[:-1])) for line in body]
+
+
+@pytest.mark.parametrize("gen", [gen_stconn, gen_stseq])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("weakened", [False, True])
+def test_clauses_view_reads_back_as_the_text(gen, n, weakened):
+    # the tuples the view yields are the clause lines, its length is the
+    # header's count, and the tuples rebuild the same flat store
+    f = gen(n, intersection_clauses=not weakened)
+    count, parsed = _parse_clauses(to_dimacs(f))
+    view = list(f.clauses)
+    assert view == parsed
+    assert len(f.clauses) == count == len(parsed)
+    assert [f.clauses[i] for i in (0, count // 2, count - 1, -1, -count)] == \
+        [parsed[i] for i in (0, count // 2, count - 1, -1, -count)]
+    with pytest.raises(IndexError):
+        f.clauses[count]
+    rebuilt = CnfFormula(f.num_vars, tuple(f.clauses), f.var_map, f.meta)
+    assert rebuilt == f
+    assert rebuilt.clauses.spans == f.clauses.spans
+
+
+def _offset(f, ci):
+    """Where clause ci's first literal sits in the flat store."""
+    return sum(len(c) + 1 for c in list(f.clauses)[:ci])
+
+
+@pytest.mark.parametrize("gen, ci, k", [
+    (gen_stconn, 0, 0), (gen_stconn, 40, 1), (gen_stseq, 0, 1),
+    (gen_stseq, 266, 7), (gen_stseq, 1533, 12), (gen_stseq, 2893, 0)])
+def test_faults_injected_into_a_generated_store_are_named(gen, ci, k):
+    # a 0 or an out-of-range literal written into a generator-built store is
+    # rejected with the wording of the BAD_FORMULAS messages
+    f = gen(2)
+    at = _offset(f, ci) + k
+    assert k < len(f.clauses[ci])
+    for bad in (0, f.num_vars + 1, -f.num_vars - 1):
+        clauses = Clauses(f.clauses)
+        clauses.lits[at] = bad
+        with pytest.raises(InvalidInstance) as exc:
+            CnfFormula(f.num_vars, clauses, f.var_map, f.meta)
+        assert str(exc.value) == f"bad literal {bad} in clause {ci}"
+        as_tuples = list(f.clauses)
+        as_tuples[ci] = as_tuples[ci][:k] + (bad,) + as_tuples[ci][k + 1:]
+        with pytest.raises(InvalidInstance) as exc:
+            CnfFormula(f.num_vars, tuple(as_tuples), f.var_map, f.meta)
+        assert str(exc.value) == f"bad literal {bad} in clause {ci}"
+
+
+def test_literal_past_the_store_range_is_named():
+    for bad in (2 ** 40, -2 ** 40):
+        with pytest.raises(InvalidInstance) as exc:
+            CnfFormula(2, ((1,), (-1, bad)), {})
+        assert str(exc.value) == f"bad literal {bad} in clause 1"
+
+
+def test_store_whose_zeros_do_not_end_its_clauses_is_rejected():
+    f = gen_stseq(2)
+    for at in (len(f.clauses[0]), len(f.clauses.lits) - 1):
+        clauses = Clauses(f.clauses)
+        clauses.lits[at] = 1  # a clause's 0 overwritten by a valid literal
+        with pytest.raises(InvalidInstance, match="do not end its clauses"):
+            CnfFormula(f.num_vars, clauses, f.var_map, f.meta)
+    clauses = Clauses(f.clauses)
+    clauses.lits.append(1)  # a literal past the last clause
+    with pytest.raises(InvalidInstance, match="do not end its clauses"):
+        CnfFormula(f.num_vars, clauses, f.var_map, f.meta)
