@@ -9,7 +9,6 @@ import pytest
 
 from gridjct import cnf
 from gridjct.cnf import (
-    Clauses,
     CnfFormula,
     check_unsat,
     decode_model,
@@ -504,27 +503,21 @@ def test_clauses_view_reads_back_as_the_text(gen, n, weakened):
     assert rebuilt.clauses.spans == f.clauses.spans
 
 
-def _offset(f, ci):
-    """Where clause ci's first literal sits in the flat store."""
-    return sum(len(c) + 1 for c in list(f.clauses)[:ci])
-
-
 @pytest.mark.parametrize("gen, ci, k", [
     (gen_stconn, 0, 0), (gen_stconn, 40, 1), (gen_stseq, 0, 1),
     (gen_stseq, 266, 7), (gen_stseq, 1533, 12), (gen_stseq, 2893, 0)])
 def test_faults_injected_into_a_generated_store_are_named(gen, ci, k):
-    # a 0 or an out-of-range literal written into a generator-built store is
-    # rejected with the wording of the BAD_FORMULAS messages
-    f = gen(2)
-    at = _offset(f, ci) + k
-    assert k < len(f.clauses[ci])
-    for bad in (0, f.num_vars + 1, -f.num_vars - 1):
-        clauses = Clauses(f.clauses)
-        clauses.lits[at] = bad
-        with pytest.raises(InvalidInstance) as exc:
-            CnfFormula(f.num_vars, clauses, f.var_map, f.meta)
-        assert str(exc.value) == f"bad literal {bad} in clause {ci}"
+    # a 0 or an out-of-range literal written into a generator-built array is
+    # rejected with the wording of the BAD_FORMULAS messages, as the same
+    # fault is when the clauses are given as tuples
+    for bad in (0, 3000, -3000):
+        f = gen(2)
         as_tuples = list(f.clauses)
+        assert k < len(as_tuples[ci])
+        f.clauses.lits[sum(len(c) + 1 for c in as_tuples[:ci]) + k] = bad
+        with pytest.raises(InvalidInstance) as exc:
+            CnfFormula(f.num_vars, f.clauses, f.var_map, f.meta)
+        assert str(exc.value) == f"bad literal {bad} in clause {ci}"
         as_tuples[ci] = as_tuples[ci][:k] + (bad,) + as_tuples[ci][k + 1:]
         with pytest.raises(InvalidInstance) as exc:
             CnfFormula(f.num_vars, tuple(as_tuples), f.var_map, f.meta)
@@ -539,13 +532,12 @@ def test_literal_past_the_store_range_is_named():
 
 
 def test_store_whose_zeros_do_not_end_its_clauses_is_rejected():
-    f = gen_stseq(2)
-    for at in (len(f.clauses[0]), len(f.clauses.lits) - 1):
-        clauses = Clauses(f.clauses)
-        clauses.lits[at] = 1  # a clause's 0 overwritten by a valid literal
+    for at in (2, -1):  # the first clause's 0 and the last one's
+        f = gen_stseq(2)
+        f.clauses.lits[at] = 1
         with pytest.raises(InvalidInstance, match="do not end its clauses"):
-            CnfFormula(f.num_vars, clauses, f.var_map, f.meta)
-    clauses = Clauses(f.clauses)
-    clauses.lits.append(1)  # a literal past the last clause
+            CnfFormula(f.num_vars, f.clauses, f.var_map, f.meta)
+    f = gen_stseq(2)
+    f.clauses.lits.append(1)  # a literal past the last clause
     with pytest.raises(InvalidInstance, match="do not end its clauses"):
-        CnfFormula(f.num_vars, clauses, f.var_map, f.meta)
+        CnfFormula(f.num_vars, f.clauses, f.var_map, f.meta)
