@@ -482,18 +482,14 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
     EdgeSequences for stseq.  The assignment must satisfy ``f``; the first
     violated clause is reported otherwise.
     """
-    truth, ci, lits = [0] * (2 * f.num_vars + 1), 0, f.clauses.lits
-    for v in range(1, f.num_vars + 1):  # a value satisfies the literal of its sign
-        truth[v], truth[-v] = assignment.get(v, False) == 1, assignment.get(v, False) == 0
-    for width, start, stop in f.clauses.spans:
-        met = 0  # byte t is 1 when the span's clause t has a true literal
-        for k in range(width):  # the span's k-th literals at a time
-            met |= int.from_bytes(bytes(map(truth.__getitem__, lits[start + k:stop:width + 1])), "big")
-        unmet = met.to_bytes((stop - start) // (width + 1), "big").find(0)
-        if unmet >= 0:
-            ci += unmet
+    get, ci, lits = assignment.get, 0, f.clauses.lits
+    true = {lit for v in range(1, f.num_vars + 1) for lit in (v, -v) if get(v, False) == (lit > 0)}
+    for width, start, stop in f.clauses.spans:  # each clause zipped from the span's columns
+        columns = [lits[start + k:stop:width + 1] for k in range(width)]
+        if any(map(true.isdisjoint, zip(*columns))):
+            ci += list(map(true.isdisjoint, zip(*columns))).index(True)
             raise InvalidInstance(f"assignment violates clause {ci}: {list(f.clauses[ci])}")
-        ci += (stop - start) // (width + 1)
+        ci += len(columns[0])
     family, n = f.meta.get("family"), f.meta.get("n")
     if family == "stconn":
         picked = {BLUE: [], RED: []}
