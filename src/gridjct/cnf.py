@@ -321,14 +321,14 @@ class _ClauseState:
         self.imp: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
         self.occ: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
         self.clauses: List[Tuple[int, ...]] = []
+        imp, lits = self.imp, f.clauses.lits
         for width, start, stop in f.clauses.spans:  # a run of equal-width clauses at a time
-            it = iter(f.clauses.lits[start:stop].tolist())
-            if width == 2:
-                for a, b, _ in zip(it, it, it):
-                    self.imp[-a].append(b)
-                    self.imp[-b].append(a)
+            if width == 2:  # zipped from list copies of the span's two literal columns
+                for a, b in zip(lits[start:stop:3].tolist(), lits[start + 1:stop:3].tolist()):
+                    imp[-a].append(b)
+                    imp[-b].append(a)
             else:
-                self.clauses.extend(map(_BODY, zip(*[it] * (width + 1))))
+                self.clauses.extend(map(_BODY, zip(*[iter(lits[start:stop].tolist())] * (width + 1))))
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
                 self.occ[lit].append(ci)
