@@ -187,12 +187,10 @@ def check_edge_alternation(seq: EdgeSequence) -> bool:
     """Every column's left- and right-pointing edges alternate.
 
     True for every simple closed curve; ``False`` flags a revisiting chain or
-    an implementation bug.  Chaining is required, simplicity is not, so the
-    merge diagnostics can feed deliberately broken sequences through.
+    an implementation bug.  ``check_chain`` requires chaining, not simplicity,
+    so the merge diagnostics can feed deliberately broken sequences through.
     """
     if seq.kind != CLOSED or not seq.edges:
         raise PreconditionViolation("closed sequence")
-    for i in range(len(seq.edges)):
-        if seq.edges[i].dst != seq.edges[(i + 1) % len(seq.edges)].src:
-            raise PreconditionViolation("chained closed sequence")
+    seq.check_chain()
     return all(col.alternates() for col in _scan_columns(seq).values())

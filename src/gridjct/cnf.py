@@ -65,10 +65,10 @@ class Clauses:
     ``lits[start:stop]`` of clauses of ``width`` literals.  The generators
     add whole blocks with ``_pairs`` and ``_rows``."""
 
-    __slots__ = ("lits", "spans", "_len", "_starts")
+    __slots__ = ("lits", "spans")
 
     def __init__(self, clauses=()):
-        self.lits, self.spans, self._len, self._starts = array("i"), [], 0, None
+        self.lits, self.spans = array("i"), []
         for width, group in groupby(clauses, len):
             self._put(width, chain.from_iterable(chain.from_iterable(zip(group, repeat((0,))))))
 
@@ -77,7 +77,6 @@ class Clauses:
         end = len(self.lits)
         start = self.spans.pop()[1] if self.spans and self.spans[-1][0] == width else end
         self.lits.extend(block)
-        self._len += (len(self.lits) - end) // (width + 1)
         if start < len(self.lits):
             self.spans.append((width, start, len(self.lits)))
 
@@ -93,19 +92,18 @@ class Clauses:
         block[0::len(rest) + 2] = array("i", firsts)
         self._put(len(rest) + 1, block)
 
+    def columns(self):
+        """The one reader of the layout: ``(width, cols)`` for each span, where
+        ``cols[k]`` holds the k-th literal of each of its clauses and ``cols[width]`` their 0s."""
+        for width, start, stop in self.spans:
+            yield width, [self.lits[start + k:stop:width + 1] for k in range(width + 1)]
+
     def __len__(self) -> int:
-        return self._len
+        return sum((stop - start) // (width + 1) for width, start, stop in self.spans)
 
     def __iter__(self):
-        for width, start, stop in self.spans:
-            yield from map(_BODY, zip(*[iter(self.lits[start:stop])] * (width + 1)))
-
-    def __getitem__(self, i: int) -> Tuple[int, ...]:
-        if self._starts is None:  # where each clause starts, found on the first lookup
-            self._starts = [at for width, start, stop in self.spans
-                            for at in range(start, stop, width + 1)] + [len(self.lits)]
-        i = range(self._len)[i]
-        return tuple(self.lits[self._starts[i]:self._starts[i + 1] - 1])
+        for _, cols in self.columns():  # zipped with the 0s, so an empty clause reads ()
+            yield from map(_BODY, zip(*cols))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Clauses) and (self.lits, self.spans) == (other.lits, other.spans)
@@ -134,14 +132,12 @@ class CnfFormula:
         except OverflowError:  # a literal past the store's range: walk the sequences given
             pass
         else:
-            lits, spans = self.clauses.lits, self.clauses.spans
-            found = set(chain.from_iterable(lits[start + k:stop:width + 1]
-                                            for width, start, stop in spans for k in range(width)))
-            if (0 not in found and -n <= min(found, default=0) and max(found, default=0) <= n
-                    and len(lits) == (spans[-1][2] if spans else 0)
-                    and all(width and lits[start + width:stop:width + 1]
-                            == _ZERO * ((stop - start) // (width + 1))
-                            for width, start, stop in spans)):
+            lits, spans, found = self.clauses.lits, self.clauses.spans, set()
+            ended = len(lits) == (spans[-1][2] if spans else 0)  # no element past the last span
+            for width, cols in self.clauses.columns():
+                found.update(*cols[:width])
+                ended = ended and width > 0 and cols[width].count(0) == len(cols[width])
+            if ended and 0 not in found and -n <= min(found, default=0) <= max(found, default=0) <= n:
                 return
         for i, clause in enumerate(self.clauses):
             if not clause:
@@ -321,14 +317,14 @@ class _ClauseState:
         self.imp: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
         self.occ: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
         self.clauses: List[Tuple[int, ...]] = []
-        imp, lits = self.imp, f.clauses.lits
-        for width, start, stop in f.clauses.spans:  # a run of equal-width clauses at a time
-            if width == 2:  # zipped from list copies of the span's two literal columns
-                for a, b in zip(lits[start:stop:3].tolist(), lits[start + 1:stop:3].tolist()):
+        imp = self.imp
+        for width, cols in f.clauses.columns():  # zipped from list copies of the literal columns
+            if width == 2:
+                for a, b in zip(cols[0].tolist(), cols[1].tolist()):
                     imp[-a].append(b)
                     imp[-b].append(a)
             else:
-                self.clauses.extend(map(_BODY, zip(*[iter(lits[start:stop].tolist())] * (width + 1))))
+                self.clauses.extend(zip(*[col.tolist() for col in cols[:width]]))
         for ci, clause in enumerate(self.clauses):
             for lit in clause:
                 self.occ[lit].append(ci)
@@ -482,14 +478,13 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
     EdgeSequences for stseq.  The assignment must satisfy ``f``; the first
     violated clause is reported otherwise.
     """
-    get, ci, lits = assignment.get, 0, f.clauses.lits
+    get, ci = assignment.get, 0
     true = {lit for v in range(1, f.num_vars + 1) for lit in (v, -v) if get(v, False) == (lit > 0)}
-    for width, start, stop in f.clauses.spans:  # each clause zipped from the span's columns
-        columns = [lits[start + k:stop:width + 1] for k in range(width)]
-        if any(map(true.isdisjoint, zip(*columns))):
-            ci += list(map(true.isdisjoint, zip(*columns))).index(True)
-            raise InvalidInstance(f"assignment violates clause {ci}: {list(f.clauses[ci])}")
-        ci += len(columns[0])
+    for width, cols in f.clauses.columns():  # each clause zipped from its span's columns
+        if any(map(true.isdisjoint, zip(*cols[:width]))):
+            at, clause = next(c for c in enumerate(zip(*cols[:width])) if true.isdisjoint(c[1]))
+            raise InvalidInstance(f"assignment violates clause {ci + at}: {list(clause)}")
+        ci += len(cols[width])
     family, n = f.meta.get("family"), f.meta.get("n")
     if family == "stconn":
         picked = {BLUE: [], RED: []}

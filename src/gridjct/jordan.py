@@ -259,11 +259,9 @@ def _free_components(grid: bytearray, h: int) -> int:
         while i < j:
             a0, a1 = runs[i]
             if a0 < b1 and b0 < a1:  # a shared height, not just a corner
-                ra, rb = i, j
+                ra, rb = i, j  # j is a root: only runs before it get a new parent
                 while parent[ra] != ra:
                     parent[ra] = ra = parent[parent[ra]]
-                while parent[rb] != rb:
-                    parent[rb] = rb = parent[parent[rb]]
                 if ra != rb:
                     parent[ra] = rb
                     comps -= 1

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .errors import GridJctError, InvalidInstance, PreconditionViolation, TheoremViolation
+from .errors import InvalidInstance, PreconditionViolation, TheoremViolation
 from .grid import (
     CLOSED,
     OPEN,
@@ -83,7 +83,7 @@ def _polyline(*pts) -> List[DirectedEdge]:
     for (ax, ay), (bx, by) in zip(pts, pts[1:]):
         dx, dy = bx - ax, by - ay
         if dx and dy:
-            raise GridJctError("run endpoints not axis aligned")
+            raise TheoremViolation("run endpoints not axis aligned")
         out += [DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2)) for x1, y1, x2, y2 in
                 _unit_steps(ax, ay, (dx > 0) - (dx < 0), (dy > 0) - (dy < 0) or 1, abs(dx + dy))]
     return out
@@ -158,7 +158,7 @@ def _reflect(quarter: str, p: GridPoint, big_n: int) -> GridPoint:
         return GridPoint(p.x, 3 * big_n - p.y)
     if quarter == "R":
         return GridPoint(3 * big_n - p.x, p.y)
-    raise GridJctError(f"unknown quarter {quarter!r}")
+    raise TheoremViolation(f"unknown quarter {quarter!r}")
 
 
 def _strict_quarter(p: GridPoint, big_n: int) -> Optional[str]:
@@ -177,10 +177,10 @@ def _strict_quarter(p: GridPoint, big_n: int) -> Optional[str]:
 def _edge_quarter(a: GridPoint, b: GridPoint, big_n: int) -> str:
     qa, qb = _strict_quarter(a, big_n), _strict_quarter(b, big_n)
     if qa and qb and qa != qb:
-        raise GridJctError("edge spans two open quarters (bug)")
+        raise TheoremViolation("edge spans two open quarters (bug)")
     q = qa or qb
     if q is None:
-        raise GridJctError("edge with both endpoints on diagonals (impossible)")
+        raise TheoremViolation("edge with both endpoints on diagonals (impossible)")
     return q
 
 
@@ -208,7 +208,7 @@ def _reflect_color_set(es: EdgeSet, big_n: int) -> set:
     incident.pop(GridPoint(big_n, big_n), None)
     for w, qs in incident.items():
         if len(qs) > 2:
-            raise GridJctError("diagonal point touched from more than two quarters")
+            raise TheoremViolation("diagonal point touched from more than two quarters")
         if len(qs) == 2:
             out.update(e.undirected() for e in _connector(w, *qs, big_n))
     return out
@@ -293,7 +293,7 @@ def _seq_core(edges, big_n: int) -> List[Step]:
         conn = _connector(e.dst, q, q2, big_n) if q2 != q else []
         detour = len(conn)
         if detour % 2 != 0 or (detour and not 1 <= detour // 2 < big_n):
-            raise GridJctError(
+            raise TheoremViolation(
                 f"outward run of length {detour + 1} is not of the form 2l+1 "
                 f"with 1 <= l < {big_n}")
         core.append((a.x, a.y, b.x - a.x, b.y - a.y, 4 * big_n - 2 * detour - 2))
@@ -529,9 +529,9 @@ def jct_to_stconn_seq(inst: Instance) -> StConnSeqReduction:
         blue = blue.reverse()  # reversal keeps the center first, now westward
     core = {"red": _seq_core(red.edges, big_n), "blue": _seq_core(blue.edges, big_n)}
     if core["red"][0][:2] != (big_n, 1):
-        raise GridJctError("red core does not start at the lower image point (bug)")
+        raise TheoremViolation("red core does not start at the lower image point (bug)")
     if core["blue"][0][:2] != (0, big_n):
-        raise GridJctError("blue core does not start at the left corner image (bug)")
+        raise TheoremViolation("blue core does not start at the left corner image (bug)")
     return StConnSeqReduction(big_n, core, _end_runs(big_n))
 
 

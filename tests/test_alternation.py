@@ -15,7 +15,7 @@ from gridjct.alternation import (
     minimal_segments,
     reindex_canonical,
 )
-from gridjct.errors import PreconditionViolation
+from gridjct.errors import InvalidInstance, PreconditionViolation
 from gridjct.generate import gen_random_curve
 from gridjct.grid import DirectedEdge, EdgeSequence, GridPoint
 
@@ -217,12 +217,28 @@ def test_edge_alternation_rectangles_and_random():
         assert check_edge_alternation(gen_random_curve(12, seed))
 
 
+def _edges(*pts):
+    return tuple(DirectedEdge(GridPoint(*a), GridPoint(*b)) for a, b in zip(pts, pts[1:]))
+
+
 def test_edge_alternation_broken_chain():
-    # Flat two-edge out-and-back: both directions of one slot in one column.
-    e = [DirectedEdge(GridPoint(0, 0), GridPoint(1, 0)),
-         DirectedEdge(GridPoint(1, 0), GridPoint(0, 0))]
-    flat = EdgeSequence(tuple(e), 3, "closed")
+    # Flat four-edge out-and-back: both directions of each slot in its column.
+    flat = EdgeSequence(_edges((0, 0), (1, 0), (2, 0), (1, 0), (0, 0)), 3, "closed")
     assert not check_edge_alternation(flat)
+
+
+@pytest.mark.parametrize("edges, kind, exc, message", [
+    (_edges((0, 0), (1, 0), (0, 0)), "closed", InvalidInstance,
+     "closed curve needs at least 4 edges"),
+    (_edges((0, 0), (1, 0)) + _edges((1, 1), (0, 1), (0, 0)), "closed", InvalidInstance,
+     r"edge 1 does not chain: \(1, 0\) != \(1, 1\)"),
+    (_edges((0, 0), (1, 0), (1, 1)), "open", PreconditionViolation, "closed sequence"),
+    ((), "closed", PreconditionViolation, "closed sequence"),
+], ids=["two-edges", "unchained", "open", "empty"])
+def test_edge_alternation_rejects_unchained_or_open_input(edges, kind, exc, message):
+    # check_chain names the first break; open or empty input fails the precondition
+    with pytest.raises(exc, match=message):
+        check_edge_alternation(EdgeSequence(edges, 3, kind))
 
 
 def sticking_segments(seq, m, cap=400):
@@ -279,3 +295,11 @@ def test_occupied_columns_form_an_interval():
         curve = gen_random_curve(12, seed)
         xs = sorted({p.x for p in curve.point_set})
         assert xs == list(range(xs[0], xs[-1] + 1))
+
+
+@pytest.mark.parametrize("reader", [reindex_canonical, lambda seq: minimal_segments(seq, 1)],
+                         ids=["reindex_canonical", "minimal_segments"])
+def test_segment_readers_reject_open_sequences(reader):
+    with pytest.raises(PreconditionViolation) as exc:
+        reader(EdgeSequence.from_points([(0, 0), (1, 0), (1, 1)], 2, "open"))
+    assert exc.value.condition == "closed sequence"

@@ -9,6 +9,7 @@ import pytest
 
 import gridjct
 from gridjct import cnf, generate, jordan
+from gridjct import reduce as reductions
 from gridjct.cli import main
 from gridjct.errors import TheoremViolation
 from gridjct.generate import gen_crossing_instance
@@ -127,15 +128,30 @@ def _as_set_instance(instance_file, tmp_path):
     return str(path)
 
 
-def test_reduce_edge_at(tmp_path, capsys):
+def _seq_instance_file(tmp_path):
     src = gen_crossing_instance(6, 3, avoid_midpoint=True)
     path = tmp_path / "seq_inst.json"
     save_instance(Instance(n=src.n, form="seq", blue=src.blue, red=src.red,
                            sides=src.sides), path)
+    return str(path)
+
+
+def test_reduce_edge_at(tmp_path, capsys):
     assert main(["reduce", "--from", "jct", "--form", "seq", "--instance",
-                 str(path), "--edge-at", "0", "--json"]) == 0
+                 _seq_instance_file(tmp_path), "--edge-at", "0", "--json"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert len(blob["edge"]) == 4 and blob["block_size"] > 0
+
+
+def test_reduce_bug_guard_exits_2(monkeypatch, tmp_path, capsys):
+    # a red core that starts off the lower image point can only be a bug
+    monkeypatch.setattr(reductions, "_seq_core", lambda edges, big_n: [(0, 0, 1, 0, None)])
+    assert main(["reduce", "--from", "jct", "--form", "seq", "--instance",
+                 _seq_instance_file(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "theorem violation: red core does not start at the lower image point (bug)"]
 
 
 @pytest.mark.parametrize("source,form,with_out", [

@@ -38,6 +38,9 @@ def test_curve_small_n():
     gen_random_curve(2, 0).validate()
     with pytest.raises(PreconditionViolation):
         gen_random_curve(1, 0)
+    with pytest.raises(PreconditionViolation, match="^precondition violated: margin leaves room "
+                                                    "for at least one cell$"):
+        gen_random_curve(4, 1, margin=2)
 
 
 def test_generators_reject_n_over_cap_before_any_work(monkeypatch):

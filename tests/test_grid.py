@@ -16,6 +16,7 @@ from gridjct.grid import (
     EdgeSequence,
     EdgeSet,
     GridPoint,
+    Instance,
     checked_path,
     connects,
     intersects,
@@ -395,3 +396,25 @@ def test_reverse_roundtrip():
     sq = rect_curve(1, 1, 3, 3, 6)
     assert sq.reverse().reverse() == sq
     sq.reverse().validate()
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    (lambda c: Instance(6, "seq", c.blue, None, c.sides).validate(),
+     InvalidInstance, 'a crossing instance needs "blue", "red" and "sides"'),
+    (lambda c: Instance(6, "set", c.blue, c.red, c.sides).validate(),
+     InvalidInstance, "blue payload is not in set form"),
+    (lambda c: Instance(7, "seq", c.blue, c.red, c.sides).validate(),
+     InvalidInstance, "payload grid parameter mismatch"),
+    (lambda c: EdgeSet.of([((0, 0), (1, 0))], 0),
+     InvalidInstance, "point (1, 0) outside grid [0,0]^2"),
+    (lambda c: EdgeSequence(c.blue.edges, 6, "loop").validate(),
+     InvalidInstance, "unknown sequence kind 'loop'"),
+    (lambda c: c.red.rotate(1), PreconditionViolation, "only closed sequences rotate"),
+    (lambda c: refine(c.blue, 0), PreconditionViolation, "precondition violated: factor >= 1"),
+], ids=["instance-incomplete", "instance-wrong-form", "instance-wrong-n", "set-out-of-bounds",
+        "unknown-kind", "rotate-open", "refine-by-0"])
+def test_grid_objects_reject_bad_input_by_name(call, exc, message):
+    # c: a valid n = 6 crossing instance in sequence form
+    with pytest.raises(exc) as info:
+        call(gen_crossing_instance(6, 1))
+    assert str(info.value) == message

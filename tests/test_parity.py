@@ -303,6 +303,29 @@ def test_parity_lemma_precondition_names():
     assert "is_curve" in exc.value.condition
 
 
+@pytest.mark.parametrize("instance, condition", [
+    (lambda: _mk_instance([(4, 1), (5, 1), (5, 2), (5, 3), (4, 3)]),
+     "red path approaches p1, p2 from the left"),
+    # side points on column 1, approached from the left border
+    (lambda: (rect_set(0, 2, 4, 5, 8),
+              edge_set([((1, 1), (0, 1)), ((0, 1), (0, 2)), ((0, 2), (0, 3)), ((0, 3), (1, 3))], 8),
+              side_pair((1, 1), (1, 3))),
+     "2 <= m <= n-2"),
+], ids=["approach-from-right", "mid-column-1"])
+def test_parity_lemma_rejects_unnormalized_instances(instance, condition):
+    with pytest.raises(PreconditionViolation) as exc:
+        check_parity_lemma(*instance())
+    assert exc.value.condition == condition
+
+
+@pytest.mark.parametrize("k", [-1, 7])
+def test_column_sweep_rejects_k_out_of_range(k):
+    blue, red = _as_sets(gen_crossing_instance(8, 0))
+    with pytest.raises(PreconditionViolation) as exc:
+        column_transition_parities(blue, red, k)
+    assert exc.value.condition == "0 <= k <= n-2"
+
+
 def _broken_crossings(inst):
     """One sequence-form instance per crossing condition, each breaking only it."""
     n = inst.n

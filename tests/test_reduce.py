@@ -440,3 +440,23 @@ def test_seq_reduction_shares_geometry_with_set_reduction():
             for e in handle._prefix[color] + handle._suffix[color]:
                 coarse.add(e.undirected())
             assert coarse == set(getattr(out_set, color).edges)
+
+
+@pytest.mark.parametrize("n, red_form, message", [
+    (3, "set", "blue and red must share a form"),
+    (4, "seq", "payload grid parameter mismatch"),
+], ids=["mixed-forms", "wrong-n"])
+def test_stconn_instance_rejects_mismatched_payloads(n, red_form, message):
+    blue, red = (EdgeSequence.from_points(pts, 3, OPEN) for pts in (_LEFT_BOTTOM, _BOTTOM_RIGHT))
+    if red_form == "set":
+        red = red.to_edge_set()
+    with pytest.raises(InvalidInstance) as exc:
+        StConnInstance(n=n, blue=blue, red=red).validate()
+    assert str(exc.value) == message
+
+
+def test_witness_off_both_colors_is_not_transported():
+    inst = gen_crossing_instance(8, 0)
+    with pytest.raises(PreconditionViolation) as exc:
+        jct_witness_to_stconn(inst, (0, 4))
+    assert str(exc.value) == "(0, 4) is not shared" and exc.value.condition == "shared point"
