@@ -126,6 +126,8 @@ class CnfFormula:
         clause; only a rejected formula is walked clause by clause to name
         the first bad one."""
         n = self.num_vars
+        if not isinstance(self.clauses, (Clauses, list, tuple)):  # read once: the walk re-reads it
+            object.__setattr__(self, "clauses", tuple(self.clauses))
         try:
             if not isinstance(self.clauses, Clauses):
                 object.__setattr__(self, "clauses", Clauses(self.clauses))

@@ -34,15 +34,7 @@ def _one_arc(mask: int) -> bool:
 
 
 _ONE_ARC = tuple(_one_arc(mask) for mask in range(256))
-
-
-def _can_add(cells: Set[int], c: int, m: int) -> bool:
-    """Whether cell ``c``'s occupied 8 neighbors pass :func:`_one_arc`; a
-    cell (x, y) is coded ``x * m + y``."""
-    return _ONE_ARC[(c + m in cells) | (c + m + 1 in cells) << 1
-                    | (c + 1 in cells) << 2 | (c - m + 1 in cells) << 3
-                    | (c - m in cells) << 4 | (c - m - 1 in cells) << 5
-                    | (c - 1 in cells) << 6 | (c + m - 1 in cells) << 7]
+_BACK = tuple(1 << (i + 4) % 8 for i in range(8))  # a cell's bit in the mask of its i-th neighbor
 
 
 def _grow_polyomino(n: int, rng: random.Random, margin: int,
@@ -54,22 +46,25 @@ def _grow_polyomino(n: int, rng: random.Random, margin: int,
     min_cells = min(min_cells, span * span)
     target = rng.randint(min_cells, max(min_cells, (span * span) // 3))
     m = n + 2
-    ring = [(dx, dy, dx * m + dy) for dx, dy in _RING8]
+    ring = [(dx, dy, dx * m + dy, back) for (dx, dy), back in zip(_RING8, _BACK)]
     added = rng.randint(lo, hi) * m + rng.randint(lo, hi)
     cells = {added}
-    # Sorted in-bounds free cells that _can_add accepts (also as a set).  Adding
-    # a cell changes the 8-neighborhood only of the 8 cells around it, so only
-    # those are re-tested.
+    # Each cell's occupied 8 neighbors as a _ONE_ARC mask, at c + m + 1 (every
+    # neighbor of a cell in [0, n)^2 has an index).  Sorted in-bounds free cells
+    # whose mask passes (also as a set).  Adding a cell changes the masks only
+    # of the 8 cells around it, so only those are re-tested.
+    masks = bytearray(m * m)
     candidates: List[int] = []
     listed = set()
     while len(cells) < target:
         x, y = divmod(added, m)
         inside = lo < x < hi and lo < y < hi  # then so are its 8 neighbors
-        for dx, dy, d in ring:
+        for dx, dy, d, back in ring:
             c = added + d
+            masks[c + m + 1] |= back
             if c in cells or not (inside or (lo <= x + dx <= hi and lo <= y + dy <= hi)):
                 continue
-            if _can_add(cells, c, m):
+            if _ONE_ARC[masks[c + m + 1]]:
                 if c not in listed:
                     listed.add(c)
                     insort(candidates, c)
@@ -87,8 +82,9 @@ def _grow_polyomino(n: int, rng: random.Random, margin: int,
 
 def _trace_boundary(cells: Set[int], n: int) -> EdgeSequence:
     """Directed boundary with the interior on the left (counterclockwise), with
-    cells and points coded as :func:`_grow_polyomino` codes cells.
-    :func:`_can_add` leaves no hole or corner-only touch, so it is one loop."""
+    cells and points coded as :func:`_grow_polyomino` codes cells.  Its
+    growth rule (:func:`_one_arc`) leaves no hole or corner-only touch, so it
+    is one loop."""
     m = n + 2
     hops = {}
     for c in cells:

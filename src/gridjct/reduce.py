@@ -384,16 +384,16 @@ class StConnSeqReduction:
                    for c in self._blocks)
 
     def edge_at(self, j: int, color: str = "red") -> DirectedEdge:
+        """j-th edge of the color's expanded core, without materializing: edge
+        ``r`` of block ``i`` (``i, r = divmod(j, 16N^2)``), whose image step is
+        ``core[k]``, is on the comb of depth ``h``, then on the 8N-fold refined
+        connector steps after it.  The edge is built in C by ``tuple.__new__``."""
         blocks = self._blocks[color]
         if not 0 <= j < self.block_size * len(blocks):
             raise PreconditionViolation("edge index within the expanded core",
                                         f"index {j} out of range")
         i, r = divmod(j, self.block_size)
-        return self._block_edge(self._core[color], blocks[i], r)
-
-    def _block_edge(self, core: List[Step], k: int, r: int) -> DirectedEdge:
-        """Edge ``r`` of the block whose image step is ``core[k]``: the comb
-        of depth ``h``, then the 8N-fold refined connector steps after it."""
+        core, k = self._core[color], blocks[i]
         n, f = self.n_base, self.factor
         x, y, dx, dy, h = core[k]
         px, py = dy, -dx  # right of the direction of travel
@@ -403,23 +403,21 @@ class StConnSeqReduction:
         if r < phase1:
             rep, o = divmod(r, per)
             alt = h if rep % 2 else 0
-            bx, by = sx + rep * dx + alt * px, sy + rep * dy + alt * py
-            if o == 0:
-                return DirectedEdge(GridPoint(bx, by), GridPoint(bx + dx, by + dy))
-            bx, by = bx + dx, by + dy
-            sgn = 1 if rep % 2 == 0 else -1
-            ax = bx + sgn * (o - 1) * px
-            ay = by + sgn * (o - 1) * py
-            return DirectedEdge(GridPoint(ax, ay), GridPoint(ax + sgn * px, ay + sgn * py))
-        r -= phase1
-        if r < 4 * n:
-            o = 4 * n + r
+            ax, ay = sx + rep * dx + alt * px, sy + rep * dy + alt * py
+            if o:  # (dx, dy) becomes the step out (even reps) or back (odd ones)
+                sgn = 1 if rep % 2 == 0 else -1
+                ax += dx + sgn * (o - 1) * px
+                ay += dy + sgn * (o - 1) * py
+                dx, dy = sgn * px, sgn * py
+        elif r < phase1 + 4 * n:
+            o = 4 * n + r - phase1
             ax, ay = sx + o * dx, sy + o * dy
-            return DirectedEdge(GridPoint(ax, ay), GridPoint(ax + dx, ay + dy))
-        m, o = divmod(r - 4 * n, f)
-        x, y, dx, dy, _ = core[k + 1 + m]
-        ax, ay = x * f + o * dx, y * f + o * dy
-        return DirectedEdge(GridPoint(ax, ay), GridPoint(ax + dx, ay + dy))
+        else:
+            m, o = divmod(r - phase1 - 4 * n, f)
+            x, y, dx, dy, _ = core[k + 1 + m]
+            ax, ay = x * f + o * dx, y * f + o * dy
+        return tuple.__new__(DirectedEdge, (tuple.__new__(GridPoint, (ax, ay)),
+                                            tuple.__new__(GridPoint, (ax + dx, ay + dy))))
 
     def _template(self, step: Tuple[int, int, Optional[int]]) -> Tuple[Quad, ...]:
         """The walk of a coarse step ``(dx, dy, h)`` at the origin, built once
@@ -535,6 +533,4 @@ def jct_to_stconn_seq(inst: Instance) -> StConnSeqReduction:
     return StConnSeqReduction(big_n, core, _end_runs(big_n))
 
 
-def edge_at(reduced: StConnSeqReduction, j: int) -> DirectedEdge:
-    """j-th edge of the reduced red path's expanded core, without materializing."""
-    return reduced.edge_at(j, "red")
+edge_at = StConnSeqReduction.edge_at  # edge_at(handle, j): red is the default color

@@ -545,9 +545,10 @@ def test_faults_injected_into_a_generated_store_are_named(gen, ci, k):
 
 def test_literal_past_the_store_range_is_named():
     for bad in (2 ** 40, -2 ** 40):
-        with pytest.raises(InvalidInstance) as exc:
-            CnfFormula(2, ((1,), (-1, bad)), {})
-        assert str(exc.value) == f"bad literal {bad} in clause 1"
+        for clauses in (((1,), (-1, bad)), iter([(1,), (-1, bad)]), iter([(1,), (bad,)])):
+            with pytest.raises(InvalidInstance) as exc:
+                CnfFormula(2, clauses, {})
+            assert str(exc.value) == f"bad literal {bad} in clause 1"
 
 
 def test_store_whose_zeros_do_not_end_its_clauses_is_rejected():

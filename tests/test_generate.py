@@ -151,10 +151,16 @@ def _codes(cells, m):
     return {x * m + y for x, y in cells}
 
 
+def _mask(cells, c):
+    """The neighbor mask the generator keeps for cell ``c``: bit i set when
+    the cell at ``_RING8[i]`` from ``c`` is in ``cells``."""
+    return sum(1 << i for i, (dx, dy) in enumerate(_RING8) if (c[0] + dx, c[1] + dy) in cells)
+
+
 def test_can_add_matches_arc_rule_on_every_neighborhood():
     for mask in range(256):
         cells = {d for i, d in enumerate(_RING8) if mask >> i & 1}
-        assert generate._can_add(_codes(cells, 4), 0, 4) == _arc_oracle(cells, (0, 0)), mask
+        assert generate._ONE_ARC[_mask(cells, (0, 0))] == _arc_oracle(cells, (0, 0)), mask
 
 
 def test_incremental_candidates_match_rebuild():
@@ -184,10 +190,9 @@ def test_incremental_candidates_match_rebuild():
 ])
 def test_trace_boundary_raises_on_shapes_can_add_refuses(cells, message):
     # no cell of either shape can be the last one grown
-    codes = _codes(cells, 7)  # on the n = 5 grid
-    assert not any(generate._can_add(codes - {c}, c, 7) for c in codes)
+    assert not any(generate._ONE_ARC[_mask(cells - {c}, c)] for c in cells)
     with pytest.raises(TheoremViolation, match=message):
-        generate._trace_boundary(codes, 5)
+        generate._trace_boundary(_codes(cells, 7), 5)  # on the n = 5 grid
 
 
 def test_crossing_retry_cap_raises_generation_exhausted(monkeypatch):

@@ -9,6 +9,7 @@ from gridjct.errors import InvalidInstance, PreconditionViolation
 from gridjct.generate import gen_crossing_instance
 from gridjct.grid import (
     OPEN,
+    DirectedEdge,
     EdgeSequence,
     GridPoint,
     Instance,
@@ -341,6 +342,25 @@ def test_jct_to_stconn_seq_blocks_and_edge_at():
     assert edge_at(handle, bs - 1) == out.red.edges[red_pre + bs - 1]
     with pytest.raises(PreconditionViolation):
         edge_at(handle, handle.core_length("red"))
+
+
+def test_edge_at_returns_named_tuples_and_checks_its_range():
+    # a bare tuple compares equal to a named one, so check the types themselves
+    handle = jct_to_stconn_seq(gen_crossing_instance(6, 3, avoid_midpoint=True))
+    bs, rng = handle.block_size, random.Random(11)
+    for color in ("red", "blue"):
+        length = handle.core_length(color)
+        js = {j for i in range(length // bs) for j in (i * bs, i * bs + bs - 1)}
+        for j in sorted(js | {rng.randrange(length) for _ in range(200)}):
+            e = handle.edge_at(j, color)
+            assert type(e) is DirectedEdge, (color, j)
+            assert type(e.src) is type(e.dst) is GridPoint, (color, j)
+        for j in (-1, length):
+            with pytest.raises(PreconditionViolation, match=f"index {j} out of range"):
+                handle.edge_at(j, color)
+    for j in (0, bs - 1, bs, handle.core_length("red") - 1):
+        assert edge_at(handle, j) == handle.edge_at(j)
+        assert type(edge_at(handle, j)) is DirectedEdge
 
 
 def test_expansion_blocks_stay_in_their_quarter():
