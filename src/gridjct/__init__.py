@@ -34,7 +34,6 @@ from .errors import (
     GenerationExhausted,
     GridJctError,
     InvalidInstance,
-    LemmaViolation,
     PreconditionViolation,
     SolverBudgetExhausted,
     TheoremViolation,

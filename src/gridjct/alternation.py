@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
-from .errors import LemmaViolation, PreconditionViolation
-from .grid import CLOSED, EdgeSequence, GridPoint
+from .errors import PreconditionViolation, TheoremViolation
+from .grid import CLOSED, EdgeSequence
 
 
 def alternate(xs: Iterable[int], ys: Iterable[int]) -> bool:
@@ -48,7 +48,7 @@ def alternation_lemma_witness(xs, ys, f: Dict[int, int], x1: int, x2: int) -> in
 
     Requires alternating sets, a non-crossing bijection, and that neither
     endpoint image lies inside the open interval.  Existence is guaranteed;
-    not finding one is reported as a lemma violation.
+    not finding one is reported as a theorem violation.
     """
     xset, yset = set(xs), set(ys)
     if not alternate(xset, yset):
@@ -64,7 +64,7 @@ def alternation_lemma_witness(xs, ys, f: Dict[int, int], x1: int, x2: int) -> in
     for z in sorted(xset):
         if (z < x1 or z > x2) and x1 < f[z] < x2:
             return z
-    raise LemmaViolation("no witness found despite valid preconditions (bug)")
+    raise TheoremViolation("no witness found despite valid preconditions (bug)")
 
 
 class Segment(NamedTuple):
@@ -112,20 +112,15 @@ def reindex_canonical(seq: EdgeSequence) -> EdgeSequence:
     return seq.rotate(k + 1)  # edge k becomes the wrap edge <p_{t-1}, p_0>
 
 
-def _require_canonical(pts: List[GridPoint]):
-    xmax = max(p.x for p in pts)
-    if pts[0].x != xmax:
-        raise PreconditionViolation(
-            "canonical indexing", "curve must start on its rightmost line; "
-            "apply reindex_canonical first")
-
-
 def minimal_segments(seq: EdgeSequence, m: int) -> List[Segment]:
     """All minimal segments sticking to x = m, in index order (pairwise disjoint)."""
     if seq.validate().kind != CLOSED:
         raise PreconditionViolation("closed sequence")
     pts = seq.points()
-    _require_canonical(pts)
+    if pts[0].x != max(p.x for p in pts):
+        raise PreconditionViolation(
+            "canonical indexing", "curve must start on its rightmost line; "
+            "apply reindex_canonical first")
     t = len(pts)
     out = []
     a = None

@@ -14,8 +14,7 @@ import sys
 
 from . import cnf, generate, jordan, parity, reduce as reductions
 from .alternation import check_edge_alternation
-from .errors import (GridJctError, InvalidInstance, LemmaViolation, PreconditionViolation,
-                     TheoremViolation)
+from .errors import GridJctError, InvalidInstance, PreconditionViolation, TheoremViolation
 from .grid import EdgeSequence, GridPoint, Instance, side_pair
 from .jsonio import (
     edge_sequence_from_json,
@@ -115,15 +114,11 @@ def cmd_connect(args) -> int:
     return 0
 
 
-def _load_sequence_file(path) -> EdgeSequence:
+def cmd_merge(args) -> int:
     # chain-level validation happens inside merge_paths; revisiting chains are
     # legitimate diagnostic inputs here
-    return edge_sequence_from_json(read_json(path), validate=False)
-
-
-def cmd_merge(args) -> int:
-    blue = _load_sequence_file(args.blue)
-    red = _load_sequence_file(args.red).check_chain()
+    blue = edge_sequence_from_json(read_json(args.blue), validate=False)
+    red = edge_sequence_from_json(read_json(args.red), validate=False).check_chain()
     sides = side_pair(red.start, red.end)
     merged = jordan.merge_paths(blue, red, sides)
     ok = check_edge_alternation(merged)
@@ -209,6 +204,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    if args.count < 0:
+        raise PreconditionViolation("count >= 0", f"--count must be >= 0, got {args.count}")
     checked = 0
     for k in range(args.count):
         seed = args.seed + k
@@ -307,7 +304,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (TheoremViolation, LemmaViolation) as exc:
+    except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 2
     except (GridJctError, OSError) as exc:

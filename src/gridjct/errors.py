@@ -1,8 +1,8 @@
 """Exception taxonomy.
 
 Exit-code mapping used by the CLI: invalid or malformed instances exit 1,
-theorem/lemma violations (which always indicate a bug, never a property of a
-valid input) exit 2.
+theorem violations (which always indicate a bug, never a property of a valid
+input) exit 2.
 """
 
 
@@ -39,8 +39,4 @@ class SolverBudgetExhausted(GridJctError):
 
 
 class TheoremViolation(GridJctError, RuntimeError):
-    """A theorem-guaranteed witness could not be produced (implementation bug)."""
-
-
-class LemmaViolation(GridJctError, RuntimeError):
-    """A lemma-guaranteed witness could not be produced (implementation bug)."""
+    """A theorem- or lemma-guaranteed witness could not be produced (implementation bug)."""

@@ -15,12 +15,11 @@ from collections import deque
 from typing import List, Set, Tuple
 
 from .errors import GenerationExhausted, PreconditionViolation, TheoremViolation
-from .grid import CLOSED, OPEN, EdgeSequence, GridPoint, Instance, SidePair
+from .grid import CLOSED, MAX_N, OPEN, EdgeSequence, GridPoint, Instance, SidePair
 
 _RING8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
 MAX_ATTEMPTS = 1000  # curves gen_crossing_instance tries before GenerationExhausted
-MAX_N = 512  # the polyomino target grows as n^2; render.MAX_N is the same cap
 
 
 def _one_arc(mask: int) -> bool:

@@ -19,6 +19,8 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInstance, PreconditionViolation
 
+MAX_N = 512  # largest n to generate or render: polyomino cells and grid dots grow as n^2
+
 
 class GridPoint(NamedTuple):
     x: int
@@ -416,15 +418,13 @@ def refine(obj: GridObject, factor: int) -> GridObject:
         raise PreconditionViolation("factor >= 1")
     if factor == 1:
         return obj
-    n2 = obj.n * factor
+    steps = [s for a, b in obj.edges  # a set edge's ends, or a sequence edge's src and dst
+             for s in _unit_steps(a.x * factor, a.y * factor, b.x - a.x, b.y - a.y, factor)]
+    pairs = zip(make_all(GridPoint, map(itemgetter(0, 1), steps)),
+                make_all(GridPoint, map(itemgetter(2, 3), steps)))
     if isinstance(obj, EdgeSet):
-        return EdgeSet(frozenset(Edge.of((x1, y1), (x2, y2)) for a, b in obj.edges
-                                 for x1, y1, x2, y2 in _unit_steps(
-                                     a.x * factor, a.y * factor, b.x - a.x, b.y - a.y, factor)), n2)
-    return EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2)) for e in obj.edges
-                              for x1, y1, x2, y2 in _unit_steps(
-                                  e.src.x * factor, e.src.y * factor, *e.direction, factor)),
-                        n2, obj.kind)
+        return EdgeSet(frozenset(make_all(Edge, map(sorted, pairs))), obj.n * factor)
+    return EdgeSequence(tuple(make_all(DirectedEdge, pairs)), obj.n * factor, obj.kind)
 
 
 def _unit_steps(x: int, y: int, dx: int, dy: int, k: int) -> list:

@@ -338,14 +338,6 @@ def _check_template(tpl, n: int, dx: int, dy: int, h: Optional[int]):
         raise TheoremViolation(f"{name}, shifted by {f}: {exc} (bug)") from None
 
 
-def _translated(pieces):
-    """The edges of ``(template, ox, oy)`` pieces, each template edge moved by
-    (ox, oy)."""
-    for tpl, ox, oy in pieces:
-        for a, b, c, d in tpl:
-            yield a + ox, b + oy, c + ox, d + oy
-
-
 class StConnSeqReduction:
     """Handle over the refined sequence reduction.
 
@@ -450,7 +442,9 @@ class StConnSeqReduction:
         ints, unchecked: the 8N-fold refined prefix, every block (its comb,
         then its refined connector steps), the refined suffix.  :meth:`edge_at`
         is the per-index specification of the same blocks."""
-        return _translated(self._pieces(self._coarse(color)))
+        for tpl, ox, oy in self._pieces(self._coarse(color)):
+            for a, b, c, d in tpl:
+                yield a + ox, b + oy, c + ox, d + oy
 
     def checked_pieces(self, color: str) -> List[Tuple[Tuple[Quad, ...], int, int]]:
         """The color's output path as the pieces :meth:`iter_edges` walks,

@@ -5,10 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 from .errors import PreconditionViolation
-from .grid import EdgeSet, GridPoint, Instance
-
-# Every grid dot is drawn, so time, memory and output grow as n^2.
-MAX_N = 512
+from .grid import MAX_N, EdgeSet, GridPoint, Instance
 
 
 def _edges_of(payload) -> Iterable[Tuple[GridPoint, GridPoint]]:

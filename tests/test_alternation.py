@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from gridjct import alternation
 from gridjct.alternation import (
     alternate,
     alternation_lemma_witness,
@@ -15,7 +16,7 @@ from gridjct.alternation import (
     minimal_segments,
     reindex_canonical,
 )
-from gridjct.errors import InvalidInstance, PreconditionViolation
+from gridjct.errors import InvalidInstance, PreconditionViolation, TheoremViolation
 from gridjct.generate import gen_random_curve
 from gridjct.grid import DirectedEdge, EdgeSequence, GridPoint
 
@@ -121,6 +122,13 @@ def test_lemma_witness_preconditions(xs, ys, f, x1, x2, condition):
     with pytest.raises(PreconditionViolation) as info:
         alternation_lemma_witness(xs, ys, f, x1, x2)
     assert info.value.condition == condition
+
+
+def test_lemma_witness_bug_guard_is_a_theorem_violation(monkeypatch):
+    # X and Y do not alternate, so no witness exists once that check is lied to
+    monkeypatch.setattr(alternation, "alternate", lambda xs, ys: True)
+    with pytest.raises(TheoremViolation, match="no witness found"):
+        alternation_lemma_witness([1, 2], [3, 4], {1: 4, 2: 3}, 1, 2)
 
 
 def notched_curve():

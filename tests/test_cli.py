@@ -15,6 +15,7 @@ from gridjct.errors import TheoremViolation
 from gridjct.generate import gen_crossing_instance
 from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, GridPoint
 from gridjct.jsonio import Instance, edge_sequence_to_json, save_instance
+from gridjct.parity import IntersectionWitness
 
 
 @pytest.fixture
@@ -410,6 +411,47 @@ def test_fuzz_checks_regions_at_every_size(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["theorem violation: seed 0: wrong region count"]
+
+
+# argv, (name cli looks up, stand-in), stdout, the violation stderr names
+SELF_CHECKS = {
+    "alternation": (["alternation"], ("gridjct.cli.check_edge_alternation", lambda curve: False),
+                    "ALTERNATION VIOLATED\n", "a valid closed curve failed edge alternation"),
+    "regions": (["regions"], ("gridjct.jordan.count_regions", lambda curve: 3),
+                "3\n", "curve produced 3 regions instead of 2"),
+    "fuzz-witness": (["fuzz", "--count", "1"],
+                     ("gridjct.jordan.find_intersection_seq",
+                      lambda blue, red, sides: IntersectionWitness(GridPoint(-1, -1), 0, 0)),
+                     "", "seed 0: witness not actually shared"),
+    "fuzz-alternation": (["fuzz", "--count", "1"],
+                         ("gridjct.cli.check_edge_alternation", lambda curve: False),
+                         "", "seed 0: curve failed edge alternation"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_CHECKS))
+def test_every_self_check_exits_2(monkeypatch, instance_file, capsys, name):
+    argv, (target, stand_in), out, violation = SELF_CHECKS[name]
+    monkeypatch.setattr(target, stand_in)
+    if argv[0] != "fuzz":
+        argv = [*argv, "--instance", instance_file]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == out
+    assert captured.err.splitlines() == [f"theorem violation: {violation}"]
+
+
+def test_fuzz_rejects_negative_count(monkeypatch, capsys):
+    def no_instance(n, seed):
+        raise AssertionError("no instance may be built")
+
+    monkeypatch.setattr(generate, "gen_crossing_instance", no_instance)
+    assert main(["fuzz", "--count", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --count must be >= 0, got -1\n"
+    assert main(["fuzz", "--count", "0"]) == 0
+    assert capsys.readouterr().out == "fuzz: 0 instances checked, no violations\n"
 
 
 def test_fuzz_generation_exhausted_exits_1(monkeypatch, capsys):

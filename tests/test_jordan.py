@@ -525,6 +525,8 @@ BAD_RINGS = {
     "non-unit": ("non-unit step", lambda ring, codes, s: ring[:3] + ring[4:]),
     "repeat": ("revisits a point", lambda ring, codes, s: ring + ring),
     "on-curve": ("touches the curve", lambda ring, codes, s: codes),
+    # the right-hand ring for both sides: the patched lookup passes side -1 through
+    "overlap": ("offset rings overlap", lambda ring, codes, s: jordan._ring_points(codes, s, -1)),
 }
 
 

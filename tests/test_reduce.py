@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from gridjct import reduce as reductions
 from gridjct.cli import main
-from gridjct.errors import InvalidInstance, PreconditionViolation
+from gridjct.errors import InvalidInstance, PreconditionViolation, TheoremViolation
 from gridjct.generate import gen_crossing_instance
 from gridjct.grid import (
     OPEN,
     DirectedEdge,
     EdgeSequence,
+    EdgeSet,
     GridPoint,
     Instance,
     connects,
@@ -24,7 +26,9 @@ from gridjct.reduce import (
     _comb,
     _connector,
     _edge_quarter,
+    _polyline,
     _reflect,
+    _reflect_color_set,
     edge_at,
     jct_to_stconn_seq,
     jct_to_stconn_set,
@@ -480,3 +484,58 @@ def test_witness_off_both_colors_is_not_transported():
     with pytest.raises(PreconditionViolation) as exc:
         jct_witness_to_stconn(inst, (0, 4))
     assert str(exc.value) == "(0, 4) is not shared" and exc.value.condition == "shared point"
+
+
+def _drop_last_edge(monkeypatch, name):
+    real = getattr(reductions, name)
+    monkeypatch.setattr(reductions, name, lambda *args: real(*args)[:-1])
+
+
+def _third_quarter_at_a_diagonal_point(monkeypatch):
+    quarters = iter("BLT")
+    monkeypatch.setattr(reductions, "_edge_quarter", lambda a, b, big_n: next(quarters))
+    w = GridPoint(5, 5)  # on a diagonal of the N = 4 frame, off its center
+    _reflect_color_set(EdgeSet.of([(w, (6, 5)), (w, (5, 6)), ((4, 5), w)], 8), 4)
+
+
+def _short_connector(monkeypatch):
+    _drop_last_edge(monkeypatch, "_connector")
+    jct_to_stconn_seq(gen_crossing_instance(6, 3, avoid_midpoint=True))
+
+
+def _short_comb(monkeypatch):
+    _drop_last_edge(monkeypatch, "_comb")
+    jct_to_stconn_seq(gen_crossing_instance(6, 3, avoid_midpoint=True)).checked_pieces("red")
+
+
+def _shifted_blue_core(monkeypatch):
+    real, cores = reductions._seq_core, []
+
+    def seq_core(edges, big_n):  # red's core is built first, then blue's
+        cores.append(real(edges, big_n))
+        return [(x + 1, *rest) for x, *rest in cores[-1]] if len(cores) == 2 else cores[-1]
+
+    monkeypatch.setattr(reductions, "_seq_core", seq_core)
+    jct_to_stconn_seq(gen_crossing_instance(6, 3, avoid_midpoint=True))
+
+
+# name -> (trigger, message of the TheoremViolation it raises)
+BUG_GUARDS = {
+    "polyline": (lambda mp: _polyline((0, 0), (1, 1)), "run endpoints not axis aligned"),
+    "quarter-name": (lambda mp: _reflect("X", GridPoint(1, 1), 4), "unknown quarter"),
+    "two-quarters": (lambda mp: _edge_quarter(GridPoint(4, 2), GridPoint(4, 6), 4),
+                     "spans two open quarters"),
+    "two-diagonals": (lambda mp: _edge_quarter(GridPoint(5, 5), GridPoint(6, 6), 4),
+                      "both endpoints on diagonals"),
+    "three-quarters": (_third_quarter_at_a_diagonal_point, "more than two quarters"),
+    "connector": (_short_connector, r"not of the form 2l\+1"),
+    "comb": (_short_comb, r"does not run from \(0, 0\)"),
+    "blue-core": (_shifted_blue_core, "blue core does not start"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUG_GUARDS))
+def test_bug_guards_fire(monkeypatch, name):
+    trigger, message = BUG_GUARDS[name]
+    with pytest.raises(TheoremViolation, match=message):
+        trigger(monkeypatch)
