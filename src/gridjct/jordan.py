@@ -187,8 +187,9 @@ def _offset_ring(codes: List[int], s: int, side: int, on: set) -> List[int]:
     ring = _ring_points(codes, s, side)
     if len(ring) < 4:
         raise TheoremViolation("offset ring has fewer than 4 points (bug)")
-    seen = set(ring)
-    if min(ring) < 0 or max(ring) >= s * (s - 1) or not seen.isdisjoint(range(s - 1, s * s, s)):
+    seen, lo, hi = set(ring), min(ring), max(ring)
+    # off the grid: x out of range, or on the spare row y = s - 1, tested in the ring's columns
+    if lo < 0 or hi >= s * (s - 1) or not seen.isdisjoint(range(lo - lo % s + s - 1, hi + 1, s)):
         raise TheoremViolation("offset ring leaves the grid (bug)")
     if not set(map(sub, ring[1:] + ring[:1], ring)) <= {1, -1, s, -s}:
         raise TheoremViolation("offset ring takes a non-unit step (bug)")

@@ -220,16 +220,20 @@ def write_json(fh, doc: dict, indent=2, lists=None):
     nonempty list of pieces ``(template, ox, oy)``, the edges ``(a + ox,
     b + oy, c + ox, d + oy)`` for each ``(a, b, c, d)`` of the template.
     Every number is in [0, doc["n"]] (one outside raises ``KeyError``); its
-    text is looked up in one table, and ``_BATCH`` entries at most are
-    joined and written at a time."""
+    text is looked up in one table, of [0, n] or, if smaller, of the numbers
+    written, and ``_BATCH`` entries at most are joined and written at a time."""
+    keys = range(doc["n"] + 1)  # a pieces path joins opposite corners in at least 2n edges
     if lists is None:
         lists = []
         doc = _holed(doc, lists)
+        edges = [entries for ((entries, _, _),) in lists]
+        if len(keys) > 4 * sum(map(len, edges)):  # fewer numbers written than in [0, n]
+            keys = filter(keys.__contains__, set(chain.from_iterable(chain.from_iterable(edges))))
     texts = json.dumps(doc, indent=indent, sort_keys=True).split('"\\u0000"')
     pad = texts[0][texts[0].rfind("[") + 1:]  # a newline and the entries' indent, or ""
     inner = pad + "  " if indent else ""
     item, between = ("," + inner, f"{pad}],{pad}[{inner}") if indent else (", ", "], [")
-    num = {i: str(i) for i in range(doc["n"] + 1)}
+    num = {i: str(i) for i in keys}
     fh.write(texts[0])
     for pieces, after in zip(lists, texts[1:]):
         lead = "[" + inner
@@ -252,16 +256,16 @@ def write_seq_instance(fh, n: int, blue, red, *, indent=None):
 
 @contextmanager
 def sink(path):
-    """The one output sink: a spare text file for writing, whose text is
-    copied through ``open(path, "w")`` (to standard output if ``path`` is
-    None) only once the block completes.  A failed run leaves ``path`` as it
-    was; symlinks, devices, hard links and modes behave as ``open`` treats
-    them.  A process killed mid-copy leaves a partial file."""
+    """The one output sink: a spare text file for writing, whose bytes are
+    copied through ``open(path, "wb")`` (its text to standard output if
+    ``path`` is None) only once the block completes.  A failed run leaves
+    ``path`` as it was; symlinks, devices, hard links and modes behave as
+    ``open`` treats them.  A process killed mid-copy leaves a partial file."""
     with tempfile.TemporaryFile("w+", encoding="utf-8") as spare:
         yield spare
-        spare.seek(0)
+        spare.seek(0)  # flushes the text layer into the binary buffer
         if path is None:
             shutil.copyfileobj(spare, sys.stdout)
             return
-        with open(path, "w", encoding="utf-8") as fh:
-            shutil.copyfileobj(spare, fh)
+        with open(path, "wb") as fh:
+            shutil.copyfileobj(spare.buffer, fh)

@@ -321,15 +321,25 @@ def _check_template(tpl, n: int, dx: int, dy: int, h: Optional[int]):
     8N*(dx, dy) as a simple unit-step path, and each of its points has
     depth 0 and along 0..8N, or (combs only) along 1..4N and depth
     1..h <= 4N-2; along is measured in direction (dx, dy), depth to its
-    right."""
-    f, top = 8 * n, -1 if h is None else h
+    right.  One loop accepts; only a rejected template runs the point walk
+    and :func:`checked_path`, which name its first fault."""
+    f, half, top = 8 * n, 4 * n, -1 if h is None or h > 4 * n - 2 else h
     name = f"template ({dx}, {dy}, h={h})"
     if not tpl or tpl[0][:2] != (0, 0) or tpl[-1][2:] != (f * dx, f * dy):
         raise TheoremViolation(f"{name} does not run from (0, 0) to {(f * dx, f * dy)} (bug)")
+    x, y, codes = 0, 0, {0}  # a point in the box has depth < 8N: one code along * 8N + depth
+    for x1, y1, x2, y2 in tpl:  # chained unit steps, each to a new point in the box
+        along, depth = x2 * dx + y2 * dy, x2 * dy - y2 * dx
+        if (x1 != x or y1 != y or abs(x2 - x) + abs(y2 - y) != 1 or not (
+                depth == 0 and 0 <= along <= f or 1 <= along <= half and 1 <= depth <= top)):
+            break
+        codes.add(along * f + depth)
+        x, y = x2, y2
+    if len(codes) > len(tpl):  # every edge passed, each to a new point (a break leaves fewer)
+        return
     for *_, x, y in tpl:  # every end point; the first start is (0, 0)
         along, depth = x * dx + y * dy, x * dy - y * dx
-        if not (depth == 0 and 0 <= along <= f
-                or 1 <= along <= 4 * n and 1 <= depth <= top <= 4 * n - 2):
+        if not (depth == 0 and 0 <= along <= f or 1 <= along <= half and 1 <= depth <= top):
             raise TheoremViolation(f"{name}: point {(x, y)} leaves its quarter cell (bug)")
     try:  # shifted by 8N, into [0, 16N]^2
         for _ in checked_path(((a + f, b + f, c + f, e + f) for a, b, c, e in tpl), 2 * f):

@@ -384,6 +384,18 @@ def test_side_sequences_validity_random():
                     assert q in ring_pts
 
 
+def test_side_rings_cost_follows_the_curve_not_the_grid():
+    # a unit square's rings and a path to them at n = 10^9 are those at n = 4
+    # (a ring check that walked every grid column would take minutes here)
+    small, huge = rect_curve(1, 1, 2, 2, 4), rect_curve(1, 1, 2, 2, 10**9)
+    rings, big_rings = side_sequences(small), side_sequences(huge)
+    for ring, big_ring in ((rings.q1, big_rings.q1), (rings.q2, big_rings.q2)):
+        assert big_ring.edges == ring.edges and big_ring.n == 3 * 10**9
+    sides = side_pair((4, 2), (4, 4))  # across the refined bottom side
+    for p in ((5, 5), (8, 9)):
+        assert region_connect(huge, p, sides).edges == region_connect(small, p, sides).edges
+
+
 def test_side_sequences_rejects_border_curve():
     with pytest.raises(PreconditionViolation):
         side_sequences(rect_curve(0, 0, 2, 2, 4))
@@ -522,6 +534,13 @@ def test_count_regions_counts_every_component(monkeypatch):
 BAD_RINGS = {
     "short": ("fewer than 4 points", lambda ring, codes, s: ring[:3]),
     "off-grid": ("leaves the grid", lambda ring, codes, s: [c - 100 * s for c in ring]),
+    # the first point of the ring's first column moved to y = -1, which wraps to the
+    # spare row y = s - 1 of the column before; the last point of its last column
+    # moved up to that row
+    "below-grid": ("leaves the grid", lambda ring, codes, s: [
+        c - c % s - 1 if c == min(ring) else c for c in ring]),
+    "above-grid": ("leaves the grid", lambda ring, codes, s: [
+        c - c % s + s - 1 if c == max(ring) else c for c in ring]),
     "non-unit": ("non-unit step", lambda ring, codes, s: ring[:3] + ring[4:]),
     "repeat": ("revisits a point", lambda ring, codes, s: ring + ring),
     "on-curve": ("touches the curve", lambda ring, codes, s: codes),

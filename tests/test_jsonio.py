@@ -108,6 +108,20 @@ def test_write_seq_instance_matches_json_dumps(indent):
         write_seq_instance(io.StringIO(), 3, [(((0, 0, 0, 1),), 0, 3)], pieces[1], indent=indent)
 
 
+def test_write_json_tables_only_the_numbers_written():
+    # a document declaring n = 10^9 writes as json.dumps would, and a number
+    # outside [0, n] still raises KeyError
+    doc = edge_sequence_to_json(rect_curve(1, 1, 3, 2, 10**9))
+    fh = io.StringIO()
+    jsonio.write_json(fh, doc)
+    assert fh.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for n in (1, 10**9):  # a table of all of [0, n], and one of the numbers written
+        for bad in (-1, n + 1):
+            with pytest.raises(KeyError):
+                jsonio.write_json(io.StringIO(),
+                                  {**doc, "n": n, "seq": [[0, 0, 0, 1], [0, 1, 0, bad]]})
+
+
 def _save_cases():
     """name -> instance; together they cover both forms, empty and missing
     payloads, the side pair, an offset, and coordinates of 1 to 3 digits."""

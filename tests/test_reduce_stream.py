@@ -1,11 +1,13 @@
 """The streamed sequence reduction: pinned output bytes, the closed-form
 edge walk against the ``edge_at`` oracle, and the one-pass output check."""
 
+import errno
 import hashlib
 import json
 import os
 import random
 import stat
+import tempfile
 
 import pytest
 
@@ -14,7 +16,7 @@ from gridjct.cli import main
 from gridjct.errors import GridJctError, InvalidInstance, TheoremViolation
 from gridjct.generate import gen_crossing_instance
 from gridjct.grid import (CLOSED, OPEN, DirectedEdge, EdgeSequence, EdgeSet, GridPoint,
-                          corner_ends, refine)
+                          _unit_steps, corner_ends, refine)
 from gridjct.jsonio import Instance, edge_sequence_to_json, save_instance
 from gridjct.reduce import checked_path, jct_to_stconn_seq
 
@@ -486,6 +488,154 @@ def test_cli_reduce_writes_nothing_on_a_failed_block_check(tmp_path, capsys, mon
     assert sorted(tmp_path.iterdir()) == before
 
 
+# --- one-pass template acceptance against the two walks ---------------------
+
+def _template_walks(tpl, n, dx, dy, h):
+    """The template check as two walks alone, with no one-pass acceptance:
+    the end points, each point against its quarter box, then checked_path."""
+    f, top = 8 * n, -1 if h is None else h
+    name = f"template ({dx}, {dy}, h={h})"
+    if not tpl or tpl[0][:2] != (0, 0) or tpl[-1][2:] != (f * dx, f * dy):
+        raise TheoremViolation(f"{name} does not run from (0, 0) to {(f * dx, f * dy)} (bug)")
+    for *_, x, y in tpl:
+        along, depth = x * dx + y * dy, x * dy - y * dx
+        if not (depth == 0 and 0 <= along <= f
+                or 1 <= along <= 4 * n and 1 <= depth <= top <= 4 * n - 2):
+            raise TheoremViolation(f"{name}: point {(x, y)} leaves its quarter cell (bug)")
+    try:
+        for _ in checked_path(((a + f, b + f, c + f, e + f) for a, b, c, e in tpl), 2 * f):
+            pass
+    except InvalidInstance as exc:
+        raise TheoremViolation(f"{name}, shifted by {f}: {exc} (bug)") from None
+
+
+def _template_keys(big_n):
+    """Every (dx, dy, h) a handle on the 2N grid can build: the straight
+    refinement, and a comb of depth 4N-4l-2 for each connector of 2l steps."""
+    return [(dx, dy, h) for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+            for h in [None] + [4 * big_n - 4 * l - 2 for l in range(big_n)]]
+
+
+def _intact_templates(big_n, key):
+    """The template a handle builds for ``key`` and, for a comb, the comb a
+    row shallower: the check accepts it too, and it leaves the row past its
+    tips free."""
+    dx, dy, h = key
+    if h is None:
+        return [_unit_steps(0, 0, dx, dy, 8 * big_n)]
+    return [reduce_module._comb(big_n, (dx, dy), depth) for depth in (h, h - 1)]
+
+
+def _swapped(tpl, k):
+    """Edges ``k`` and ``k + 1`` in the other order: the same points, unchained."""
+    k = min(k, len(tpl) - 2)
+    return tpl[:k] + [tpl[k + 1], tpl[k]] + tpl[k + 2:]
+
+
+def _shortcut(tpl, k):
+    """Edges ``k`` and ``k + 1`` as one step of length 2 or a diagonal."""
+    k = min(k, len(tpl) - 2)
+    (a, b, _, _), (_, _, c, e) = tpl[k:k + 2]
+    return tpl[:k] + [(a, b, c, e)] + tpl[k + 2:]
+
+
+def _flipped(tpl, k):
+    """Edges ``k`` and ``k + 1``, if they turn, through the corner's other
+    side; unchanged if they run straight."""
+    k = min(k, len(tpl) - 2)
+    (a, b, c, e), (_, _, g, i) = tpl[k:k + 2]
+    p, q = a + g - c, b + i - e
+    return tpl[:k] + [(a, b, p, q), (p, q, g, i)] + tpl[k + 2:]
+
+
+def _sidestep(tpl, k, sx, sy):
+    """Out from the end of edge ``k`` by (sx, sy) and straight back."""
+    *_, x, y = tpl[k]
+    return tpl[:k + 1] + [(x, y, x + sx, y + sy), (x + sx, y + sy, x, y)] + tpl[k + 1:]
+
+
+# name -> the template with edge k broken, given the template's direction (dx, dy)
+TEMPLATE_MUTATIONS = {
+    "chain": lambda tpl, k, dx, dy: tpl[:k] + [  # the start moved one step aside
+        (a + dy, b - dx, c, e) for a, b, c, e in tpl[k:k + 1]] + tpl[k + 1:],
+    "swap": lambda tpl, k, dx, dy: _swapped(tpl, k),
+    "step": lambda tpl, k, dx, dy: _shortcut(tpl, k),
+    "corner": lambda tpl, k, dx, dy: _flipped(tpl, k),
+    "revisit": lambda tpl, k, dx, dy: tpl[:k + 1] + [
+        (c, e, a, b) for a, b, c, e in tpl[k:k + 1]] + tpl[k:],
+    "left": lambda tpl, k, dx, dy: _sidestep(tpl, k, -dy, dx),  # out of the quarter
+    # past depth h at a comb's tips; past a shallower comb's tips, one lone revisit
+    "right": lambda tpl, k, dx, dy: _sidestep(tpl, k, dy, -dx),
+}
+
+
+def _fault(check, *args):
+    """The TheoremViolation message ``check`` raises, or None."""
+    try:
+        check(*args)
+    except TheoremViolation as exc:
+        return str(exc)
+    return None
+
+
+def _counting_checked_path(monkeypatch):
+    """Count the calls of checked_path made from the reduce module without
+    ends, as only the template walk makes them."""
+    calls = []
+
+    def counted(edges, n, ends=None, *args, **kwargs):
+        if ends is None:
+            calls.append(n)
+        return checked_path(edges, n, ends, *args, **kwargs)
+
+    monkeypatch.setattr(reduce_module, "checked_path", counted)
+    return calls
+
+
+@pytest.mark.parametrize("big_n", range(1, 5))
+def test_one_pass_template_check_matches_the_walks(monkeypatch, big_n):
+    calls = _counting_checked_path(monkeypatch)
+    for key in _template_keys(big_n):
+        for tpl in _intact_templates(big_n, key):
+            assert _fault(_template_walks, tpl, big_n, *key) is None
+            reduce_module._check_template(tuple(tpl), big_n, *key)
+            assert calls == [], key  # an intact template never reaches the walks
+            spots = sorted({0, 1, len(tpl) // 2, len(tpl) - 2, len(tpl) - 1}
+                           | set(range(0, len(tpl), max(1, len(tpl) // 12))))
+            for name, mutate in TEMPLATE_MUTATIONS.items():
+                for k in spots:
+                    broken = tuple(mutate(tpl, k, key[0], key[1]))
+                    if list(broken) == tpl:
+                        continue  # no corner to flip
+                    expected = _fault(_template_walks, broken, big_n, *key)
+                    assert expected is not None, (key, name, k)
+                    got = _fault(reduce_module._check_template, broken, big_n, *key)
+                    assert got == expected, (key, name, k)
+            calls.clear()
+
+
+@pytest.mark.parametrize("big_n", range(1, 5))
+def test_one_pass_template_check_rejects_a_comb_past_its_depth(monkeypatch, big_n):
+    calls = _counting_checked_path(monkeypatch)
+    for dx, dy, h in _template_keys(big_n):
+        # (comb depth, h): one row past h, and 4N under h = 4N, past the 4N-2 cap
+        for depth, top in ((h + 1, h), (4 * big_n, 4 * big_n)) if h else ():
+            tpl = tuple(reduce_module._comb(big_n, (dx, dy), depth))
+            expected = _fault(_template_walks, tpl, big_n, dx, dy, top)
+            assert "leaves its quarter cell" in expected
+            assert _fault(reduce_module._check_template, tpl, big_n, dx, dy, top) == expected
+    assert calls == []  # the point walk names the fault first
+
+
+@pytest.mark.parametrize("n", (6, 12))
+def test_checked_pieces_never_walks_an_intact_template(monkeypatch, n):
+    calls = _counting_checked_path(monkeypatch)
+    handle = jct_to_stconn_seq(gen_crossing_instance(n, 1, avoid_midpoint=True))
+    for color in ("blue", "red"):
+        handle.checked_pieces(color)
+    assert len(handle._checked) > 4 and calls == []
+
+
 # --- what --out writes through --------------------------------------------
 
 def _reduce_argv(tmp_path):
@@ -654,6 +804,40 @@ def test_writer_to_a_hard_linked_file_updates_both_names(tmp_path, out_dir, caps
     assert out.samefile(other)
     assert other.read_bytes() == expected
     assert sorted(p.name for p in out_dir.iterdir()) == ["other", "out"]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_replaces_a_longer_target_whole(tmp_path, out_dir, capsys, name):
+    expected = _plain_bytes(tmp_path, capsys, name)
+    out = out_dir / "out"
+    out.write_bytes(b"stale\n" * (len(expected) // 3 + 1000))
+    assert _write(tmp_path, capsys, name, out) == 0
+    assert out.read_bytes() == expected  # no stale tail
+    assert [p.name for p in out_dir.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writer_that_fails_inside_the_sink_leaves_the_target(tmp_path, out_dir, capsys,
+                                                             monkeypatch, name):
+    argv, option = WRITERS[name]
+    argv = argv(tmp_path) + [option, str(out_dir / "out")]
+    (out_dir / "out").write_text("kept\n")
+    make_spare = tempfile.TemporaryFile
+
+    def no_space(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_spare(*args, **kwargs):  # a spare on a full disk
+        spare = make_spare(*args, **kwargs)
+        spare.write = no_space
+        return spare
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", full_spare)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and os.strerror(errno.ENOSPC) in captured.err
+    assert (out_dir / "out").read_text() == "kept\n"
+    assert [p.name for p in out_dir.iterdir()] == ["out"]
 
 
 # --- the output size cap ----------------------------------------------------
