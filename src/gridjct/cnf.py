@@ -38,9 +38,9 @@ _EXHAUSTIVE_CAP = 26
 # 55 MiB peak and 34 MB of DIMACS.  The cap bounds that output: larger n is
 # rejected before any clause is built.
 MAX_STSEQ_N = 5
-# stconn clauses grow as about 30 n^2 (``stconn_clauses``); the cap admits
-# n <= 182 and is checked before any clause is built.
-MAX_STCONN_CLAUSES = 1_000_000
+# stconn clauses grow as about 30 n^2: stconn(182) has 994,072 and stconn(183)
+# would have 1,005,024.  Larger n is rejected before any clause is built.
+MAX_STCONN_N = 182
 # Branch assignments one ``solve`` call may try.  Refuting stconn(5) takes
 # 261,958 in dpll mode.
 MAX_DECISIONS = 3_000_000
@@ -167,31 +167,14 @@ def _slots_at(slots: Sequence[Edge]) -> Dict[GridPoint, List[int]]:
     return at
 
 
-def stconn_clauses(n: int, *, intersection_clauses: bool = True) -> int:
-    """``len(gen_stconn(n, ...).clauses)`` in closed form, for n >= 1.
-
-    Each corner (degree 2) has 4 clauses.  Per color, a non-corner point of
-    degree k has k + C(k, 3): 4 on a side, 8 inside.  The cross-color pairs
-    are every slot with itself plus each ordered pair of slots meeting at a
-    non-corner point (k(k - 1) per point); at n = 1 every point is a corner.
-    """
-    sides, inner = 4 * (n - 1), (n - 1) ** 2
-    count = 16 + 2 * (4 * sides + 8 * inner)
-    if intersection_clauses and n > 1:
-        count += 2 * n * (n + 1) + 6 * sides + 12 * inner
-    return count
-
-
 def gen_stconn(n: int, *, intersection_clauses: bool = True) -> CnfFormula:
-    """Edge-set form of the corner-connectivity contradiction.  Grids with
-    more than ``MAX_STCONN_CLAUSES`` clauses are rejected."""
+    """Edge-set form of the corner-connectivity contradiction.  Grids larger
+    than ``MAX_STCONN_N`` are rejected."""
     if n < 1:
         raise PreconditionViolation("n >= 1")
-    size = stconn_clauses(n, intersection_clauses=intersection_clauses)
-    if size > MAX_STCONN_CLAUSES:
-        raise PreconditionViolation(
-            f"clauses <= {MAX_STCONN_CLAUSES}",
-            f"stconn({n}) would have {size} clauses, over the cap of {MAX_STCONN_CLAUSES}")
+    if n > MAX_STCONN_N:
+        raise PreconditionViolation(f"n <= {MAX_STCONN_N}",
+                                    f"stconn needs n <= {MAX_STCONN_N}, got n={n}")
     slots = edge_slots(n)
     at = _slots_at(slots)
     corners = {p: color for color, ends in corner_ends(n).items() for p in ends}

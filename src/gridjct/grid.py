@@ -194,7 +194,7 @@ class EdgeSequence:
         return True
 
     def check_chain(self, simple: bool = False) -> "EdgeSequence":
-        """:func:`checked_path` over the edges, which may revisit points
+        """:func:`check_path` over the edges, which may revisit points
         unless ``simple``: :meth:`validate` adds simplicity.  A chain is
         accepted in bulk, over its points; only a rejected one is walked
         edge by edge, to name its first fault."""
@@ -206,9 +206,7 @@ class EdgeSequence:
                 == {1} and 0 <= min(xs) and 0 <= min(ys) and max(xs) <= n and max(ys) <= n
                 and (not closed or (len(edges) >= 4 and pts[-1] == pts[0]))
                 and (not simple or len(set(pts)) == len(pts) - closed)):  # closed: ends at pts[0]
-            for _ in checked_path(((*e.src, *e.dst) for e in edges), n, closed=closed,
-                                  simple=simple):
-                pass
+            check_path(((*e.src, *e.dst) for e in edges), n, closed=closed, simple=simple)
         return self
 
     def points(self) -> list:
@@ -252,17 +250,14 @@ class EdgeSequence:
         return len(self.edges)
 
 
-def checked_path(edges, n: int, ends=None, name: str = "", *, closed: bool = False,
-                 simple: bool = True):
-    """The one sequence checker: yield ``(x1, y1, x2, y2)`` edges unchanged
-    while checking them in one pass.  Edge by edge: each one starting where
-    the previous one ends, every point in [0, n]^2, unit steps.  Once the
-    edges run out: a ``closed`` sequence returning to its start after at
-    least 4 edges, no point visited twice if ``simple``, and the path joining
-    the two ``ends`` if given.
-
-    A failure raises :class:`InvalidInstance` when it is seen, so a consumer
-    that writes the edges must discard what it wrote."""
+def check_path(edges, n: int, ends=None, name: str = "", *, closed: bool = False,
+               simple: bool = True) -> None:
+    """The one sequence checker: check ``(x1, y1, x2, y2)`` edges in one
+    pass.  Edge by edge: each one starting where the previous one ends, every
+    point in [0, n]^2, unit steps.  Once the edges run out: a ``closed``
+    sequence returning to its start after at least 4 edges, no point visited
+    twice if ``simple``, and the path joining the two ``ends`` if given.  The
+    first failure raises :class:`InvalidInstance`."""
     edges = iter(edges)
     first = next(edges, None)
     if first is None:
@@ -272,8 +267,7 @@ def checked_path(edges, n: int, ends=None, name: str = "", *, closed: bool = Fal
         raise InvalidInstance(f"point {start} outside grid [0,{n}]^2", edge_index=0)
     m = n + 1
     seen, revisit = {x * m + y}, None  # revisit: the first edge ending on a seen point
-    for i, e in enumerate(chain((first,), edges)):
-        x1, y1, x2, y2 = e
+    for i, (x1, y1, x2, y2) in enumerate(chain((first,), edges)):
         if x1 != x or y1 != y:
             raise InvalidInstance(f"edge {i} does not chain: {(x, y)} != {(x1, y1)}",
                                   edge_index=i)
@@ -288,7 +282,6 @@ def checked_path(edges, n: int, ends=None, name: str = "", *, closed: bool = Fal
             elif revisit is None:
                 revisit = i
         x, y = x2, y2
-        yield e
     if closed:
         if (x, y) != start:
             raise InvalidInstance("closed sequence does not return to its start")

@@ -68,8 +68,9 @@ def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeS
     # Splice at a pass east -> mid -> west.  Red joins the side points off the
     # curve, so the curve passes the midpoint westward as often as eastward.
     east = GridPoint(mid.x + 1, mid.y)
-    b1 = DirectedEdge(mid, GridPoint(mid.x - 1, mid.y))
-    i = _find_splice(blue, b1, DirectedEdge(east, mid))
+    b1, e_in = DirectedEdge(mid, GridPoint(mid.x - 1, mid.y)), DirectedEdge(east, mid)
+    edges = blue.edges
+    i = next((k for k, e in enumerate(edges) if e == b1 and edges[k - 1] == e_in), None)
     if i is None:
         raise InvalidInstance("curve has no horizontal pass through the midpoint")
     rotated = blue.rotate(i).edges  # starts with b1, ends with the east in-edge
@@ -79,15 +80,6 @@ def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeS
               + list(red.edges)
               + [DirectedEdge(upper, mid)])
     return EdgeSequence(tuple(merged), blue.n, CLOSED).check_chain()
-
-
-def _find_splice(blue: EdgeSequence, b1: DirectedEdge, e_in: DirectedEdge):
-    """Index of an occurrence of b1 whose cyclic predecessor is the east in-edge."""
-    edges = blue.edges
-    for i, e in enumerate(edges):
-        if e == b1 and edges[i - 1] == e_in:
-            return i
-    return None
 
 
 def _left_approach(red: EdgeSequence, lower: GridPoint, upper: GridPoint) -> bool:
@@ -337,7 +329,4 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     fwd, bwd = (it - iq) % k, (iq - it) % k
     step = 1 if fwd <= bwd else -1
     path = hop + [ring[(iq + step * t) % k] for t in range(1, min(fwd, bwd) + 1)]
-    out = EdgeSequence.from_points([divmod(c, s) for c in path], n3, OPEN)
-    if not on.isdisjoint(path):
-        raise TheoremViolation("connection touches the curve (bug)")
-    return out
+    return EdgeSequence.from_points([divmod(c, s) for c in path], n3, OPEN)

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import InvalidInstance, PreconditionViolation, TheoremViolation
 from .grid import (
     CLOSED,
+    MAX_N,
     OPEN,
     DirectedEdge,
     Edge,
@@ -38,7 +39,7 @@ from .grid import (
     _form_of,
     _joins,
     _unit_steps,
-    checked_path,
+    check_path,
     corner_ends,
     translate,
 )
@@ -217,7 +218,10 @@ def _reflect_color_set(es: EdgeSet, big_n: int) -> set:
 def _reflection_frame(inst: Instance, form: str) -> Tuple[int, GridObject, GridObject]:
     """The checks both forms of the reflection make, then ``(N, blue, red)``
     with both colors translated so the side-pair midpoint lands at (N, N) of
-    the 2N grid."""
+    the 2N grid.  Connectors and end runs grow with N <= 2n, so ``n`` is
+    capped at ``MAX_N`` before any is built."""
+    if inst.n > MAX_N:
+        raise PreconditionViolation(f"n <= {MAX_N}", f"reduce needs n <= {MAX_N}, got n={inst.n}")
     inst.validate()
     if inst.form != form:
         raise PreconditionViolation(f"{form}-form instance")
@@ -248,9 +252,9 @@ def jct_to_stconn_set(inst: Instance) -> StConnInstance:
                                       for c, (pre, suf) in _end_runs(big_n).items()}).validate()
 
 
-def jct_witness_to_stconn(inst: Instance, w, *, scale: int = 1) -> GridPoint:
+def jct_witness_to_stconn(inst: Instance, w) -> GridPoint:
     """Map a shared input point to a shared output point of the reflection
-    reduction (optionally scaled, for the refined sequence form)."""
+    reduction; the refined sequence form scales it by the handle's factor."""
     w = GridPoint(*w)
     big_n, dx, dy = _centering(inst)
     wb = GridPoint(w.x + dx, w.y + dy)
@@ -270,8 +274,7 @@ def jct_witness_to_stconn(inst: Instance, w, *, scale: int = 1) -> GridPoint:
     if not common:
         raise InvalidInstance(
             "witness not transportable: the colors share no quarter at this diagonal point")
-    img = _reflect(common[0], wb, big_n)
-    return GridPoint(img.x * scale, img.y * scale)
+    return _reflect(common[0], wb, big_n)
 
 
 # --- sequence form with the 16N^2 expansion --------------------------------
@@ -322,7 +325,7 @@ def _check_template(tpl, n: int, dx: int, dy: int, h: Optional[int]):
     depth 0 and along 0..8N, or (combs only) along 1..4N and depth
     1..h <= 4N-2; along is measured in direction (dx, dy), depth to its
     right.  One loop accepts; only a rejected template runs the point walk
-    and :func:`checked_path`, which name its first fault."""
+    and :func:`check_path`, which name its first fault."""
     f, half, top = 8 * n, 4 * n, -1 if h is None or h > 4 * n - 2 else h
     name = f"template ({dx}, {dy}, h={h})"
     if not tpl or tpl[0][:2] != (0, 0) or tpl[-1][2:] != (f * dx, f * dy):
@@ -342,8 +345,7 @@ def _check_template(tpl, n: int, dx: int, dy: int, h: Optional[int]):
         if not (depth == 0 and 0 <= along <= f or 1 <= along <= half and 1 <= depth <= top):
             raise TheoremViolation(f"{name}: point {(x, y)} leaves its quarter cell (bug)")
     try:  # shifted by 8N, into [0, 16N]^2
-        for _ in checked_path(((a + f, b + f, c + f, e + f) for a, b, c, e in tpl), 2 * f):
-            pass
+        check_path(((a + f, b + f, c + f, e + f) for a, b, c, e in tpl), 2 * f)
     except InvalidInstance as exc:
         raise TheoremViolation(f"{name}, shifted by {f}: {exc} (bug)") from None
 
@@ -461,7 +463,7 @@ class StConnSeqReduction:
         once three checks pass; they cost O(1) per coarse step plus O(16N^2)
         per distinct template, not O(1) per output edge.
 
-        1. The coarse path, through :func:`checked_path` against the color's
+        1. The coarse path, through :func:`check_path` against the color's
            corners of the 2N grid: chaining, bounds, unit steps, simplicity.
         2. Each distinct template, once (:func:`_check_template`): a simple
            unit-step path from (0, 0) to 8N*d whose points off the edge lie
@@ -484,14 +486,13 @@ class StConnSeqReduction:
         every off-line comb point, so both in bounds puts them all in bounds.
 
         Coarse and bounds failures raise :class:`InvalidInstance` with
-        :func:`checked_path`'s messages; a bad template is a bug and raises
+        :func:`check_path`'s messages; a bad template is a bug and raises
         :class:`TheoremViolation`.  Every check runs before a piece is
         returned."""
         n, f, m = self.n_base, self.factor, self.n_out
         coarse = self._coarse(color)
-        for _ in checked_path(((x, y, x + dx, y + dy) for x, y, dx, dy, _ in coarse),
-                              2 * n, corner_ends(2 * n)[color], color):
-            pass
+        check_path(((x, y, x + dx, y + dy) for x, y, dx, dy, _ in coarse),
+                   2 * n, corner_ends(2 * n)[color], color)
         for x, y, dx, dy, h in coarse:
             if h is not None:
                 cx, cy = x * f + 4 * n * dx + h * dy, y * f + 4 * n * dy - h * dx

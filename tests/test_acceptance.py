@@ -237,7 +237,8 @@ def test_criterion_5_reduction_exactness():
         moved = None
         for w in sorted(inst.blue.point_set & inst.red.point_set):
             try:
-                moved = jct_witness_to_stconn(inst, w, scale=handle.factor)
+                img = jct_witness_to_stconn(inst, w)
+                moved = GridPoint(img.x * handle.factor, img.y * handle.factor)
             except InvalidInstance:
                 continue
             assert moved in (out.blue.point_set & out.red.point_set)

@@ -215,13 +215,13 @@ def test_fuzz_subcommand(capsys):
     assert blob["checked"] == 4
 
 
-def _python(*args):
+def _python(*args, **kw):
     """Run a new interpreter that imports the same gridjct as this process,
-    installed or not."""
+    installed or not; ``kw`` goes to :func:`subprocess.run`."""
     src = os.path.dirname(os.path.dirname(gridjct.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kw)
 
 
 def test_module_entry_point(instance_file):
@@ -319,6 +319,85 @@ def test_gen_stseq_rejects_n_over_cap(tmp_path, capsys):
 def test_fuzz_rejects_n_over_cap(capsys):
     # the generators would try to grow billions of cells; none is grown
     _exits_1_with_one_line(capsys, ["fuzz", "--n", "100000", "--count", "1"])
+
+
+# The CI smoke's small payloads.  Each subcommand must cost what its edges
+# cost, or reject the declared n at once, with every "n" set to 10^9.  parity
+# runs with --witness, as in CI: its profile prints one digit per column.
+_RED_AROUND = [[2, 0, 3, 0], [3, 0, 4, 0], [4, 0, 4, 1], [4, 1, 4, 2], [4, 2, 3, 2], [3, 2, 2, 2]]
+_ST = ([[0, 1, 1, 1], [1, 1, 1, 0]], [[0, 0, 1, 0], [1, 0, 1, 1]])
+_SMOKE_PAYLOADS = {
+    "sq": _GOOD,
+    "conn": {"n": 4, "form": "seq", "blue": _GOOD["blue"], "sides": [[6, 2], [6, 4]]},
+    "sqa": {**_GOOD, "red": {"n": 4, "kind": "open", "seq": _RED_AROUND}},
+    "sqa-set": {**_GOOD_SET, "red": {"n": 4, "set": _RED_AROUND}},
+    "st-seq": {"n": 1, "form": "seq", "blue": {"n": 1, "kind": "open", "seq": _ST[0]},
+               "red": {"n": 1, "kind": "open", "seq": _ST[1]}},
+    "st-set": {"n": 1, "form": "set", "blue": {"n": 1, "set": _ST[0]},
+               "red": {"n": 1, "set": _ST[1]}},
+    "arc": {"n": 8, "kind": "closed", "seq": [[5, 2, 4, 2], [4, 2, 3, 2], [3, 2, 2, 2], [2, 2, 1, 2],
+                                               [1, 2, 2, 2], [2, 2, 3, 2], [3, 2, 4, 2], [4, 2, 5, 2]]},
+    "above": {"n": 8, "kind": "open", "seq": [[3, 1, 2, 1], [2, 1, 1, 1], [1, 1, 0, 1], [0, 1, 0, 2],
+                                               [0, 2, 0, 3], [0, 3, 0, 4], [0, 4, 1, 4], [1, 4, 2, 4],
+                                               [2, 4, 3, 4], [3, 4, 3, 3]]},
+}
+_AT_1E9 = {
+    "validate": ["validate", "--instance", "sq.json"],
+    "parity-witness": ["parity", "--witness", "--instance", "sq.json"],
+    "alternation": ["alternation", "--instance", "sq.json"],
+    "regions": ["regions", "--instance", "sq.json"],
+    "connect": ["connect", "--instance", "conn.json", "--point", "1,1"],
+    "render": ["render", "--instance", "sq.json", "--svg", "sq.svg"],
+    "merge": ["merge", "--blue", "arc.json", "--red", "above.json", "--out", "merged.json"],
+    "reduce-jct-seq-out": ["reduce", "--from", "jct", "--form", "seq", "--instance", "sqa.json",
+                           "--out", "o.json"],
+    "reduce-jct-seq-edge-at": ["reduce", "--from", "jct", "--form", "seq", "--instance", "sqa.json",
+                               "--edge-at", "0"],
+    "reduce-jct-set-out": ["reduce", "--from", "jct", "--form", "set", "--instance", "sqa-set.json",
+                           "--out", "o.json"],
+    "reduce-jct-set-stdout": ["reduce", "--from", "jct", "--form", "set", "--instance",
+                              "sqa-set.json"],
+    "reduce-stconn-seq": ["reduce", "--from", "stconn", "--form", "seq", "--instance", "st-seq.json"],
+    "reduce-stconn-set": ["reduce", "--from", "stconn", "--form", "set", "--instance", "st-set.json"],
+    "gen-stconn": ["gen", "--family", "stconn", "--n", "1000000000"],
+    "gen-stseq": ["gen", "--family", "stseq", "--n", "1000000000"],
+    "fuzz": ["fuzz", "--n", "1000000000", "--count", "1"],
+}
+
+
+def _with_n(doc, n):
+    """``doc`` with every "n" key, nested ones too, set to ``n``."""
+    if not isinstance(doc, dict):
+        return doc
+    return {k: n if k == "n" else _with_n(v, n) for k, v in doc.items()}
+
+
+@pytest.mark.parametrize("name", ["reduce-jct-seq-out", "reduce-jct-seq-edge-at",
+                                  "reduce-jct-set-out", "reduce-jct-set-stdout"])
+def test_reduce_from_jct_rejects_grid_over_cap(tmp_path, capsys, monkeypatch, name):
+    # connectors and end runs grow with the declared n: n = 513 is rejected before any is built
+    monkeypatch.chdir(tmp_path)
+    for doc_name in ("sqa", "sqa-set"):
+        doc = _with_n(_SMOKE_PAYLOADS[doc_name], 513)
+        (tmp_path / f"{doc_name}.json").write_text(json.dumps(doc))
+    assert main(_AT_1E9[name]) == 1
+    assert capsys.readouterr() == ("", "error: reduce needs n <= 512, got n=513\n")
+    assert not (tmp_path / "o.json").exists()
+
+
+# main in a child whose address space is capped at 1 GiB; -S skips site's start-up imports
+_UNDER_1_GIB = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, "
+                "(1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1])); "
+                "from gridjct.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("name", sorted(_AT_1E9))
+def test_declared_n_of_1e9_costs_no_more_than_the_payload(tmp_path, name):
+    for doc_name, doc in _SMOKE_PAYLOADS.items():
+        (tmp_path / f"{doc_name}.json").write_text(json.dumps(_with_n(doc, 10 ** 9)))
+    proc = _python("-S", "-c", _UNDER_1_GIB, *_AT_1E9[name], cwd=tmp_path, timeout=20)
+    assert proc.returncode in (0, 1), proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) <= 1, proc.stderr
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED) + ["not-utf8"])

@@ -16,7 +16,6 @@ from gridjct.cnf import (
     gen_stconn,
     gen_stseq,
     solve,
-    stconn_clauses,
     to_dimacs,
 )
 from gridjct.errors import InvalidInstance, PreconditionViolation, SolverBudgetExhausted
@@ -299,21 +298,13 @@ def test_stseq_rejects_n_over_cap():
         gen_stseq(MAX_STSEQ_N + 1, intersection_clauses=False)
 
 
-def test_stconn_clauses_closed_form():
-    for n in range(1, 7):
-        for intact in (True, False):
-            f = gen_stconn(n, intersection_clauses=intact)
-            assert stconn_clauses(n, intersection_clauses=intact) == len(f.clauses)
-
-
-def test_stconn_rejects_clauses_over_cap():
-    cap = cnf.MAX_STCONN_CLAUSES
-    assert stconn_clauses(182) <= cap < stconn_clauses(183)
-    with pytest.raises(PreconditionViolation, match=f"over the cap of {cap}") as exc:
+def test_stconn_rejects_n_over_cap():
+    cap = cnf.MAX_STCONN_N
+    with pytest.raises(PreconditionViolation, match=f"^stconn needs n <= {cap}, got n=183$") as exc:
         gen_stconn(183)
-    assert exc.value.condition == f"clauses <= {cap}"
-    with pytest.raises(PreconditionViolation):
-        gen_stconn(2000, intersection_clauses=False)
+    assert (cap, exc.value.condition) == (182, "n <= 182")
+    with pytest.raises(PreconditionViolation, match="got n=183$"):
+        gen_stconn(183, intersection_clauses=False)
 
 
 BAD_FORMULAS = {  # a valid clause first, so the message must name the second

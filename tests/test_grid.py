@@ -17,7 +17,7 @@ from gridjct.grid import (
     EdgeSet,
     GridPoint,
     Instance,
-    checked_path,
+    check_path,
     connects,
     intersects,
     is_curve,
@@ -59,8 +59,11 @@ def test_edge_column_and_row():
     h = Edge.of((2, 3), (3, 3))
     assert h.horizontal and h.column == 2 and h.row == 3
     v = Edge.of((2, 3), (2, 4))
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(PreconditionViolation, match="^vertical edges have no column$"):
         _ = v.column
+    with pytest.raises(PreconditionViolation, match="^vertical edges have no row$") as exc:
+        _ = v.row
+    assert exc.value.condition == "horizontal edge"
 
 
 def test_degree_examples(unit_square):
@@ -196,7 +199,7 @@ def test_validate_and_checked_path_raise_alike(name):
     with pytest.raises(InvalidInstance) as validated:
         seq.validate()
     with pytest.raises(InvalidInstance) as streamed:
-        list(checked_path(iter(quads), 4, closed=kind == CLOSED))
+        check_path(quads, 4, closed=kind == CLOSED)
     for exc in (validated.value, streamed.value):
         assert type(exc) is InvalidInstance
         assert (str(exc), exc.edge_index) == (message, index)
@@ -238,8 +241,8 @@ def test_validate_and_check_chain_agree_with_checked_path_on_random_walks():
                                          for x1, y1, x2, y2 in quads), n, kind)
                 check = seq.validate if simple else seq.check_chain
                 got, want = [], []
-                for fn, out in ((check, got), (lambda: list(checked_path(
-                        iter(quads), n, closed=kind == CLOSED, simple=simple)), want)):
+                for fn, out in ((check, got), (lambda: check_path(
+                        quads, n, closed=kind == CLOSED, simple=simple), want)):
                     try:
                         fn()
                         out.append("ok")
@@ -253,10 +256,10 @@ def test_validate_and_check_chain_agree_with_checked_path_on_random_walks():
                         "closed curve needs at least edges"}
 
 
-def test_checked_path_passes_edges_through_and_skips_simplicity_on_request():
-    square = _FIG8[:2] + [[1, 1, 0, 1], [0, 1, 0, 0]]
-    assert list(checked_path(iter(square), 4, closed=True)) == square
-    assert list(checked_path(iter(_FIG8), 4, closed=True, simple=False)) == _FIG8
+def test_check_path_skips_simplicity_on_request():
+    check_path(_FIG8, 4, closed=True, simple=False)  # a revisit is its only fault
+    with pytest.raises(InvalidInstance, match="closed curve revisits a point"):
+        check_path(_FIG8, 4, closed=True)
     fig8 = EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2))
                               for x1, y1, x2, y2 in _FIG8), 4, CLOSED)
     assert fig8.check_chain() is fig8  # merge's revisiting chains pass

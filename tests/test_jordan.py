@@ -599,3 +599,47 @@ def test_region_connect_rejects_an_open_curve():
     path = EdgeSequence.from_points([(1, 1), (2, 1), (2, 2)], 5, OPEN)
     with pytest.raises(PreconditionViolation, match="closed curve"):
         region_connect(path, (6, 6), side_pair((6, 2), (6, 4)))
+
+
+def _mirrored_end_routes(monkeypatch):
+    """The end fix's routes mirrored left to right: still chained, but each
+    doubled red end now arrives from the right."""
+    real = jordan.left_approach_route
+    monkeypatch.setattr(jordan, "left_approach_route", lambda end, s, from_left: [
+        GridPoint(2 * end.x - p.x, p.y) for p in real(end, s, from_left)])
+    # red leaves p1 downward and enters p2 from the right: both ends are re-routed
+    red = EdgeSequence.from_points([(3, 1), (3, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2), (0, 3),
+                                    (0, 4), (1, 4), (2, 4), (3, 4), (4, 4), (4, 3), (3, 3)], 8, OPEN)
+    merge_paths(retraced_arc(range(5, 0, -1), 2, 8), red, side_pair((3, 1), (3, 3)))
+
+
+def _patched_rings(monkeypatch, spoil, point):
+    """region_connect from ``point`` to the x3 square 3..9 with side points
+    (6, 2) outside and (6, 4) inside, its rings spoiled by
+    ``spoil(q1, q2, outer_side_point_code)``."""
+    real = jordan._side_rings
+    monkeypatch.setattr(jordan, "_side_rings",
+                        lambda codes, s, on: spoil(*real(codes, s, on), 6 * s + 2))
+    region_connect(rect_curve(1, 1, 3, 3, 5), point, side_pair((6, 2), (6, 4)))
+
+
+# name -> (trigger, message of the TheoremViolation it raises)
+BUG_GUARDS = {
+    "end-fix": (_mirrored_end_routes, "end fix failed to establish left approach"),
+    # one ring holding both: both side points' homes are ring 0
+    "same-ring": (lambda mp: _patched_rings(mp, lambda q1, q2, c: (q1 + q2, q2), (6, 6)),
+                  "side points landed on the same ring"),
+    # the outer ring cut down to its side point: from (6, 12) the nearest ring
+    # point is (6, 8) on the inner ring, across the curve's top side y = 9
+    "hop-crosses-curve": (lambda mp: _patched_rings(
+        mp, lambda q1, q2, c: ([c], q2) if c in q1 else (q1, [c]), (6, 12)),
+                          "shortest hop crossed the curve"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUG_GUARDS))
+def test_bug_guards_fire(monkeypatch, name):
+    trigger, message = BUG_GUARDS[name]
+    with pytest.raises(TheoremViolation, match=message) as exc:
+        trigger(monkeypatch)
+    assert type(exc.value) is TheoremViolation and str(exc.value).endswith("(bug)")

@@ -29,7 +29,7 @@ from gridjct.grid import (
     EdgeSequence,
     EdgeSet,
     GridPoint,
-    checked_path,
+    check_path,
     side_pair,
 )
 
@@ -240,7 +240,7 @@ def _per_entry_load(form, obj):
     """The loader's contract restated entry by entry: for each entry its
     shape and int type, then its bounds, then its adjacency, then (set form)
     whether it repeats an earlier edge; then (sequence form) the chain checks
-    of ``checked_path``.  Returns what the loader returns or raises what it
+    of ``check_path``.  Returns what the loader returns or raises what it
     raises."""
     n, entries = obj["n"], obj[form]
     if not isinstance(entries, (list, tuple)):
@@ -266,7 +266,7 @@ def _per_entry_load(form, obj):
     if form == "set":
         return EdgeSet(frozenset(Edge(a, b) for a, b in pairs), n)
     try:
-        list(checked_path(iter(quads), n, closed=obj["kind"] == CLOSED))
+        check_path(quads, n, closed=obj["kind"] == CLOSED)
     except InvalidInstance as exc:
         raise FormatError(str(exc), edge_index=exc.edge_index) from None
     return EdgeSequence(tuple(DirectedEdge(a, b) for a, b in pairs), n, obj["kind"])

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from gridjct.errors import PreconditionViolation
+from gridjct import parity
+from gridjct.errors import PreconditionViolation, TheoremViolation
 from gridjct.grid import (
     OPEN,
     Edge,
@@ -384,3 +385,35 @@ def test_find_intersection_point_sharing_counts():
     assert w.point == GridPoint(3, 2)
     assert w.blue_degree == 2 and w.red_degree == 2
     assert not any(e in blue.edges for e in red.edges)
+
+
+def _mirrored_end_routes(monkeypatch):
+    """Normalization with its end routes mirrored left to right: each red end
+    then arrives from the right."""
+    real = parity.left_approach_route
+    monkeypatch.setattr(parity, "left_approach_route", lambda end, s, from_left: [
+        GridPoint(2 * end.x - p.x, p.y) for p in real(end, s, from_left)])
+    normalize_instance(*_mk_instance([(4, 1), (5, 1), (5, 2), (5, 3), (4, 3)]))
+
+
+def _unchecked_disjoint_pair(monkeypatch):
+    """A curve and a path that share no point, past a crossing check that
+    passes everything."""
+    monkeypatch.setattr(parity, "check_crossing", lambda *a: None)
+    red = edge_set([((7, 1), (7, 2)), ((7, 2), (7, 3))], 8)
+    find_intersection_set(rect_set(2, 2, 4, 4, 8), red, side_pair((7, 1), (7, 3)))
+
+
+# name -> (trigger, message of the TheoremViolation it raises)
+BUG_GUARDS = {
+    "normalization": (_mirrored_end_routes, "normalization produced an inconsistent instance"),
+    "no-shared-point": (_unchecked_disjoint_pair, "no shared grid point found on a valid instance"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUG_GUARDS))
+def test_bug_guards_fire(monkeypatch, name):
+    trigger, message = BUG_GUARDS[name]
+    with pytest.raises(TheoremViolation, match=message) as exc:
+        trigger(monkeypatch)
+    assert type(exc.value) is TheoremViolation and str(exc.value).endswith("(bug)")

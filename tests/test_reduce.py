@@ -431,7 +431,8 @@ def test_jct_to_stconn_seq_witnesses_random():
         moved = None
         for w in sorted(inst.blue.point_set & inst.red.point_set):
             try:
-                moved = jct_witness_to_stconn(inst, w, scale=handle.factor)
+                img = jct_witness_to_stconn(inst, w)
+                moved = GridPoint(img.x * handle.factor, img.y * handle.factor)
             except InvalidInstance:
                 continue
             assert moved in shared_out

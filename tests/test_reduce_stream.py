@@ -18,7 +18,7 @@ from gridjct.generate import gen_crossing_instance
 from gridjct.grid import (CLOSED, OPEN, DirectedEdge, EdgeSequence, EdgeSet, GridPoint,
                           _unit_steps, corner_ends, refine)
 from gridjct.jsonio import Instance, edge_sequence_to_json, save_instance
-from gridjct.reduce import checked_path, jct_to_stconn_seq
+from gridjct.reduce import check_path, jct_to_stconn_seq
 
 from test_jordan import retraced_arc
 from test_reduce import staircase_instance
@@ -355,7 +355,7 @@ def test_stream_check_raises_what_validate_raises(name):
 
 def test_stream_check_rejects_an_empty_path():
     with pytest.raises(InvalidInstance, match="empty"):
-        list(checked_path([], 4, (GridPoint(0, 0), GridPoint(4, 4)), "red"))
+        check_path([], 4, (GridPoint(0, 0), GridPoint(4, 4)), "red")
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
@@ -390,7 +390,8 @@ def test_block_checks_match_the_per_edge_oracle(n):
     handle = jct_to_stconn_seq(gen_crossing_instance(n, n, avoid_midpoint=True))
     m = handle.n_out
     for color in ("blue", "red"):
-        oracle = list(checked_path(handle.iter_edges(color), m, corner_ends(m)[color], color))
+        oracle = list(handle.iter_edges(color))
+        check_path(oracle, m, corner_ends(m)[color], color)
         assert _checked_edges(handle, color) == oracle
 
 
@@ -492,7 +493,7 @@ def test_cli_reduce_writes_nothing_on_a_failed_block_check(tmp_path, capsys, mon
 
 def _template_walks(tpl, n, dx, dy, h):
     """The template check as two walks alone, with no one-pass acceptance:
-    the end points, each point against its quarter box, then checked_path."""
+    the end points, each point against its quarter box, then check_path."""
     f, top = 8 * n, -1 if h is None else h
     name = f"template ({dx}, {dy}, h={h})"
     if not tpl or tpl[0][:2] != (0, 0) or tpl[-1][2:] != (f * dx, f * dy):
@@ -503,8 +504,7 @@ def _template_walks(tpl, n, dx, dy, h):
                 or 1 <= along <= 4 * n and 1 <= depth <= top <= 4 * n - 2):
             raise TheoremViolation(f"{name}: point {(x, y)} leaves its quarter cell (bug)")
     try:
-        for _ in checked_path(((a + f, b + f, c + f, e + f) for a, b, c, e in tpl), 2 * f):
-            pass
+        check_path(((a + f, b + f, c + f, e + f) for a, b, c, e in tpl), 2 * f)
     except InvalidInstance as exc:
         raise TheoremViolation(f"{name}, shifted by {f}: {exc} (bug)") from None
 
@@ -578,23 +578,23 @@ def _fault(check, *args):
     return None
 
 
-def _counting_checked_path(monkeypatch):
-    """Count the calls of checked_path made from the reduce module without
+def _counting_check_path(monkeypatch):
+    """Count the calls of check_path made from the reduce module without
     ends, as only the template walk makes them."""
     calls = []
 
     def counted(edges, n, ends=None, *args, **kwargs):
         if ends is None:
             calls.append(n)
-        return checked_path(edges, n, ends, *args, **kwargs)
+        return check_path(edges, n, ends, *args, **kwargs)
 
-    monkeypatch.setattr(reduce_module, "checked_path", counted)
+    monkeypatch.setattr(reduce_module, "check_path", counted)
     return calls
 
 
 @pytest.mark.parametrize("big_n", range(1, 5))
 def test_one_pass_template_check_matches_the_walks(monkeypatch, big_n):
-    calls = _counting_checked_path(monkeypatch)
+    calls = _counting_check_path(monkeypatch)
     for key in _template_keys(big_n):
         for tpl in _intact_templates(big_n, key):
             assert _fault(_template_walks, tpl, big_n, *key) is None
@@ -616,7 +616,7 @@ def test_one_pass_template_check_matches_the_walks(monkeypatch, big_n):
 
 @pytest.mark.parametrize("big_n", range(1, 5))
 def test_one_pass_template_check_rejects_a_comb_past_its_depth(monkeypatch, big_n):
-    calls = _counting_checked_path(monkeypatch)
+    calls = _counting_check_path(monkeypatch)
     for dx, dy, h in _template_keys(big_n):
         # (comb depth, h): one row past h, and 4N under h = 4N, past the 4N-2 cap
         for depth, top in ((h + 1, h), (4 * big_n, 4 * big_n)) if h else ():
@@ -629,7 +629,7 @@ def test_one_pass_template_check_rejects_a_comb_past_its_depth(monkeypatch, big_
 
 @pytest.mark.parametrize("n", (6, 12))
 def test_checked_pieces_never_walks_an_intact_template(monkeypatch, n):
-    calls = _counting_checked_path(monkeypatch)
+    calls = _counting_check_path(monkeypatch)
     handle = jct_to_stconn_seq(gen_crossing_instance(n, 1, avoid_midpoint=True))
     for color in ("blue", "red"):
         handle.checked_pieces(color)
