@@ -95,8 +95,7 @@ from .reduce import (
     jct_to_stconn_seq,
     jct_to_stconn_set,
     jct_witness_to_stconn,
-    stconn_to_jct_seq,
-    stconn_to_jct_set,
+    stconn_to_jct,
 )
 from .render import render_svg
 

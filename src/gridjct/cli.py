@@ -15,7 +15,7 @@ import sys
 from . import cnf, generate, jordan, parity, reduce as reductions
 from .alternation import check_edge_alternation
 from .errors import GridJctError, InvalidInstance, PreconditionViolation, TheoremViolation
-from .grid import EdgeSequence, GridPoint, Instance, side_pair
+from .grid import EdgeSequence, GridPoint, Instance
 from .jsonio import (
     edge_sequence_from_json,
     edge_sequence_to_json,
@@ -118,9 +118,8 @@ def cmd_merge(args) -> int:
     # chain-level validation happens inside merge_paths; revisiting chains are
     # legitimate diagnostic inputs here
     blue = edge_sequence_from_json(read_json(args.blue), validate=False)
-    red = edge_sequence_from_json(read_json(args.red), validate=False).check_chain()
-    sides = side_pair(red.start, red.end)
-    merged = jordan.merge_paths(blue, red, sides)
+    red = edge_sequence_from_json(read_json(args.red), validate=False)
+    merged = jordan.merge_paths(blue, red)
     ok = check_edge_alternation(merged)
     if args.svg:
         _write_svg(args.svg, Instance(n=merged.n, form="seq", blue=merged))
@@ -144,11 +143,8 @@ def cmd_reduce(args) -> int:
     _need(inst, "blue", "red")
     pieces = None  # the 16N^2 reduction's checked pieces, written without an Instance
     if args.source == "stconn":
-        src = reductions.StConnInstance(n=inst.n, blue=inst.blue, red=inst.red)
-        if args.form == "set":
-            result = reductions.stconn_to_jct_set(src)
-        else:
-            result = reductions.stconn_to_jct_seq(src)
+        result = reductions.stconn_to_jct(
+            reductions.StConnInstance(n=inst.n, blue=inst.blue, red=inst.red))
     else:
         _need(inst, "sides")
         if args.form == "set":
@@ -309,6 +305,9 @@ def main(argv=None) -> int:
         return 2
     except (GridJctError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

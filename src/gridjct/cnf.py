@@ -471,21 +471,20 @@ def decode_model(f: CnfFormula, assignment: Dict[int, bool]):
             raise InvalidInstance(f"assignment violates clause {ci + at}: {list(clause)}")
         ci += len(cols[width])
     family, n = f.meta.get("family"), f.meta.get("n")
+    chosen = {BLUE: [], RED: []}  # each color's true roles, in variable order
+    for v, role in f.var_map.items():
+        if get(v, False):
+            chosen[role.color].append(role)
     if family == "stconn":
-        picked = {BLUE: [], RED: []}
-        for v, role in f.var_map.items():
-            if assignment.get(v, False):
-                picked[role.color].append(role.edge)
-        return (EdgeSet.of(picked[BLUE], n), EdgeSet.of(picked[RED], n))
+        return tuple(EdgeSet.of([role.edge for role in chosen[c]], n) for c in (BLUE, RED))
     if family == "stseq":
         out = {}
         for color in (BLUE, RED):
             by_pos: Dict[int, Edge] = {}
-            for v, role in f.var_map.items():
-                if role.color == color and assignment.get(v, False):
-                    if role.position in by_pos:
-                        raise InvalidInstance(f"two edges at position {role.position}")
-                    by_pos[role.position] = role.edge
+            for role in chosen[color]:
+                if role.position in by_pos:
+                    raise InvalidInstance(f"two edges at position {role.position}")
+                by_pos[role.position] = role.edge
             if not by_pos or sorted(by_pos) != list(range(1, len(by_pos) + 1)):
                 raise InvalidInstance(f"{color} positions are not a prefix")
             pts = [corner_ends(n)[color][0]]

@@ -15,7 +15,7 @@ from collections import deque
 from typing import List, Set, Tuple
 
 from .errors import GenerationExhausted, PreconditionViolation, TheoremViolation
-from .grid import CLOSED, MAX_N, OPEN, EdgeSequence, GridPoint, Instance, SidePair
+from .grid import CLOSED, MAX_N, OPEN, EdgeSequence, GridPoint, Instance, side_pair
 
 _RING8 = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
 
@@ -176,6 +176,6 @@ def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) ->
         pts = _bfs_path(n, p1, p2, rng, {mid} if skip_mid else set())
         red = EdgeSequence.from_points(pts, n, OPEN)
         return Instance(n=n, form="seq", blue=curve, red=red,
-                        sides=SidePair(p1, p2, mid)).validate()
+                        sides=side_pair(p1, p2)).validate()
     raise GenerationExhausted(
         f"no crossing instance in {MAX_ATTEMPTS} attempts (n={n}, seed={seed})")

@@ -31,13 +31,15 @@ from .grid import (
     _check_same_n,
     pair_code,
     refine,
+    side_pair,
 )
 from .parity import IntersectionWitness, find_intersection_set, left_approach_route
 
 
-def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeSequence:
-    """Splice a closed chain and a point-disjoint side-to-side path into one
-    closed chain violating edge alternation in column m-1.
+def merge_paths(blue: EdgeSequence, red: EdgeSequence) -> EdgeSequence:
+    """Splice a closed chain and a point-disjoint path joining a side pair
+    into one closed chain violating edge alternation in column m-1.  The side
+    pair is red's two ends.
 
     Inputs are chain-checked, not simplicity-checked: genuinely valid
     point-disjoint inputs cannot exist, so the interesting callers feed
@@ -50,19 +52,16 @@ def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeS
         raise PreconditionViolation("closed chain and open path")
     bpts = set(blue.check_chain().points())
     rpts = set(red.check_chain().points())
+    lower, upper, mid = side_pair(red.start, red.end)
     if bpts & rpts:
         raise InvalidInstance("blue and red share a grid point; merge undefined")
-
-    lower, upper = sorted((sides.p1, sides.p2), key=lambda p: p.y)
-    mid = sides.mid
-    if {red.edges[0].src, red.edges[-1].dst} != {lower, upper}:
-        raise InvalidInstance("red path endpoints are not the side pair")
-    if red.edges[0].src != lower:
-        red = red.reverse()
+    if lower.y > upper.y:
+        lower, upper, red = upper, lower, red.reverse()
 
     u = GridPoint(lower.x + 1, lower.y)
-    if not (_left_approach(red, lower, upper) and u not in bpts and u not in rpts):
-        blue, red, lower, upper, mid = _double_and_fix_ends(blue, red, lower, upper, mid)
+    if not (_left_approach(red) and u not in bpts and u not in rpts):
+        blue, red = _double_and_fix_ends(blue, red)
+        lower, upper, mid = side_pair(red.start, red.end)
         u = GridPoint(lower.x + 1, lower.y)
 
     # Splice at a pass east -> mid -> west.  Red joins the side points off the
@@ -82,32 +81,31 @@ def merge_paths(blue: EdgeSequence, red: EdgeSequence, sides: SidePair) -> EdgeS
     return EdgeSequence(tuple(merged), blue.n, CLOSED).check_chain()
 
 
-def _left_approach(red: EdgeSequence, lower: GridPoint, upper: GridPoint) -> bool:
-    first, last = red.edges[0], red.edges[-1]
-    return (first.src == lower and first.dst == GridPoint(lower.x - 1, lower.y)
-            and last.dst == upper and last.src == GridPoint(upper.x - 1, upper.y))
+def _left_approach(red: EdgeSequence) -> bool:
+    """Red leaves its first point westward and enters its last one eastward."""
+    return red.edges[0].direction == (-1, 0) and red.edges[-1].direction == (1, 0)
 
 
-def _double_and_fix_ends(blue, red, lower, upper, mid):
-    """Refine x2, then trim or extend the path ends along
-    :func:`~gridjct.parity.left_approach_route` so both meet the new side
-    points horizontally from the left, which a side pair on the left border
-    cannot.  A red end through the midpoint is left to the disjointness check
-    or the splice search."""
-    d0, dl = red.edges[0].direction, red.edges[-1].direction
+def _double_and_fix_ends(blue: EdgeSequence, red: EdgeSequence):
+    """Refine x2, then trim or extend the path ends, red running upward,
+    along :func:`~gridjct.parity.left_approach_route` so both meet the new
+    side points horizontally from the left, which a side pair on the left
+    border cannot.  A red end through the midpoint is left to the
+    disjointness check or the splice search."""
+    lower, upper = red.start, red.end
     if lower.x == 0:
         raise InvalidInstance(f"side pair {tuple(lower)}, {tuple(upper)} is on the left border: "
                               "its red ends cannot be rerouted from the left")
-    head_left, tail_left = d0 == (-1, 0), dl == (1, 0)
+    head_left, tail_left = red.edges[0].direction == (-1, 0), red.edges[-1].direction == (1, 0)
     head = left_approach_route(GridPoint(2 * lower.x, 2 * lower.y), 1, head_left)[::-1]
     tail = left_approach_route(GridPoint(2 * upper.x, 2 * upper.y), -1, tail_left)
     core = refine(red, 2).edges
     edges = [*map(DirectedEdge, head, head[1:]), *core[head_left:len(core) - tail_left],
              *map(DirectedEdge, tail, tail[1:])]
     red_out = EdgeSequence(tuple(edges), 2 * blue.n, OPEN).check_chain()
-    if not _left_approach(red_out, head[0], tail[-1]):
+    if not _left_approach(red_out):
         raise TheoremViolation("end fix failed to establish left approach (bug)")
-    return refine(blue, 2), red_out, head[0], tail[-1], GridPoint(2 * mid.x, 2 * mid.y)
+    return refine(blue, 2), red_out
 
 
 def find_intersection_seq(blue: EdgeSequence, red: EdgeSequence,

@@ -28,6 +28,7 @@ from .grid import (
     on_different_sides,
     pair_code,
     refine,
+    side_pair,
     translate,
 )
 
@@ -206,7 +207,7 @@ def normalize_instance(blue: EdgeSet, red: EdgeSet, sides: SidePair):
             red2.add(Edge.of(route[i], route[i + 1]))
 
     red_out = EdgeSet(frozenset(red2), n2)
-    sides_out = SidePair(new_end[sides.p1], new_end[sides.p2], t(sides.mid))
+    sides_out = side_pair(new_end[sides.p1], new_end[sides.p2])
     ok = (connects(red_out, sides_out.p1, sides_out.p2)
           and on_different_sides(blue2, sides_out.p1, sides_out.p2)
           and approaches_from_left(red_out, sides_out)

@@ -35,12 +35,12 @@ from .grid import (
     GridObject,
     GridPoint,
     Instance,
-    SidePair,
     _form_of,
     _joins,
     _unit_steps,
     check_path,
     corner_ends,
+    side_pair,
     translate,
 )
 
@@ -99,14 +99,14 @@ def _spliced(form: str, pieces, n: int, kind: str) -> GridObject:
     return EdgeSequence(tuple(edges), n, kind)
 
 
-def _stconn_to_jct(inst: StConnInstance, form: str) -> Instance:
-    """The one embedding behind both forms: shift the input up by one onto
-    the (n+2) grid, close blue from the lower-right corner round the right
-    column and the top row, and run red from the fresh side point (n+1, 0)
-    along the bottom into its path and on to (n+1, 2)."""
-    inst.validate()
-    if inst.form != form:
-        raise PreconditionViolation(f"{form}-form instance")
+def stconn_to_jct(inst: StConnInstance) -> Instance:
+    """Embed an st-connectivity instance as a side-crossing instance of the
+    same form on the (n+2) grid; intersection status is preserved point for
+    point.  Shift the input up by one, close blue from the lower-right corner
+    round the right column and the top row, and run red from the fresh side
+    point (n+1, 0) along the bottom into its path and on to (n+1, 2).  The
+    set form is the union of these runs, the sequence form splices them."""
+    form = inst.validate().form
     n, n_out = inst.n, inst.n + 2
     blue, red = inst.blue, inst.red
     if form == "seq":  # each path from its first corner
@@ -120,20 +120,7 @@ def _stconn_to_jct(inst: StConnInstance, form: str) -> Instance:
         n=n_out, form=form,
         blue=_spliced(form, (translate(blue, 0, 1, n_out).edges, closure), n_out, CLOSED),
         red=_spliced(form, (prefix, translate(red, 0, 1, n_out).edges, suffix), n_out, OPEN),
-        sides=SidePair(GridPoint(n + 1, 0), GridPoint(n + 1, 2), GridPoint(n + 1, 1)),
-        offset=(0, 1)).validate()
-
-
-def stconn_to_jct_set(inst: StConnInstance) -> Instance:
-    """Embed a set-form st-connectivity instance as a side-crossing instance
-    on the (n+2) grid; intersection status is preserved point for point."""
-    return _stconn_to_jct(inst, "set")
-
-
-def stconn_to_jct_seq(inst: StConnInstance) -> Instance:
-    """Sequence form of :func:`stconn_to_jct_set`: the same runs, spliced
-    into the ordered output sequences."""
-    return _stconn_to_jct(inst, "seq")
+        sides=side_pair((n + 1, 0), (n + 1, 2)), offset=(0, 1)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +345,13 @@ class StConnSeqReduction:
     suffix boundary extensions are plain 8N-fold refinements with closed-form
     lengths.  ``iter_edges(color)`` walks a whole output path in order, and
     ``checked_pieces(color)`` gives it, checked, as translated templates: one
-    per coarse step, built once per handle on first use.  ``core`` and
-    ``ends`` map each color to its reflected core (:func:`_seq_core`) and to
-    its (prefix, suffix) runs.  A block is one image step of the core and
+    per coarse step, built once per handle on first use.  ``core`` maps each
+    color to its reflected core (:func:`_seq_core`); its (prefix, suffix)
+    runs are :func:`_end_runs`.  A block is one image step of the core and
     the connector steps after it.
     """
 
-    def __init__(self, big_n: int, core: Dict[str, List[Step]],
-                 ends: Dict[str, Tuple[list, list]]):
+    def __init__(self, big_n: int, core: Dict[str, List[Step]]):
         self.n_base = big_n
         self.factor = 8 * big_n
         self.block_size = 16 * big_n * big_n
@@ -373,6 +359,7 @@ class StConnSeqReduction:
         self._core = core
         self._blocks = {c: [k for k, step in enumerate(steps) if step[4] is not None]
                         for c, steps in core.items()}  # the image steps' indices
+        ends = _end_runs(big_n)
         self._prefix = {c: pre for c, (pre, _) in ends.items()}
         self._suffix = {c: suf for c, (_, suf) in ends.items()}
         self._templates: Dict[Tuple[int, int, Optional[int]], Tuple[Quad, ...]] = {}
@@ -535,7 +522,7 @@ def jct_to_stconn_seq(inst: Instance) -> StConnSeqReduction:
         raise TheoremViolation("red core does not start at the lower image point (bug)")
     if core["blue"][0][:2] != (0, big_n):
         raise TheoremViolation("blue core does not start at the left corner image (bug)")
-    return StConnSeqReduction(big_n, core, _end_runs(big_n))
+    return StConnSeqReduction(big_n, core)
 
 
 edge_at = StConnSeqReduction.edge_at  # edge_at(handle, j): red is the default color

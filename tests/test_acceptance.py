@@ -26,8 +26,7 @@ from gridjct.reduce import (
     jct_to_stconn_seq,
     jct_to_stconn_set,
     jct_witness_to_stconn,
-    stconn_to_jct_seq,
-    stconn_to_jct_set,
+    stconn_to_jct,
 )
 
 from conftest import edge_set, flood_components
@@ -181,7 +180,7 @@ def test_criterion_5_reduction_exactness():
     for seed in range(70):
         n = 2 + (seed % 7)  # n <= 8
         src = staircase_instance(n, seed, "set")
-        out = stconn_to_jct_set(src)
+        out = stconn_to_jct(src)
         out.validate()
         dx, dy = out.offset
         shifted = {GridPoint(p.x + dx, p.y + dy)
@@ -191,7 +190,7 @@ def test_criterion_5_reduction_exactness():
     for seed in range(70):
         n = 2 + (seed % 7)
         src = staircase_instance(n, 1000 + seed, "seq")
-        out = stconn_to_jct_seq(src)
+        out = stconn_to_jct(src)
         out.validate()
         checked += 1
 

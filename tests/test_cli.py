@@ -467,6 +467,84 @@ def test_merge_rejects_points_outside_grid(tmp_path, capsys):
     _exits_1_with_one_line(capsys, ["merge", "--blue", str(bluef), "--red", str(redf)])
 
 
+# One fault each on the CI smoke's merge pair and stconn instances: argv, the
+# files it reads, exit code and stderr.  merge_paths checks the kinds before
+# the chains, and reads the side pair off red's ends after them.
+_ARC, _ABOVE = _SMOKE_PAYLOADS["arc"], _SMOKE_PAYLOADS["above"]
+_PRECONDITION = "error: precondition violated: closed chain and open path\n"
+
+
+def _merge(blue=_ARC, red=_ABOVE):
+    return (["merge", "--blue", "blue.json", "--red", "red.json"],
+            {"blue.json": blue, "red.json": red})
+
+
+def _stconn(form, doc):
+    return (["reduce", "--from", "stconn", "--form", form, "--instance", "st.json"],
+            {"st.json": _SMOKE_PAYLOADS[doc]})
+
+
+REROUTED = {
+    "merge-red-kind-closed": (*_merge(red={**_ABOVE, "kind": "closed"}), 1, _PRECONDITION),
+    "merge-red-ends-misaligned": (
+        *_merge(red={**_ABOVE, "seq": _ABOVE["seq"][:-1]}), 1,
+        "error: side pair must be vertically aligned two apart: (3, 1) (3, 4)\n"),
+    "merge-red-empty": (*_merge(red={**_ABOVE, "seq": []}), 1, "error: empty edge sequence\n"),
+    "merge-red-chain-broken": (
+        *_merge(red={**_ABOVE, "seq": _ABOVE["seq"][:4] + _ABOVE["seq"][5:]}), 1,
+        "error: edge 4 does not chain: (0, 2) != (0, 3)\n"),
+    "merge-n-differs": (*_merge(red={**_ABOVE, "n": 9}), 1,
+                        "error: grid parameters differ: 8 != 9\n"),
+    "merge-blue-open": (*_merge(blue={**_ARC, "kind": "open"}), 1, _PRECONDITION),
+    "merge-red-shares-a-point": (
+        *_merge(red={"n": 8, "kind": "open", "seq": [[3, 1, 3, 2], [3, 2, 3, 3]]}), 1,
+        "error: blue and red share a grid point; merge undefined\n"),
+    "merge-red-reversed": (
+        *_merge(red={**_ABOVE, "seq": [[c, d, a, b] for a, b, c, d in _ABOVE["seq"][::-1]]}),
+        0, ""),
+    "reduce-stconn-seq": (*_stconn("seq", "st-seq"), 0, ""),
+    "reduce-stconn-set": (*_stconn("set", "st-set"), 0, ""),
+    "reduce-stconn-form-mismatch": (*_stconn("set", "st-seq"), 1,
+                                    "error: instance form 'seq' does not match --form set\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REROUTED))
+def test_rerouted_rejections_keep_their_lines(tmp_path, capsys, monkeypatch, name):
+    argv, files, code, err = REROUTED[name]
+    monkeypatch.chdir(tmp_path)
+    for path, doc in files.items():
+        (tmp_path / path).write_text(json.dumps(doc))
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code:
+        assert captured.out == ""
+    elif argv[0] == "merge":  # red merges from its lower end, as given or reversed
+        (tmp_path / "red.json").write_text(json.dumps(_ABOVE))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == captured.out
+    else:
+        assert json.loads(captured.out)["form"] == argv[4]
+
+
+@pytest.mark.parametrize("argv, stand_in", [
+    (["parity", "--instance", "sqa.json"], "gridjct.parity.parity_profile"),
+    (["reduce", "--from", "jct", "--form", "seq", "--instance", "sqa.json", "--out", "out.json"],
+     "gridjct.cli.write_seq_instance"),  # called inside the sink's block
+], ids=["parity-profile", "reduce-inside-sink"])
+def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv, stand_in):
+    def exhausted(*args, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(stand_in, exhausted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sqa.json").write_text(json.dumps(_SMOKE_PAYLOADS["sqa"]))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["connect", "--instance", "curve.json", "--point", "-1,-1"],  # read as an option
     ["frobnicate"],  # unknown subcommand

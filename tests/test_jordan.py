@@ -54,8 +54,7 @@ def path_around_left(mid, n):
 def test_merge_violates_alternation_by_construction():
     blue = retraced_arc(range(5, 0, -1), 2, 8)
     red = path_around_left(GridPoint(3, 2), 8)
-    sides = side_pair((3, 1), (3, 3))
-    merged = merge_paths(blue, red, sides)
+    merged = merge_paths(blue, red)
     for i, e in enumerate(merged.edges):  # chained and closed
         assert e.dst == merged.edges[(i + 1) % len(merged.edges)].src
     assert not check_edge_alternation(merged)
@@ -69,7 +68,7 @@ def test_merge_splices_an_eastward_arc_on_its_return_pass():
     # east -> mid -> west, so it is spliced as given
     blue = retraced_arc(range(1, 6), 2, 8)
     red = path_around_left(GridPoint(3, 2), 8)
-    merged = merge_paths(blue, red, side_pair((3, 1), (3, 3)))
+    merged = merge_paths(blue, red)
     assert not check_edge_alternation(merged)
 
 
@@ -77,7 +76,7 @@ def test_merge_rejects_intersecting():
     blue = retraced_arc(range(5, 0, -1), 2, 8)
     red = EdgeSequence.from_points([(3, 1), (3, 2), (3, 3)], 8, OPEN)
     with pytest.raises(InvalidInstance):
-        merge_paths(blue, red, side_pair((3, 1), (3, 3)))
+        merge_paths(blue, red)
 
 
 def test_merge_doubles_when_splice_point_occupied():
@@ -88,7 +87,7 @@ def test_merge_doubles_when_splice_point_occupied():
         (3, 1), (4, 1), (4, 0), (3, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2),
         (0, 3), (1, 3), (2, 3), (3, 3)]
     red = EdgeSequence.from_points(pts, 8, OPEN)
-    merged = merge_paths(blue, red, side_pair((3, 1), (3, 3)))
+    merged = merge_paths(blue, red)
     assert merged.n == 16
     assert not check_edge_alternation(merged)
 
@@ -99,7 +98,7 @@ def test_merge_normalizes_non_left_approach():
     pts = [(3, 1), (3, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2), (0, 3),
            (0, 4), (1, 4), (2, 4), (3, 4), (4, 4), (4, 3), (3, 3)]
     red = EdgeSequence.from_points(pts, 8, OPEN)
-    merged = merge_paths(blue, red, side_pair((3, 1), (3, 3)))
+    merged = merge_paths(blue, red)
     assert merged.n == 16  # doubled
     assert not check_edge_alternation(merged)
 
@@ -110,7 +109,7 @@ def test_merge_rejects_rerouted_ends_off_the_grid():
     blue = EdgeSequence.from_points([(5, 5), (6, 5), (6, 6), (5, 6)], 8, CLOSED)
     red = EdgeSequence.from_points([(0, 1), (1, 1), (1, 2), (1, 3), (0, 3)], 8, OPEN)
     with pytest.raises(InvalidInstance, match=r"side pair \(0, 1\), \(0, 3\) is on the left border"):
-        merge_paths(blue, red, side_pair((0, 1), (0, 3)))
+        merge_paths(blue, red)
 
 
 def test_cli_merge_rejects_a_left_border_side_pair(tmp_path, capsys):
@@ -137,7 +136,7 @@ FROM_ABOVE = [(3, 1), (2, 1), (1, 1), (0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2
 def test_merge_accepts_red_entering_the_upper_side_point_from_above(pts):
     blue = retraced_arc(range(5, 0, -1), 2, 8)
     red = EdgeSequence.from_points(pts, 8, OPEN)
-    merged = merge_paths(blue, red, side_pair((3, 1), (3, 3)))
+    merged = merge_paths(blue, red)
     assert merged.n == 16  # doubled to re-route the end from the left
     assert not check_edge_alternation(merged)
 
@@ -241,8 +240,7 @@ def test_merge_breaks_alternation_on_random_tree_walk_chains():
             lambda rng, n, mid: tree_walk_chain(rng, n, mid, (1, -1), rng.randrange(3, 25)),
             range(400)):
         from_above += red[-2] == (mid[0], mid[1] + 2)
-        out = merge_paths(_closed(pts, 8), EdgeSequence.from_points(red, 8, OPEN),
-                          side_pair(red[0], red[-1]))
+        out = merge_paths(_closed(pts, 8), EdgeSequence.from_points(red, 8, OPEN))
         assert not check_edge_alternation(out)
         merged += 1
     assert merged >= 200 and from_above >= 20
@@ -266,7 +264,7 @@ def test_a_pass_exists_in_either_orientation_or_in_neither(name):
         has = _has_east_west_pass(pts, mid)
         assert has == _has_east_west_pass(pts[::-1], mid)
         found[has] += 1
-        args = (_closed(pts, 8), EdgeSequence.from_points(red, 8, OPEN), side_pair(red[0], red[-1]))
+        args = (_closed(pts, 8), EdgeSequence.from_points(red, 8, OPEN))
         if has:
             assert not check_edge_alternation(merge_paths(*args))
         else:
@@ -286,7 +284,7 @@ def test_a_pass_exists_in_either_orientation_or_in_neither(name):
 def test_merge_rejects_red_through_the_midpoint_once(blue, message, reverse):
     red = EdgeSequence.from_points([(3, 1), (3, 2), (3, 3)], 8, OPEN)
     with pytest.raises(InvalidInstance, match=message):
-        merge_paths(blue, red.reverse() if reverse else red, side_pair((3, 1), (3, 3)))
+        merge_paths(blue, red.reverse() if reverse else red)
 
 
 def test_cli_merge_rejects_red_through_a_midpoint_the_curve_misses(tmp_path, capsys):
@@ -302,13 +300,10 @@ def test_cli_merge_rejects_red_through_a_midpoint_the_curve_misses(tmp_path, cap
 def test_merge_preconditions():
     blue = retraced_arc(range(5, 0, -1), 2, 8)
     red = path_around_left(GridPoint(3, 2), 8)
-    sides = side_pair((3, 1), (3, 3))
     with pytest.raises(PreconditionViolation, match="closed chain and open path"):
-        merge_paths(EdgeSequence(blue.edges, 8, OPEN), red, sides)
+        merge_paths(EdgeSequence(blue.edges, 8, OPEN), red)
     with pytest.raises(PreconditionViolation, match="closed chain and open path"):
-        merge_paths(blue, EdgeSequence(red.edges, 8, CLOSED), sides)
-    with pytest.raises(InvalidInstance, match="red path endpoints are not the side pair"):
-        merge_paths(blue, red, side_pair((3, 0), (3, 2)))
+        merge_paths(blue, EdgeSequence(red.edges, 8, CLOSED))
 
 
 def test_find_intersection_seq_examples():
@@ -610,7 +605,7 @@ def _mirrored_end_routes(monkeypatch):
     # red leaves p1 downward and enters p2 from the right: both ends are re-routed
     red = EdgeSequence.from_points([(3, 1), (3, 0), (2, 0), (1, 0), (0, 0), (0, 1), (0, 2), (0, 3),
                                     (0, 4), (1, 4), (2, 4), (3, 4), (4, 4), (4, 3), (3, 3)], 8, OPEN)
-    merge_paths(retraced_arc(range(5, 0, -1), 2, 8), red, side_pair((3, 1), (3, 3)))
+    merge_paths(retraced_arc(range(5, 0, -1), 2, 8), red)
 
 
 def _patched_rings(monkeypatch, spoil, point):

@@ -33,8 +33,7 @@ from gridjct.reduce import (
     jct_to_stconn_seq,
     jct_to_stconn_set,
     jct_witness_to_stconn,
-    stconn_to_jct_seq,
-    stconn_to_jct_set,
+    stconn_to_jct,
 )
 
 
@@ -73,7 +72,7 @@ def test_stconn_to_jct_set_structure_and_witnesses():
     for seed in range(25):
         n = random.Random(seed).randint(2, 7)
         src = staircase_instance(n, seed, "set")
-        out = stconn_to_jct_set(src)
+        out = stconn_to_jct(src)
         assert out.n == n + 2
         assert is_curve(out.blue)
         assert connects(out.red, out.sides.p1, out.sides.p2)
@@ -96,7 +95,7 @@ def test_stconn_to_jct_set_added_groups_explicit():
     from gridjct.grid import Edge
     n = 3
     src = staircase_instance(n, 0, "set")
-    out = stconn_to_jct_set(src)
+    out = stconn_to_jct(src)
 
     def shift(a, b):
         return Edge.of((a[0], a[1] + 1), (b[0], b[1] + 1))
@@ -120,13 +119,13 @@ def test_stconn_to_jct_seq_matches_set_version():
     for seed in range(15):
         n = random.Random(1000 + seed).randint(2, 6)
         src = staircase_instance(n, seed, "seq")
-        out = stconn_to_jct_seq(src)
+        out = stconn_to_jct(src)
         out.blue.validate()
         out.red.validate()
         assert len(out.blue) == len(src.blue) + 2 * n + 6
         src_set = StConnInstance(n=n, blue=src.blue.to_edge_set(),
                                  red=src.red.to_edge_set()).validate()
-        out_set = stconn_to_jct_set(src_set)
+        out_set = stconn_to_jct(src_set)
         assert out.blue.to_edge_set() == out_set.blue
         assert out.red.to_edge_set() == out_set.red
 
@@ -293,16 +292,12 @@ def test_stconn_instance_names_the_corners_a_path_misses(form, blue, red, messag
 
 
 @pytest.mark.parametrize("reduction,wanted", [
-    (stconn_to_jct_set, "set"), (stconn_to_jct_seq, "seq"),
     (jct_to_stconn_set, "set"), (jct_to_stconn_seq, "seq")])
 def test_reductions_reject_the_other_form(reduction, wanted):
     # each reduction is handed a valid instance of the form it does not take
     given = "seq" if wanted == "set" else "set"
-    if reduction in (stconn_to_jct_set, stconn_to_jct_seq):
-        inst = staircase_instance(4, 0, given)
-    else:
-        inst = gen_crossing_instance(6, 1, avoid_midpoint=True)
-        inst = _jct_set(inst) if given == "set" else inst
+    inst = gen_crossing_instance(6, 1, avoid_midpoint=True)
+    inst = _jct_set(inst) if given == "set" else inst
     with pytest.raises(PreconditionViolation, match=f"{wanted}-form instance"):
         reduction(inst)
 
