@@ -1,6 +1,7 @@
 """Alternating sets, arcs, segment taxonomy, and the per-column theorem."""
 
 import itertools
+import random
 
 import pytest
 
@@ -233,6 +234,57 @@ def test_edge_alternation_broken_chain():
     # Flat four-edge out-and-back: both directions of each slot in its column.
     flat = EdgeSequence(_edges((0, 0), (1, 0), (2, 0), (1, 0), (0, 0)), 3, "closed")
     assert not check_edge_alternation(flat)
+
+
+def _alternation_oracle(edges):
+    """Edge alternation restated edge by edge: each horizontal edge files its
+    row under its column with its direction; a column passes when no row
+    points both ways and consecutive rows point opposite ways."""
+    columns = {}
+    for (x1, y1), (x2, y2) in edges:
+        if y1 == y2:
+            columns.setdefault(min(x1, x2), {}).setdefault(y1, set()).add(x2 - x1)
+    for rows in columns.values():
+        dirs = [rows[y] for y in sorted(rows)]
+        if any(len(d) > 1 for d in dirs) or any(a == b for a, b in zip(dirs, dirs[1:])):
+            return False
+    return True
+
+
+def _revisiting_closed_walk(rng):
+    """Points of a seeded closed unit walk on a small grid, ending on its
+    start: a random stroll, then a staircase home, so points and edges may
+    repeat."""
+    while True:
+        n = rng.randint(2, 6)
+        x, y = start = rng.randint(0, n), rng.randint(0, n)
+        pts = [start]
+        for _ in range(rng.randint(2, 14)):
+            dx, dy = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+            if 0 <= x + dx <= n and 0 <= y + dy <= n:
+                x, y = x + dx, y + dy
+                pts.append((x, y))
+        for axis in rng.sample((0, 1), 2):
+            while (x, y)[axis] != start[axis]:
+                step = 1 if (x, y)[axis] < start[axis] else -1
+                x, y = (x + step, y) if axis == 0 else (x, y + step)
+                pts.append((x, y))
+        if len(pts) >= 5:
+            return n, pts
+
+
+def test_edge_alternation_matches_a_per_edge_oracle_on_revisiting_walks():
+    rng = random.Random(29)
+    verdicts, revisits, retraces = set(), 0, 0
+    for _ in range(200):
+        n, pts = _revisiting_closed_walk(rng)
+        walk = EdgeSequence(_edges(*pts), n, "closed")
+        want = _alternation_oracle(walk.edges)
+        assert check_edge_alternation(walk) is want, pts
+        verdicts.add(want)
+        revisits += len(set(pts)) < len(pts) - 1
+        retraces += len({frozenset(e) for e in walk.edges}) < len(walk.edges)
+    assert verdicts == {True, False} and revisits >= 150 and retraces >= 100
 
 
 @pytest.mark.parametrize("edges, kind, exc, message", [

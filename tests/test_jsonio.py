@@ -3,6 +3,7 @@
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -83,6 +84,18 @@ def test_instance_roundtrip(tmp_path):
     assert load_instance(path) == cont
     # the file is plain JSON
     json.loads(path.read_text())
+
+
+def test_checked_sequences_keep_their_point_set_and_degrees():
+    # curves and paths built by from_points and loaded back from JSON: the
+    # point set and degrees they carry are those of their own edges
+    for seed in range(40):
+        inst = gen_crossing_instance(6 + seed % 27, seed)
+        for built in (inst.blue, inst.red):
+            for seq in (built, edge_sequence_from_json(edge_sequence_to_json(built))):
+                assert seq.point_set == frozenset(seq.points())
+                es = seq.to_edge_set()
+                assert es.degree_map == Counter(p for e in es.edges for p in e)
 
 
 def test_instance_n_mismatch():
