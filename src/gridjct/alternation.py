@@ -9,10 +9,12 @@ excursions left of a vertical line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from itertools import compress
+from operator import eq, or_, sub
+from typing import Dict, Iterable, List, NamedTuple
 
 from .errors import PreconditionViolation, TheoremViolation
-from .grid import CLOSED, EdgeSequence
+from .grid import CLOSED, EdgeSequence, endpoint_coords
 
 
 def alternate(xs: Iterable[int], ys: Iterable[int]) -> bool:
@@ -151,20 +153,20 @@ class ColumnAlternation:
         return alternate(self.left_ys, self.right_ys)
 
 
-def _scan_columns(seq: EdgeSequence) -> Dict[int, ColumnAlternation]:
-    """Every occupied column's directed horizontal edges, in one pass."""
-    cols: Dict[int, Tuple[Set[int], Set[int]]] = {}
-    for e in seq.edges:
-        if e.src.y == e.dst.y:
-            ls, rs = cols.setdefault(min(e.src.x, e.dst.x), (set(), set()))
-            (ls if e.dst.x < e.src.x else rs).add(e.src.y)
-    return {k: ColumnAlternation(k, frozenset(ls), frozenset(rs)) for k, (ls, rs) in cols.items()}
+def _marks(seq: EdgeSequence) -> list:
+    """``(column, row, step)`` of the directed horizontal edges, each once,
+    sorted: ``step`` is -1 for a left-pointing edge and 1 for a right one."""
+    xs, ys = endpoint_coords(seq.edges)
+    x1, y1, x2, y2 = xs[0::2], ys[0::2], xs[1::2], ys[1::2]
+    return sorted(set(compress(zip(map(min, x1, x2), y1, map(sub, x2, x1)), map(eq, y1, y2))))
 
 
 def column_sets(seq: EdgeSequence, m: int) -> ColumnAlternation:
-    """Directed horizontal edges in column m, by the same scan as
-    :func:`check_edge_alternation`."""
-    return _scan_columns(seq).get(m, ColumnAlternation(m, frozenset(), frozenset()))
+    """Directed horizontal edges in column m, read off the marks
+    :func:`check_edge_alternation` tests."""
+    col = [(y, step) for k, y, step in _marks(seq) if k == m]
+    return ColumnAlternation(m, frozenset(y for y, step in col if step < 0),
+                             frozenset(y for y, step in col if step > 0))
 
 
 def column_sets_from_segments(seq: EdgeSequence, m: int) -> ColumnAlternation:
@@ -188,4 +190,8 @@ def check_edge_alternation(seq: EdgeSequence) -> bool:
     if seq.kind != CLOSED or not seq.edges:
         raise PreconditionViolation("closed sequence")
     seq.check_chain()
-    return all(col.alternates() for col in _scan_columns(seq).values())
+    # sorted marks alternate when no two in a column share a row or a step
+    marks = _marks(seq)
+    cols, rows, steps = zip(*marks) if marks else ((), (), ())
+    return not any(compress(map(or_, map(eq, rows[1:], rows), map(eq, steps[1:], steps)),
+                            map(eq, cols[1:], cols)))

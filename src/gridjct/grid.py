@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from operator import add, itemgetter, sub
+from operator import add, countOf, itemgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInstance, PreconditionViolation
@@ -177,41 +177,56 @@ class EdgeSequence:
 
     @classmethod
     def from_points(cls, pts: Sequence, n: int, kind: str) -> "EdgeSequence":
-        pts = list(make_all(GridPoint, pts))
+        pts = list(pts)
         ends = pts[1:] + pts[:1] if kind == CLOSED else pts[1:]
-        return cls(tuple(make_all(DirectedEdge, zip(pts, ends))), n, kind).validate()
+        seq = cls.accept(*endpoint_coords(zip(pts, ends)), n, kind)
+        if seq is None:  # validate names the first fault
+            seq = cls(tuple(DirectedEdge(GridPoint(*p), GridPoint(*q)) for p, q in zip(pts, ends)),
+                      n, kind).validate()
+        return seq
+
+    @classmethod
+    def accept(cls, xs: list, ys: list, n: int, kind: str) -> Optional["EdgeSequence"]:
+        """The checked sequence with the endpoint coordinates ``xs``, ``ys``, each
+        point built once and kept in its point set; None if :func:`chain_points`
+        rejects them, a point repeats, or ``kind`` is unknown."""
+        travel = kind in (CLOSED, OPEN) and chain_points(xs, ys, n, kind == CLOSED)
+        pts = list(make_all(GridPoint, zip(*travel))) if travel else []
+        point_set = frozenset(pts)
+        if not pts or len(point_set) != len(pts):
+            return None
+        ends = pts[1:] + pts[:1] if kind == CLOSED else pts[1:]
+        seq = cls(tuple(make_all(DirectedEdge, zip(pts, ends))), n, kind)
+        seq.__dict__.update(_checked=True, point_set=point_set)
+        return seq
 
     def validate(self) -> "EdgeSequence":
-        """Bounds, adjacency, chaining and simplicity, checked once per object."""
-        self._checked  # cached on success only, so a failed check raises again
+        """Bounds, adjacency, chaining and simplicity, checked once per object
+        (``_checked``); a failed check is not remembered, so it raises again."""
+        if "_checked" not in self.__dict__:
+            if self.kind not in (CLOSED, OPEN):
+                raise InvalidInstance(f"unknown sequence kind {self.kind!r}")
+            self.check_chain(simple=True)
+            self.__dict__["_checked"] = True
         return self
-
-    @cached_property
-    def _checked(self) -> bool:
-        if self.kind not in (CLOSED, OPEN):
-            raise InvalidInstance(f"unknown sequence kind {self.kind!r}")
-        self.check_chain(simple=True)
-        return True
 
     def check_chain(self, simple: bool = False) -> "EdgeSequence":
         """:func:`check_path` over the edges, which may revisit points
-        unless ``simple``: :meth:`validate` adds simplicity.  A chain is
-        accepted in bulk, over its points; only a rejected one is walked
-        edge by edge, to name its first fault."""
-        edges, closed, n = self.edges, self.kind == CLOSED, self.n
-        pts = list(map(_FIRST, edges)) + list(map(_SECOND, edges[-1:]))  # travel order, if chained
-        xs, ys = list(map(_FIRST, pts)), list(map(_SECOND, pts))
-        if not (edges and pts[1:] == list(map(_SECOND, edges))
-                and set(map(add, map(abs, map(sub, xs[1:], xs)), map(abs, map(sub, ys[1:], ys))))
-                == {1} and 0 <= min(xs) and 0 <= min(ys) and max(xs) <= n and max(ys) <= n
-                and (not closed or (len(edges) >= 4 and pts[-1] == pts[0]))
-                and (not simple or len(set(pts)) == len(pts) - closed)):  # closed: ends at pts[0]
-            check_path(((*e.src, *e.dst) for e in edges), n, closed=closed, simple=simple)
+        unless ``simple``: :meth:`validate` adds simplicity.  A chain not yet
+        validated is tested by :func:`chain_points`; only a rejected one is
+        walked edge by edge, to name its first fault."""
+        if "_checked" in self.__dict__:
+            return self
+        closed = self.kind == CLOSED
+        if not (chain_points(*endpoint_coords(self.edges), self.n, closed)
+                and (not simple or len(set(pts := self.points())) == len(pts))):
+            check_path(((*e.src, *e.dst) for e in self.edges), self.n, closed=closed,
+                       simple=simple)
         return self
 
     def points(self) -> list:
         """Visited points: t points for a closed curve, t+1 for an open path."""
-        pts = [e.src for e in self.edges]
+        pts = list(map(_FIRST, self.edges))
         if self.kind == OPEN and self.edges:
             pts.append(self.edges[-1].dst)
         return pts
@@ -244,10 +259,35 @@ class EdgeSequence:
     @cached_property
     def _edge_set(self) -> EdgeSet:
         # each edge's bounds and unit step were checked where it was parsed or built
-        return EdgeSet(frozenset(make_all(Edge, map(sorted, self.edges))), self.n)
+        es = EdgeSet(frozenset(make_all(Edge, map(sorted, self.edges))), self.n)
+        if "_checked" in self.__dict__:  # simple: degree 2, and 1 at an open path's ends
+            ends = {self.start: 1, self.end: 1} if self.kind == OPEN else {}
+            degrees = Counter(dict.fromkeys(self.point_set, 2) | ends)
+            es.__dict__.update(degree_map=degrees, points=self.point_set)
+        return es
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def endpoint_coords(edges) -> tuple:
+    """The x and the y coordinates of the edges' ends: x1, x2 of edge 0, then of edge 1..."""
+    ends = list(chain.from_iterable(edges))
+    return list(map(_FIRST, ends)), list(map(_SECOND, ends))
+
+
+def chain_points(xs: list, ys: list, n: int, closed: bool) -> Optional[tuple]:
+    """The bulk chain test over :func:`endpoint_coords`: edges, each starting where the last
+    ends, in [0, n]^2, unit steps, a ``closed`` chain back at its start after 4 or more.  The
+    points' x and y in travel order (a closed chain's start once), or None for a fault."""
+    x1, y1, x2, y2 = xs[0::2], ys[0::2], xs[1::2], ys[1::2]
+    tx, ty = (x1, y1) if closed else (x1 + x2[-1:], y1 + y2[-1:])
+    if (x1 and x1[1:] == x2[:-1] and y1[1:] == y2[:-1]
+            and 0 <= min(tx) and max(tx) <= n and 0 <= min(ty) and max(ty) <= n
+            and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) == {1}
+            and (not closed or (len(x1) >= 4 and x2[-1] == x1[0] and y2[-1] == y1[0]))):
+        return tx, ty
+    return None
 
 
 def check_path(edges, n: int, ends=None, name: str = "", *, closed: bool = False,
@@ -308,9 +348,7 @@ def _check_same_n(a: GridObject, b: GridObject):
 
 def is_curve(edge_set: EdgeSet) -> bool:
     """True iff the set is nonempty and every point has degree 0 or 2."""
-    if not edge_set.edges:
-        return False
-    return all(d == 2 for d in edge_set.degree_map.values())
+    return bool(edge_set.edges) and set(edge_set.degree_map.values()) == {2}
 
 
 def connects(edge_set: EdgeSet, p1, p2) -> bool:
@@ -319,9 +357,8 @@ def connects(edge_set: EdgeSet, p1, p2) -> bool:
     if p1 == p2:
         raise PreconditionViolation("distinct endpoints")
     dm = edge_set.degree_map
-    if dm.get(p1, 0) != 1 or dm.get(p2, 0) != 1:
-        return False
-    return all(d == 2 for p, d in dm.items() if p not in (p1, p2))
+    return (dm.get(p1, 0) == 1 and dm.get(p2, 0) == 1 and countOf(dm.values(), 1) == 2
+            and set(dm.values()) <= {1, 2})
 
 
 def intersects(e1: GridObject, e2: GridObject) -> bool:
@@ -332,13 +369,17 @@ def intersects(e1: GridObject, e2: GridObject) -> bool:
     return not pts1.isdisjoint(pts2)
 
 
-def on_different_sides(edge_set: EdgeSet, p1, p2) -> bool:
-    """Vertically aligned points two apart, both off the set, midpoint degree 2."""
+def on_different_sides(obj: GridObject, p1, p2) -> bool:
+    """Vertically aligned points two apart, both off the collection, midpoint
+    degree 2: on a closed sequence, checked simple, a point of it."""
     p1, p2 = GridPoint(*p1), GridPoint(*p2)
     if p1.x != p2.x or abs(p1.y - p2.y) != 2:
         return False
     mid = GridPoint(p1.x, (p1.y + p2.y) // 2)
-    dm = edge_set.degree_map
+    if isinstance(obj, EdgeSequence) and obj.kind == CLOSED:
+        on = obj.validate().point_set
+        return p1 not in on and p2 not in on and mid in on
+    dm = obj.to_edge_set().degree_map
     return dm.get(p1, 0) == 0 and dm.get(p2, 0) == 0 and dm.get(mid, 0) == 2
 
 
@@ -370,7 +411,7 @@ def check_crossing(blue: GridObject, red: GridObject, sides: SidePair) -> None:
     if not _joins(red, p1, p2):
         raise PreconditionViolation("connects(R, p1, p2)",
                                     "red path endpoints are not the designated side pair")
-    if not on_different_sides(blue.to_edge_set(), p1, p2):
+    if not on_different_sides(blue, p1, p2):
         raise PreconditionViolation("on_different_sides(B, p1, p2)",
                                     "side points are not on different sides of the curve")
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import NamedTuple
 
 from .errors import PreconditionViolation, TheoremViolation
@@ -24,6 +26,7 @@ from .grid import (
     _check_same_n,
     check_crossing,
     connects,
+    endpoint_coords,
     intersects,
     on_different_sides,
     pair_code,
@@ -40,7 +43,7 @@ class ParityProfile:
     bits: tuple
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits))
 
 
 class IntersectionWitness(NamedTuple):
@@ -76,12 +79,11 @@ def is_odd_edge(blue: EdgeSet, r: Edge) -> bool:
 
 
 def _horizontal_rows_by_column(es: EdgeSet, n: int) -> list:
+    """Each column's horizontal edge rows, sorted, keyed by the edges' left ends."""
+    xs, ys = endpoint_coords(es.edges)
     cols = [[] for _ in range(n)]
-    for e in es.edges:
-        if e.horizontal:
-            cols[e.column].append(e.row)
-    for rows in cols:
-        rows.sort()
+    for k, row in sorted(compress(zip(xs[0::2], ys[0::2]), map(eq, ys[0::2], ys[1::2]))):
+        cols[k].append(row)
     return cols
 
 
