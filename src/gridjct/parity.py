@@ -78,28 +78,21 @@ def is_odd_edge(blue: EdgeSet, r: Edge) -> bool:
     return count % 2 == 1
 
 
-def _horizontal_rows_by_column(es: EdgeSet, n: int) -> list:
-    """Each column's horizontal edge rows, sorted, keyed by the edges' left ends."""
+def _horizontal_cells(es: EdgeSet):
+    """``(column, row)`` of each horizontal edge, read off its left end."""
     xs, ys = endpoint_coords(es.edges)
-    cols = [[] for _ in range(n)]
-    for k, row in sorted(compress(zip(xs[0::2], ys[0::2]), map(eq, ys[0::2], ys[1::2]))):
-        cols[k].append(row)
-    return cols
+    return compress(zip(xs[0::2], ys[0::2]), map(eq, ys[0::2], ys[1::2]))
 
 
 def parity_profile(blue: EdgeSet, red: EdgeSet) -> ParityProfile:
     """Per-column parities of the odd red edges, with respect to ``blue``."""
     _check_same_n(blue, red)
-    n = blue.n
-    blue_cols = _horizontal_rows_by_column(blue, n)
-    red_cols = _horizontal_rows_by_column(red, n)
-    bits = []
-    for k in range(n):
-        bit = 0
-        below = blue_cols[k]
-        for yy in red_cols[k]:
-            bit ^= bisect_left(below, yy) & 1
-        bits.append(bit)
+    below = [[] for _ in range(blue.n)]  # each column's blue rows, sorted
+    for k, yy in sorted(_horizontal_cells(blue)):
+        below[k].append(yy)
+    bits = [0] * blue.n
+    for k, yy in _horizontal_cells(red):
+        bits[k] ^= bisect_left(below[k], yy) & 1
     return ParityProfile(tuple(bits))
 
 
