@@ -156,8 +156,7 @@ class ColumnAlternation:
 def _marks(seq: EdgeSequence) -> list:
     """``(column, row, step)`` of the directed horizontal edges, each once,
     sorted: ``step`` is -1 for a left-pointing edge and 1 for a right one."""
-    xs, ys = endpoint_coords(seq.edges)
-    x1, y1, x2, y2 = xs[0::2], ys[0::2], xs[1::2], ys[1::2]
+    x1, y1, x2, y2 = endpoint_coords(seq.edges)
     return sorted(set(compress(zip(map(min, x1, x2), y1, map(sub, x2, x1)), map(eq, y1, y2))))
 
 

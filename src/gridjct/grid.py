@@ -186,11 +186,11 @@ class EdgeSequence:
         return seq
 
     @classmethod
-    def accept(cls, xs: list, ys: list, n: int, kind: str) -> Optional["EdgeSequence"]:
-        """The checked sequence with the endpoint coordinates ``xs``, ``ys``, each
+    def accept(cls, x1, y1, x2, y2, n: int, kind: str) -> Optional["EdgeSequence"]:
+        """The checked sequence whose edges run from (x1, y1) to (x2, y2), each
         point built once and kept in its point set; None if :func:`chain_points`
         rejects them, a point repeats, or ``kind`` is unknown."""
-        travel = kind in (CLOSED, OPEN) and chain_points(xs, ys, n, kind == CLOSED)
+        travel = kind in (CLOSED, OPEN) and chain_points(x1, y1, x2, y2, n, kind == CLOSED)
         pts = list(make_all(GridPoint, zip(*travel))) if travel else []
         point_set = frozenset(pts)
         if not pts or len(point_set) != len(pts):
@@ -261,8 +261,9 @@ class EdgeSequence:
         # each edge's bounds and unit step were checked where it was parsed or built
         es = EdgeSet(frozenset(make_all(Edge, map(sorted, self.edges))), self.n)
         if "_checked" in self.__dict__:  # simple: degree 2, and 1 at an open path's ends
-            ends = {self.start: 1, self.end: 1} if self.kind == OPEN else {}
-            degrees = Counter(dict.fromkeys(self.point_set, 2) | ends)
+            degrees = dict.fromkeys(self.point_set, 2)
+            if self.kind == OPEN:
+                degrees[self.start] = degrees[self.end] = 1
             es.__dict__.update(degree_map=degrees, points=self.point_set)
         return es
 
@@ -271,16 +272,16 @@ class EdgeSequence:
 
 
 def endpoint_coords(edges) -> tuple:
-    """The x and the y coordinates of the edges' ends: x1, x2 of edge 0, then of edge 1..."""
+    """Lists x1, y1, x2, y2 of the edges' coordinates, each edge a pair of points."""
     ends = list(chain.from_iterable(edges))
-    return list(map(_FIRST, ends)), list(map(_SECOND, ends))
+    xs, ys = list(map(_FIRST, ends)), list(map(_SECOND, ends))
+    return xs[0::2], ys[0::2], xs[1::2], ys[1::2]
 
 
-def chain_points(xs: list, ys: list, n: int, closed: bool) -> Optional[tuple]:
-    """The bulk chain test over :func:`endpoint_coords`: edges, each starting where the last
-    ends, in [0, n]^2, unit steps, a ``closed`` chain back at its start after 4 or more.  The
-    points' x and y in travel order (a closed chain's start once), or None for a fault."""
-    x1, y1, x2, y2 = xs[0::2], ys[0::2], xs[1::2], ys[1::2]
+def chain_points(x1: list, y1: list, x2: list, y2: list, n: int, closed: bool) -> Optional[tuple]:
+    """The bulk chain test over edges from (x1, y1) to (x2, y2): at least one, each starting
+    where the last ends, in [0, n]^2, unit steps, a ``closed`` chain back at its start after 4
+    or more.  The points' x and y in travel order (a closed chain's start once), or None."""
     tx, ty = (x1, y1) if closed else (x1 + x2[-1:], y1 + y2[-1:])
     if (x1 and x1[1:] == x2[:-1] and y1[1:] == y2[:-1]
             and 0 <= min(tx) and max(tx) <= n and 0 <= min(ty) and max(ty) <= n

@@ -115,7 +115,7 @@ def edge_sequence_from_json(obj, *, validate: bool = True) -> EdgeSequence:
     if kind not in (CLOSED, OPEN):
         raise FormatError(f'kind must be "closed" or "open", got {kind!r}')
     flat = _edge_ints(entries, "seq")
-    seq = flat is not None and EdgeSequence.accept(flat[0::2], flat[1::2], n, kind)
+    seq = flat is not None and EdgeSequence.accept(*(flat[i::4] for i in range(4)), n, kind)
     if seq:
         return seq
     seq = EdgeSequence(tuple(_parse_edges(entries, n, DirectedEdge)), n, kind)

@@ -80,8 +80,8 @@ def is_odd_edge(blue: EdgeSet, r: Edge) -> bool:
 
 def _horizontal_cells(es: EdgeSet):
     """``(column, row)`` of each horizontal edge, read off its left end."""
-    xs, ys = endpoint_coords(es.edges)
-    return compress(zip(xs[0::2], ys[0::2]), map(eq, ys[0::2], ys[1::2]))
+    x1, y1, _, y2 = endpoint_coords(es.edges)
+    return compress(zip(x1, y1), map(eq, y1, y2))
 
 
 def parity_profile(blue: EdgeSet, red: EdgeSet) -> ParityProfile:
