@@ -17,7 +17,7 @@ from itertools import chain, repeat
 from operator import add, countOf, itemgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import InvalidInstance, PreconditionViolation
+from .errors import InvalidInstance, PreconditionViolation, TheoremViolation
 
 MAX_N = 512  # largest n to generate or render: polyomino cells and grid dots grow as n^2
 
@@ -179,26 +179,32 @@ class EdgeSequence:
     def from_points(cls, pts: Sequence, n: int, kind: str) -> "EdgeSequence":
         pts = list(pts)
         ends = pts[1:] + pts[:1] if kind == CLOSED else pts[1:]
-        seq = cls.accept(*endpoint_coords(zip(pts, ends)), n, kind)
-        if seq is None:  # validate names the first fault
-            seq = cls(tuple(DirectedEdge(GridPoint(*p), GridPoint(*q)) for p, q in zip(pts, ends)),
-                      n, kind).validate()
-        return seq
+        return cls.accept(*endpoint_coords(zip(pts, ends)), n, kind)
 
     @classmethod
-    def accept(cls, x1, y1, x2, y2, n: int, kind: str) -> Optional["EdgeSequence"]:
-        """The checked sequence whose edges run from (x1, y1) to (x2, y2), each
-        point built once and kept in its point set; None if :func:`chain_points`
-        rejects them, a point repeats, or ``kind`` is unknown."""
-        travel = kind in (CLOSED, OPEN) and chain_points(x1, y1, x2, y2, n, kind == CLOSED)
-        pts = list(make_all(GridPoint, zip(*travel))) if travel else []
-        point_set = frozenset(pts)
-        if not pts or len(point_set) != len(pts):
-            return None
-        ends = pts[1:] + pts[:1] if kind == CLOSED else pts[1:]
-        seq = cls(tuple(make_all(DirectedEdge, zip(pts, ends))), n, kind)
-        seq.__dict__.update(_checked=True, point_set=point_set)
-        return seq
+    def accept(cls, x1: list, y1: list, x2: list, y2: list, n: int, kind: str) -> "EdgeSequence":
+        """The checked sequence whose edges run from (x1, y1) to (x2, y2), each point built
+        once and kept in its point set.  Tested in bulk: at least one edge, each starting where
+        the last ends, in [0, n]^2, unit steps, a closed chain back at its start after 4 or
+        more, no point twice.  A rejected chain is walked by :func:`check_path`, which raises
+        its first fault; a walk that finds none raises :class:`TheoremViolation`."""
+        if kind not in (CLOSED, OPEN):
+            raise InvalidInstance(f"unknown sequence kind {kind!r}")
+        closed = kind == CLOSED
+        tx, ty = (x1, y1) if closed else (x1 + x2[-1:], y1 + y2[-1:])  # a closed start once
+        if (x1 and x1[1:] == x2[:-1] and y1[1:] == y2[:-1]
+                and 0 <= min(tx) and max(tx) <= n and 0 <= min(ty) and max(ty) <= n
+                and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) == {1}
+                and (not closed or (len(x1) >= 4 and x2[-1] == x1[0] and y2[-1] == y1[0]))):
+            pts = list(make_all(GridPoint, zip(tx, ty)))
+            point_set = frozenset(pts)
+            if len(point_set) == len(pts):
+                ends = pts[1:] + pts[:1] if closed else pts[1:]
+                seq = cls(tuple(make_all(DirectedEdge, zip(pts, ends))), n, kind)
+                seq.__dict__.update(_checked=True, point_set=point_set)
+                return seq
+        check_path(zip(x1, y1, x2, y2), n, closed=closed)
+        raise TheoremViolation("check_path passed a chain the bulk test rejects (bug)")
 
     def validate(self) -> "EdgeSequence":
         """Bounds, adjacency, chaining and simplicity, checked once per object
@@ -212,16 +218,10 @@ class EdgeSequence:
 
     def check_chain(self, simple: bool = False) -> "EdgeSequence":
         """:func:`check_path` over the edges, which may revisit points
-        unless ``simple``: :meth:`validate` adds simplicity.  A chain not yet
-        validated is tested by :func:`chain_points`; only a rejected one is
-        walked edge by edge, to name its first fault."""
-        if "_checked" in self.__dict__:
-            return self
-        closed = self.kind == CLOSED
-        if not (chain_points(*endpoint_coords(self.edges), self.n, closed)
-                and (not simple or len(set(pts := self.points())) == len(pts))):
-            check_path(((*e.src, *e.dst) for e in self.edges), self.n, closed=closed,
-                       simple=simple)
+        unless ``simple``: :meth:`validate` adds simplicity."""
+        if "_checked" not in self.__dict__:
+            check_path(((*e.src, *e.dst) for e in self.edges), self.n,
+                       closed=self.kind == CLOSED, simple=simple)
         return self
 
     def points(self) -> list:
@@ -276,19 +276,6 @@ def endpoint_coords(edges) -> tuple:
     ends = list(chain.from_iterable(edges))
     xs, ys = list(map(_FIRST, ends)), list(map(_SECOND, ends))
     return xs[0::2], ys[0::2], xs[1::2], ys[1::2]
-
-
-def chain_points(x1: list, y1: list, x2: list, y2: list, n: int, closed: bool) -> Optional[tuple]:
-    """The bulk chain test over edges from (x1, y1) to (x2, y2): at least one, each starting
-    where the last ends, in [0, n]^2, unit steps, a ``closed`` chain back at its start after 4
-    or more.  The points' x and y in travel order (a closed chain's start once), or None."""
-    tx, ty = (x1, y1) if closed else (x1 + x2[-1:], y1 + y2[-1:])
-    if (x1 and x1[1:] == x2[:-1] and y1[1:] == y2[:-1]
-            and 0 <= min(tx) and max(tx) <= n and 0 <= min(ty) and max(ty) <= n
-            and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) == {1}
-            and (not closed or (len(x1) >= 4 and x2[-1] == x1[0] and y2[-1] == y1[0]))):
-        return tx, ty
-    return None
 
 
 def check_path(edges, n: int, ends=None, name: str = "", *, closed: bool = False,

@@ -15,8 +15,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from itertools import chain
-from operator import add, sub
+from itertools import chain, repeat
 
 from .errors import FormatError, InvalidInstance
 from .grid import (
@@ -28,8 +27,6 @@ from .grid import (
     EdgeSet,
     GridPoint,
     Instance,
-    check_path,
-    make_all,
     side_pair,
 )
 
@@ -40,32 +37,24 @@ def _parse_n(n) -> int:
     return n
 
 
-def _edge_ints(entries, key):
-    """The ints of ``entries`` in order if each is a list of four ints, else None."""
-    if not isinstance(entries, (list, tuple)):
-        raise FormatError(f'"{key}" must be a list of [x1,y1,x2,y2] entries')
-    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {4}:
+def _edge_ints(entries) -> list:
+    """The ints of ``entries`` in order if it is a list of lists of four ints, else []."""
+    if isinstance(entries, (list, tuple)) and all(map(isinstance, entries, repeat((list, tuple)))) \
+            and set(map(len, entries)) <= {4}:
         flat = list(chain.from_iterable(entries))
         if set(map(type, flat)) <= {int}:
             return flat
-    return None
+    return []
 
 
-def _parse_edges(entries, n, make, flat=None) -> list:
-    """``make(p, q)`` for each ``[x1,y1,x2,y2]`` entry: given their ints
-    ``flat``, set entries in [0, n] whose points are adjacent, each ``Edge``
-    once, are accepted in bulk and built in C.  Other entries are walked one
-    by one, checking shape and int type, bounds, adjacency, then (``Edge``)
-    repeats; the first faulty entry raises.  ``Edge`` gets its endpoints in
-    lexicographic order, as :meth:`Edge.of` would give them."""
-    if flat is not None:
-        x1, y1, x2, y2 = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
-        if ((not flat or 0 <= min(flat) and max(flat) <= n)
-                and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) <= {1}):
-            pairs = zip(make_all(GridPoint, zip(x1, y1)), make_all(GridPoint, zip(x2, y2)))
-            edges = list(make_all(Edge, map(sorted, pairs)))
-            if len(set(edges)) == len(edges):
-                return edges
+def _parse_edges(entries, n, make) -> list:
+    """``make(p, q)`` for each ``[x1,y1,x2,y2]`` entry, walked one by one, checking
+    shape and int type, bounds, adjacency, then (``Edge``) repeats; the first faulty
+    entry raises.  ``Edge`` gets its endpoints in lexicographic order, as
+    :meth:`Edge.of` would give them."""
+    if not isinstance(entries, (list, tuple)):
+        key = "set" if make is Edge else "seq"
+        raise FormatError(f'"{key}" must be a list of [x1,y1,x2,y2] entries')
     edges, seen = [], set()
     for i, entry in enumerate(entries):
         # "type(v) is int" because JSON true/false parse to bool, a subclass of int
@@ -91,7 +80,7 @@ def edge_set_from_json(obj) -> EdgeSet:
     if not isinstance(obj, dict) or "n" not in obj or "set" not in obj:
         raise FormatError('edge set payload needs keys "n" and "set"')
     n, entries = _parse_n(obj["n"]), obj["set"]
-    return EdgeSet(frozenset(_parse_edges(entries, n, Edge, _edge_ints(entries, "set"))), n)
+    return EdgeSet(frozenset(_parse_edges(entries, n, Edge)), n)
 
 
 def _coordinates(edges) -> list:
@@ -107,23 +96,22 @@ def edge_set_to_json(es: EdgeSet) -> dict:
 def edge_sequence_from_json(obj, *, validate: bool = True) -> EdgeSequence:
     """Parse a sequence payload.  Coordinates are always checked against the
     grid; ``validate=False`` skips the chain and simplicity invariants (the
-    merge diagnostics feed deliberately revisiting chains).  A valid chain is
-    accepted in one pass; others are walked entry by entry, then as a chain."""
+    merge diagnostics feed deliberately revisiting chains).  The payload goes
+    through :meth:`EdgeSequence.accept`; on a fault its entries are walked one by
+    one, so a faulty entry is named before ``accept``'s chain fault."""
     if not isinstance(obj, dict) or "n" not in obj or "seq" not in obj or "kind" not in obj:
         raise FormatError('edge sequence payload needs keys "n", "seq" and "kind"')
     n, kind, entries = _parse_n(obj["n"]), obj["kind"], obj["seq"]
     if kind not in (CLOSED, OPEN):
         raise FormatError(f'kind must be "closed" or "open", got {kind!r}')
-    flat = _edge_ints(entries, "seq")
-    seq = flat is not None and EdgeSequence.accept(*(flat[i::4] for i in range(4)), n, kind)
-    if seq:
-        return seq
-    seq = EdgeSequence(tuple(_parse_edges(entries, n, DirectedEdge)), n, kind)
+    flat = _edge_ints(entries)  # [] when some entry is not four ints: the entry walk raises
+    try:
+        return EdgeSequence.accept(*(flat[i::4] for i in range(4)), n, kind)
+    except InvalidInstance as exc:
+        fault = FormatError(str(exc), edge_index=exc.edge_index)  # exc would hold this frame
+    seq = EdgeSequence(tuple(_parse_edges(entries, n, DirectedEdge)), n, kind)  # entry faults first
     if validate:
-        try:
-            check_path(entries, n, closed=kind == CLOSED)
-        except InvalidInstance as exc:
-            raise FormatError(str(exc), edge_index=exc.edge_index) from None
+        raise fault
     return seq
 
 

@@ -14,7 +14,7 @@ from gridjct.cli import main
 from gridjct.errors import TheoremViolation
 from gridjct.generate import gen_crossing_instance
 from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, GridPoint
-from gridjct.jsonio import Instance, edge_sequence_to_json, save_instance
+from gridjct.jsonio import Instance, edge_sequence_from_json, edge_sequence_to_json, save_instance
 from gridjct.parity import IntersectionWitness
 
 
@@ -74,6 +74,23 @@ def test_theorem_violation_exits_2(monkeypatch, instance_file, capsys):
     monkeypatch.setattr(climod.jordan, "count_regions", boom)
     assert main(["regions", "--instance", instance_file]) == 2
     assert "theorem violation" in capsys.readouterr().err
+
+
+def test_a_chain_the_walk_passes_but_the_bulk_test_rejects_is_a_theorem_violation(
+        monkeypatch, tmp_path, capsys):
+    # EdgeSequence.accept never hands back an unchecked sequence: with its walk blinded,
+    # each way in that reaches it raises, and validate exits 2 with one stderr line
+    monkeypatch.setattr("gridjct.grid.check_path", lambda *args, **kwargs: None)
+    with pytest.raises(TheoremViolation, match="bulk test"):
+        EdgeSequence.from_points([(0, 0), (1, 0), (3, 0)], 4, OPEN)
+    revisit = {"n": 4, "kind": "open", "seq": [[0, 0, 1, 0], [1, 0, 1, 1], [1, 1, 1, 0]]}
+    with pytest.raises(TheoremViolation, match="bulk test"):
+        edge_sequence_from_json(revisit)
+    path = tmp_path / "revisit.json"
+    path.write_text(json.dumps({"n": 4, "form": "seq", "blue": revisit}))
+    assert main(["validate", "--instance", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("theorem violation: ") and len(err.splitlines()) == 1
 
 
 def test_connect_subcommand(tmp_path, capsys):

@@ -231,24 +231,31 @@ def _random_walk(rng):
 
 
 def test_validate_and_check_chain_agree_with_checked_path_on_random_walks():
+    # EdgeSequence.accept, the one bulk chain test, is a third checker of simple walks
     rng = random.Random(17)
     verdicts = set()
     for _ in range(4000):
         n, quads = _random_walk(rng)
+        coords = [list(c) for c in zip(*quads)] or [[], [], [], []]
         for kind in (OPEN, CLOSED):
             for simple in (True, False):
                 seq = EdgeSequence(tuple(DirectedEdge(GridPoint(x1, y1), GridPoint(x2, y2))
                                          for x1, y1, x2, y2 in quads), n, kind)
                 check = seq.validate if simple else seq.check_chain
-                got, want = [], []
-                for fn, out in ((check, got), (lambda: check_path(
-                        quads, n, closed=kind == CLOSED, simple=simple), want)):
+
+                def accept():
+                    assert EdgeSequence.accept(*coords, n, kind) == seq
+
+                got, accepted, want = [], [], []
+                for fn, out in ((check, got), (accept if simple else check, accepted),
+                                (lambda: check_path(quads, n, closed=kind == CLOSED, simple=simple),
+                                 want)):
                     try:
                         fn()
                         out.append("ok")
                     except InvalidInstance as exc:
                         out.append((type(exc), str(exc), exc.edge_index))
-                assert got == want, (n, kind, simple, quads)
+                assert got == accepted == want, (n, kind, simple, quads)
                 verdicts.add(want[0] if want[0] == "ok" else " ".join(re.findall("[a-z]+", want[0][1])))
     assert verdicts == {"ok", "point outside grid", "edge does not chain", "edge endpoints not adjacent",
                         "open path revisits a point", "closed curve revisits a point",
