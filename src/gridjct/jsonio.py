@@ -38,9 +38,10 @@ def _parse_n(n) -> int:
 
 
 def _edge_ints(entries) -> list:
-    """The ints of ``entries`` in order if it is a list of lists of four ints, else []."""
-    if isinstance(entries, (list, tuple)) and all(map(isinstance, entries, repeat((list, tuple)))) \
-            and set(map(len, entries)) <= {4}:
+    """The ints of ``entries`` in order if every entry has the shape and int types
+    the entry walk takes, else []."""
+    if (isinstance(entries, (list, tuple)) and all(map(isinstance, entries, repeat((list, tuple))))
+            and set(map(len, entries)) <= {4}):
         flat = list(chain.from_iterable(entries))
         if set(map(type, flat)) <= {int}:
             return flat
@@ -107,8 +108,8 @@ def edge_sequence_from_json(obj, *, validate: bool = True) -> EdgeSequence:
     flat = _edge_ints(entries)  # [] when some entry is not four ints: the entry walk raises
     try:
         return EdgeSequence.accept(*(flat[i::4] for i in range(4)), n, kind)
-    except InvalidInstance as exc:
-        fault = FormatError(str(exc), edge_index=exc.edge_index)  # exc would hold this frame
+    except InvalidInstance as exc:  # a copy: keeping exc would tie this frame into a cycle
+        fault = FormatError(str(exc), edge_index=exc.edge_index)
     seq = EdgeSequence(tuple(_parse_edges(entries, n, DirectedEdge)), n, kind)  # entry faults first
     if validate:
         raise fault
