@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import deque
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .errors import GenerationExhausted, PreconditionViolation, TheoremViolation
 from .grid import CLOSED, MAX_N, OPEN, EdgeSequence, GridPoint, Instance, side_pair
@@ -45,36 +44,33 @@ def _grow_polyomino(n: int, rng: random.Random, margin: int,
     min_cells = min(min_cells, span * span)
     target = rng.randint(min_cells, max(min_cells, (span * span) // 3))
     m = n + 2
-    ring = [(dx, dy, dx * m + dy, back) for (dx, dy), back in zip(_RING8, _BACK)]
+    ring = [(dx * m + dy + m + 1, back) for (dx, dy), back in zip(_RING8, _BACK)]
     added = rng.randint(lo, hi) * m + rng.randint(lo, hi)
     cells = {added}
-    # Each cell's occupied 8 neighbors as a _ONE_ARC mask, at c + m + 1 (every
-    # neighbor of a cell in [0, n)^2 has an index).  Sorted in-bounds free cells
-    # whose mask passes (also as a set).  Adding a cell changes the masks only
-    # of the 8 cells around it, so only those are re-tested.
-    masks = bytearray(m * m)
+    # A cell c's state and the _ONE_ARC mask of its occupied 8 neighbors sit at c + m + 1
+    # (each neighbor of a cell in [0, n)^2 has them, at c + d for d in ring).  States: 0
+    # off the square [lo, hi]^2 or taken, 1 free, 2 listed in the sorted candidates.
+    state, masks = bytearray(m * m), bytearray(m * m)
+    for i in range((lo + 1) * m + lo + 1, (hi + 1) * m + hi + 2, m):
+        state[i:i + span] = b"\1" * span
     candidates: List[int] = []
-    listed = set()
-    while len(cells) < target:
-        x, y = divmod(added, m)
-        inside = lo < x < hi and lo < y < hi  # then so are its 8 neighbors
-        for dx, dy, d, back in ring:
-            c = added + d
-            masks[c + m + 1] |= back
-            if c in cells or not (inside or (lo <= x + dx <= hi and lo <= y + dy <= hi)):
-                continue
-            if _ONE_ARC[masks[c + m + 1]]:
-                if c not in listed:
-                    listed.add(c)
-                    insort(candidates, c)
-            elif c in listed:
-                listed.remove(c)
-                del candidates[bisect_left(candidates, c)]
+    for _ in range(target - 1):  # one cell added a round
+        state[added + m + 1] = 0
+        for d, back in ring:
+            i = added + d
+            s = state[i]
+            if s:  # a taken or off-square cell's mask is never read
+                masks[i] = v = masks[i] | back
+                if _ONE_ARC[v] != (s == 2):  # a free cell passes, or a listed one fails
+                    state[i] = 3 - s
+                    if s == 1:
+                        insort(candidates, i - m - 1)
+                    else:
+                        del candidates[bisect_left(candidates, i - m - 1)]
         if not candidates:
             break
         added = rng.choice(candidates)
         cells.add(added)
-        listed.remove(added)
         del candidates[bisect_left(candidates, added)]
     return cells
 
@@ -105,7 +101,8 @@ def _trace_boundary(cells: Set[int], n: int) -> EdgeSequence:
         cur = hops[cur]
     if len(codes) != len(hops):
         raise TheoremViolation("polyomino boundary splits into several loops (bug)")
-    return EdgeSequence.from_points([divmod(c, m) for c in codes], n, CLOSED)
+    xs, ys = [c // m for c in codes], [c % m for c in codes]
+    return EdgeSequence.accept(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1], n, CLOSED)
 
 
 def gen_random_curve(n: int, seed: int, *, margin: int = 0,
@@ -131,25 +128,30 @@ def _side_candidates(curve: EdgeSequence) -> List[GridPoint]:
 
 
 def _bfs_path(n: int, src: GridPoint, dst: GridPoint, rng: random.Random,
-              forbidden: Set[GridPoint]) -> List[GridPoint]:
-    """A shortest grid path from ``src`` to ``dst`` off ``forbidden``; the
-    grid less one inner point is connected, so one always exists."""
-    order = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    rng.shuffle(order)
-    parent = {src: None}
-    queue = deque([src])
-    while queue:
-        cur = queue.popleft()
-        if cur == dst:
+              forbidden: Set[GridPoint]) -> Optional[Tuple[List[int], List[int]]]:
+    """The x and y lists of a shortest grid path from ``src`` to ``dst`` off the grid points
+    ``forbidden``, or None; the grid less an inner point is connected, so generation gets one."""
+    m = n + 3  # (x, y) coded (x + 1) * m + y + 1; blocked: the frame, forbidden, visited
+    steps = [m, -m, 1, -1]  # +x, -x, +y, -y, then in a seeded order
+    rng.shuffle(steps)
+    blocked = bytearray(b"\1" * m + (b"\1" + bytes(n + 1) + b"\1") * (n + 1) + b"\1" * m)
+    for x, y in (src, *forbidden):
+        blocked[(x + 1) * m + y + 1] = 1
+    start, goal = (src.x + 1) * m + src.y + 1, (dst.x + 1) * m + dst.y + 1
+    parent = {start: None}
+    queue = [start]
+    for cur in queue:  # grows as it is read: breadth-first
+        if cur == goal:
             path = [cur]
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
-            return path[::-1]
-        for dx, dy in order:
-            np = GridPoint(cur.x + dx, cur.y + dy)
-            if 0 <= np.x <= n and 0 <= np.y <= n and np not in parent and np not in forbidden:
-                parent[np] = cur
-                queue.append(np)
+            return [c // m - 1 for c in path[::-1]], [c % m - 1 for c in path[::-1]]
+        for d in steps:
+            nxt = cur + d
+            if not blocked[nxt]:
+                blocked[nxt] = 1
+                parent[nxt] = cur
+                queue.append(nxt)
 
 
 def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) -> Instance:
@@ -173,8 +175,8 @@ def gen_crossing_instance(n: int, seed: int, *, avoid_midpoint: bool = False) ->
         p1 = GridPoint(mid.x, mid.y - 1)
         p2 = GridPoint(mid.x, mid.y + 1)
         skip_mid = avoid_midpoint or rng.random() < 0.5
-        pts = _bfs_path(n, p1, p2, rng, {mid} if skip_mid else set())
-        red = EdgeSequence.from_points(pts, n, OPEN)
+        xs, ys = _bfs_path(n, p1, p2, rng, {mid} if skip_mid else set())
+        red = EdgeSequence.accept(xs[:-1], ys[:-1], xs[1:], ys[1:], n, OPEN)
         return Instance(n=n, form="seq", blue=curve, red=red,
                         sides=side_pair(p1, p2)).validate()
     raise GenerationExhausted(

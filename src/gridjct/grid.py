@@ -217,11 +217,12 @@ class EdgeSequence:
         return self
 
     def check_chain(self, simple: bool = False) -> "EdgeSequence":
-        """:func:`check_path` over the edges, which may revisit points
-        unless ``simple``: :meth:`validate` adds simplicity."""
-        if "_checked" not in self.__dict__:
+        """:func:`check_path` over the edges, which may revisit points unless ``simple``
+        (:meth:`validate` adds it); a passed chain check is kept as ``_chained``."""
+        if "_checked" not in self.__dict__ and (simple or "_chained" not in self.__dict__):
             check_path(((*e.src, *e.dst) for e in self.edges), self.n,
                        closed=self.kind == CLOSED, simple=simple)
+            self.__dict__["_chained"] = True
         return self
 
     def points(self) -> list:

@@ -10,6 +10,7 @@ Validation errors carry the index of the offending edge entry.
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
 import sys
@@ -200,6 +201,7 @@ def save_instance(inst: Instance, path):
 
 
 _BATCH = 512  # entries joined into one string: the text held at once stays small
+SPARE_MAX = 1 << 20  # bytes a sink's spare holds in memory before it moves to a temporary file
 
 
 def _holed(doc: dict, lists: list) -> dict:
@@ -256,14 +258,18 @@ def write_seq_instance(fh, n: int, blue, red, *, indent=None):
     write_json(fh, {"n": n, "form": "seq", "blue": payload, "red": payload}, indent, (blue, red))
 
 
+class _Spare(tempfile.SpooledTemporaryFile):  # a sink's bytes, see SPARE_MAX
+    readable = writable = seekable = lambda self: True  # io.TextIOWrapper asks; 3.10 lacks them
+
+
 @contextmanager
 def sink(path):
-    """The one output sink: a spare text file for writing, whose bytes are
-    copied through ``open(path, "wb")`` (its text to standard output if
-    ``path`` is None) only once the block completes.  A failed run leaves
-    ``path`` as it was; symlinks, devices, hard links and modes behave as
-    ``open`` treats them.  A process killed mid-copy leaves a partial file."""
-    with tempfile.TemporaryFile("w+", encoding="utf-8") as spare:
+    """The one output sink: a spare text file for writing, held in memory up to
+    ``SPARE_MAX`` bytes, whose bytes are copied through ``open(path, "wb")`` (its
+    text to standard output if ``path`` is None) only once the block completes.  A
+    failed run leaves ``path`` as it was; symlinks, devices, hard links and modes
+    behave as ``open`` treats them.  A process killed mid-copy leaves a partial file."""
+    with io.TextIOWrapper(_Spare(SPARE_MAX), encoding="utf-8") as spare:
         yield spare
         spare.seek(0)  # flushes the text layer into the binary buffer
         if path is None:

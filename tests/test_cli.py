@@ -545,6 +545,27 @@ def test_rerouted_rejections_keep_their_lines(tmp_path, capsys, monkeypatch, nam
         assert json.loads(captured.out)["form"] == argv[4]
 
 
+def test_merge_walks_the_merged_chain_once(tmp_path, capsys, monkeypatch):
+    # merge_paths chain-checks its result; check_edge_alternation finds that check kept
+    walk, walks = gridjct.grid.check_path, []
+
+    def counted(edges, n, *args, **kw):
+        edges = list(edges)
+        walks.append((len(edges), kw.get("closed", False), kw.get("simple", True)))
+        return walk(edges, n, *args, **kw)
+
+    argv, files = _merge()
+    monkeypatch.chdir(tmp_path)
+    for path, doc in files.items():
+        (tmp_path / path).write_text(json.dumps(doc))
+    monkeypatch.setattr(gridjct.grid, "check_path", counted)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["alternates"] is False
+    # the loader's walk of the revisiting blue payload, blue's chain check, the
+    # end-fixed red's, and the merged chain's, once
+    assert walks == [(8, True, True), (8, True, False), (24, False, False), (42, True, False)]
+
+
 @pytest.mark.parametrize("argv, stand_in", [
     (["parity", "--instance", "sqa.json"], "gridjct.parity.parity_profile"),
     (["reduce", "--from", "jct", "--form", "seq", "--instance", "sqa.json", "--out", "out.json"],

@@ -194,6 +194,12 @@ def tree_walk_chain(rng, n, mid, arms, size):
     return pts[k:] + pts[:k]
 
 
+def _bfs_points(n, src, dst, rng, forbidden):
+    """The generator's shortest path as a list of (x, y) points, or None."""
+    xy = _bfs_path(n, src, dst, rng, forbidden)
+    return None if xy is None else list(zip(*xy))
+
+
 def loop_walk_chain(rng, n, mid, steps):
     """Closed chain from mid: a random walk of ``steps`` points, then a
     shortest way back; it may wind around points.  Neither walk touches the
@@ -206,7 +212,7 @@ def loop_walk_chain(rng, n, mid, steps):
         q = (pts[-1][0] + dx, pts[-1][1] + dy)
         if 0 <= q[0] <= n and 0 <= q[1] <= n and q not in off:
             pts.append(q)
-    return (pts + _bfs_path(n, GridPoint(*pts[-1]), mid, rng, off)[1:])[:-1]
+    return (pts + _bfs_points(n, GridPoint(*pts[-1]), mid, rng, off)[1:])[:-1]
 
 
 def _closed(pts, n):
@@ -227,7 +233,8 @@ def _seeded_pairs(make_chain, seeds, n=8):
         rng = random.Random(seed)
         mid = GridPoint(rng.randrange(1, n), rng.randrange(1, n))
         pts = make_chain(rng, n, mid)
-        red = _bfs_path(n, GridPoint(mid.x, mid.y - 1), GridPoint(mid.x, mid.y + 1), rng, set(pts))
+        red = _bfs_points(n, GridPoint(mid.x, mid.y - 1), GridPoint(mid.x, mid.y + 1), rng,
+                          set(pts))
         if red is not None:
             yield pts, red, mid
 

@@ -11,6 +11,7 @@ import tempfile
 
 import pytest
 
+from gridjct import jsonio
 from gridjct import reduce as reduce_module
 from gridjct.cli import main
 from gridjct.errors import GridJctError, InvalidInstance, TheoremViolation
@@ -816,28 +817,60 @@ def test_writer_replaces_a_longer_target_whole(tmp_path, out_dir, capsys, name):
     assert [p.name for p in out_dir.iterdir()] == ["out"]
 
 
+def _no_space(data):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _assert_failed_and_kept(argv, out_dir, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and os.strerror(errno.ENOSPC) in captured.err
+    assert (out_dir / "out").read_text() == "kept\n"
+    assert [p.name for p in out_dir.iterdir()] == ["out"]
+
+
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_writer_that_fails_inside_the_sink_leaves_the_target(tmp_path, out_dir, capsys,
                                                              monkeypatch, name):
     argv, option = WRITERS[name]
     argv = argv(tmp_path) + [option, str(out_dir / "out")]
     (out_dir / "out").write_text("kept\n")
-    make_spare = tempfile.TemporaryFile
+    make_spare = jsonio._Spare
 
-    def no_space(text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    def full_spare(*args, **kwargs):  # a spare on a full disk
+    def full_spare(*args, **kwargs):  # a spare whose every write fails, as on a full disk
         spare = make_spare(*args, **kwargs)
-        spare.write = no_space
+        spare.write = _no_space
         return spare
 
-    monkeypatch.setattr(tempfile, "TemporaryFile", full_spare)
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and os.strerror(errno.ENOSPC) in captured.err
-    assert (out_dir / "out").read_text() == "kept\n"
-    assert [p.name for p in out_dir.iterdir()] == ["out"]
+    monkeypatch.setattr(jsonio, "_Spare", full_spare)
+    _assert_failed_and_kept(argv, out_dir, capsys)
+
+
+def test_writer_that_fails_after_the_spare_moves_to_a_file_leaves_the_target(out_dir, capsys,
+                                                                           monkeypatch):
+    # stseq(4) is 2.75 MB of DIMACS, past SPARE_MAX: the spare moves to a
+    # temporary file, whose disk fills after it takes the spare's bytes
+    argv = ["gen", "--family", "stseq", "--n", "4", "--out", str(out_dir / "out")]
+    (out_dir / "out").write_text("kept\n")
+    make_file, files, moved = tempfile.TemporaryFile, [], []
+
+    def filling_file(*args, **kwargs):
+        file = make_file(*args, **kwargs)
+        write = file.write
+
+        def write_then_fill(data):
+            moved.append(len(data))
+            file.write = _no_space
+            return write(data)
+
+        file.write = write_then_fill
+        files.append(file)
+        return file
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", filling_file)
+    _assert_failed_and_kept(argv, out_dir, capsys)
+    assert len(files) == 1 and files[0].closed and files[0].write is _no_space
+    assert moved[0] > jsonio.SPARE_MAX  # what the spare held in memory
 
 
 # --- the output size cap ----------------------------------------------------
