@@ -89,7 +89,7 @@ def test_grow_polyomino_matches_the_reference(n):
         if n - 2 * margin < 1:
             continue
         for min_cells in (1, n * n):  # n * n: grow until nothing is addable
-            for seed in range(4):
+            for seed in range(2):
                 rng, ref = random.Random(seed), random.Random(seed)
                 got = generate._grow_polyomino(n, rng, margin, min_cells)
                 assert got == reference_grow_polyomino(n, ref, margin, min_cells), (margin, seed)
