@@ -109,8 +109,8 @@ def cmd_connect(args) -> int:
     path = jordan.region_connect(inst.blue, GridPoint(x, y), inst.sides)
     if args.svg:
         _write_svg(args.svg, Instance(n=path.n, form="seq", red=path if path.edges else None))
-    payload = edge_sequence_to_json(path)
-    _emit(args, payload, json.dumps(payload, sort_keys=True))
+    with sink(None) as fh:  # the --json text and the plain text are the same
+        write_json(fh, edge_sequence_to_json(path), None)
     return 0
 
 

@@ -135,13 +135,12 @@ def _refined_codes(curve: EdgeSequence) -> Tuple[List[int], int]:
     if curve.validate().kind != CLOSED:
         raise PreconditionViolation("closed curve")
     n = curve.n
-    s = 3 * n + 2
-    codes = []
-    for p, q in curve.edges:
-        if p.x in (0, n) or p.y in (0, n):
+    s, codes = 3 * n + 2, []
+    for (px, py), (qx, qy) in curve.edges:
+        if px in (0, n) or py in (0, n):
             raise PreconditionViolation(
-                "curve off the grid border", f"curve touches the border at {tuple(p)}")
-        c, d = 3 * (p.x * s + p.y), (q.x - p.x) * s + q.y - p.y
+                "curve off the grid border", f"curve touches the border at {(px, py)}")
+        c, d = 3 * (px * s + py), (qx - px) * s + qy - py
         codes += (c, c + d, c + 2 * d)
     return codes, s
 
@@ -171,9 +170,9 @@ def _ring_points(codes: List[int], s: int, side: int) -> List[int]:
     return ring
 
 
-def _offset_ring(codes: List[int], s: int, side: int, on: set) -> List[int]:
-    """The one ring builder: :func:`_ring_points`, checked as a simple closed
-    curve of at least 4 points inside the grid and off the curve ``on``."""
+def _offset_ring(codes: List[int], s: int, side: int, on: set) -> Tuple[List[int], set]:
+    """The one ring builder: :func:`_ring_points`, checked as a simple closed curve of
+    at least 4 points inside the grid and off the curve ``on``, with its point set."""
     ring = _ring_points(codes, s, side)
     if len(ring) < 4:
         raise TheoremViolation("offset ring has fewer than 4 points (bug)")
@@ -187,14 +186,20 @@ def _offset_ring(codes: List[int], s: int, side: int, on: set) -> List[int]:
         raise TheoremViolation("offset ring revisits a point (bug)")
     if not on.isdisjoint(seen):
         raise TheoremViolation("offset ring touches the curve (bug)")
-    return ring
+    return ring, seen
 
 
-def _side_rings(codes: List[int], s: int, on: set) -> Tuple[List[int], List[int]]:
-    q1, q2 = _offset_ring(codes, s, +1, on), _offset_ring(codes, s, -1, on)
-    if not set(q1).isdisjoint(q2):
+def _side_rings(codes: List[int], s: int, on: set) -> Tuple[tuple, tuple]:
+    (q1, set1), (q2, set2) = _offset_ring(codes, s, +1, on), _offset_ring(codes, s, -1, on)
+    if not set1.isdisjoint(set2):
         raise TheoremViolation("offset rings overlap (bug)")
-    return q1, q2
+    return (q1, q2), (set1, set2)
+
+
+def _coded_sequence(path: List[int], s: int, kind: str) -> EdgeSequence:
+    """:meth:`EdgeSequence.accept` along the coded points ``path`` (closed: back at its start)."""
+    xs, ys = [c // s for c in path], [c % s for c in path]
+    return EdgeSequence.accept(xs[:-1], ys[:-1], xs[1:], ys[1:], s - 2, kind)
 
 
 def side_sequences(curve: EdgeSequence) -> SideSequences:
@@ -206,31 +211,29 @@ def side_sequences(curve: EdgeSequence) -> SideSequences:
     from the curve; every other ring point is at distance exactly 1.
     """
     codes, s = _refined_codes(curve)
-    return SideSequences(*(EdgeSequence.from_points([divmod(c, s) for c in ring], s - 2, CLOSED)
-                           for ring in _side_rings(codes, s, set(codes))))
+    rings, _ = _side_rings(codes, s, set(codes))
+    return SideSequences(*(_coded_sequence(ring + ring[:1], s, CLOSED) for ring in rings))
 
 
 def count_regions(curve: EdgeSequence) -> int:
     """Connected components of refined-grid points off the x3-refined curve.
 
-    The curve's bounding box grown by one unit is laid out in one
-    ``bytearray`` indexed ``x * h + y``, framed by a blocked sentinel border,
-    and :func:`_free_components` counts its free cells by column runs.  The
-    curve is off the grid border, so the one-unit ring lies inside the grid,
-    is free, and joins every point outside it into one region.  Only the
-    refined points are needed, not their order.
+    The curve's columns, a ring and a frame column on each side, are laid out
+    in one ``bytearray`` indexed ``code - base``, columns of the full refined
+    height ``s``, framed by the blocked rows ``y = 0``, ``y = s - 1`` and end
+    columns; :func:`_free_components` counts its free cells by column runs.
+    The curve is off the grid border, so the ring columns and the rows by the
+    frame are free and join every point outside it into one region.
     """
     codes, s = _refined_codes(curve)
-    pts = [divmod(c, s) for c in codes]
-    xs, ys = zip(*pts)
-    x0, y0 = min(xs) - 2, min(ys) - 2  # ring, then frame
-    w, h = max(xs) + 3 - x0, max(ys) + 3 - y0
-    grid = bytearray(w * h)
-    grid[:h] = grid[-h:] = b"\1" * h
-    grid[::h] = grid[h - 1::h] = b"\1" * w
-    for x, y in pts:
-        grid[(x - x0) * h + y - y0] = 1
-    return _free_components(grid, h)
+    x0 = min(codes) // s - 2  # ring, then frame
+    base, w = x0 * s, max(codes) // s + 3 - x0
+    grid = bytearray(w * s)
+    grid[:s] = grid[-s:] = b"\1" * s
+    grid[::s] = grid[s - 1::s] = b"\1" * w
+    for c in codes:
+        grid[c - base] = 1
+    return _free_components(grid, s)
 
 
 _FREE_RUN = re.compile(b"\0+")
@@ -292,8 +295,7 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     if pc in (c1, c2):
         return EdgeSequence((), n3, OPEN)  # trivial zero-length connection
 
-    rings = _side_rings(codes, s, on)
-    sets = [set(ring) for ring in rings]
+    rings, sets = _side_rings(codes, s, on)
     homes = [next((i for i in (0, 1) if c in sets[i]), None) for c in (c1, c2)]
     if None in homes:
         raise TheoremViolation("side point not on either ring (bug)")
@@ -314,11 +316,10 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
                 if lo <= c < lo + s:
                     best = min(best, (dx + abs(c - lo - p.y), pair_code(x, c - lo), c))
     qc = best[2]
-    qx, qy = divmod(qc, s)
     ring_idx = 0 if qc in sets[0] else 1
-    corner = qx * s + p.y
-    hop = [*range(pc, corner, s if qx > p.x else -s),  # x-moves, then y-moves
-           *range(corner, qc, 1 if qy > p.y else -1), qc]
+    corner = qc - qc % s + p.y  # in q's column at p's height
+    hop = [*range(pc, corner, s if corner > pc else -s),  # x-moves, then y-moves
+           *range(corner, qc, 1 if qc > corner else -1), qc]
     if not on.isdisjoint(hop):
         raise TheoremViolation("shortest hop crossed the curve (bug)")
     ring = rings[ring_idx]
@@ -327,4 +328,4 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     fwd, bwd = (it - iq) % k, (iq - it) % k
     step = 1 if fwd <= bwd else -1
     path = hop + [ring[(iq + step * t) % k] for t in range(1, min(fwd, bwd) + 1)]
-    return EdgeSequence.from_points([divmod(c, s) for c in path], n3, OPEN)
+    return _coded_sequence(path, s, OPEN)

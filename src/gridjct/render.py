@@ -10,10 +10,8 @@ from .grid import MAX_N, EdgeSet, GridPoint, Instance
 
 def _edges_of(payload) -> Iterable[Tuple[GridPoint, GridPoint]]:
     if payload is None:
-        return []
-    if isinstance(payload, EdgeSet):
-        return [(e.a, e.b) for e in payload.sorted_edges()]
-    return [(e.src, e.dst) for e in payload.edges]
+        return ()
+    return payload.sorted_edges() if isinstance(payload, EdgeSet) else payload.edges
 
 
 def render_svg(inst: Instance, witnesses=()) -> str:
@@ -43,8 +41,9 @@ def render_svg(inst: Instance, witnesses=()) -> str:
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
-    for cy in ys.values():
-        parts += [f'<circle cx="{cx}" cy="{cy}{dot}' for cx in xs.values()]
+    for cy in ys.values():  # a row of dots in one join
+        tail = f'" cy="{cy}{dot}'
+        parts.append('<circle cx="' + f'{tail}\n<circle cx="'.join(xs.values()) + tail)
     for payload, tail in ((inst.blue, curve), (inst.red, path)):
         parts += [f'<line x1="{xs[a.x]}" y1="{ys[a.y]}" x2="{xs[b.x]}" y2="{ys[b.y]}{tail}'
                   for a, b in _edges_of(payload)]

@@ -407,16 +407,24 @@ def test_count_regions_rectangle_and_random():
     assert count_regions(rect_curve(1, 1, 3, 3, 5)) == 2
     for seed in range(40):
         assert count_regions(gen_random_curve(8, seed, margin=1)) == 2
-    # the flood covers only the curve's box, its ring and a sentinel frame:
+    # the flood covers only the curve's columns, its ring's and a sentinel frame:
     # the whole-grid oracle agrees wherever the curve sits, also at margin 1,
-    # where the frame lies on the grid line next to the border, and a small
-    # curve on a huge grid is cheap
+    # where the frame column lies on the grid line next to the border, and a
+    # small curve on a huge grid is cheap
     curves = [rect_curve(1, 1, 7, 7, 8), pocket_curve()]
     for seed in range(30):
         n = 8 + seed % 9
         curves.append(gen_random_curve(n, seed, margin=1 + seed % (n // 3)))
         curves.append(gen_random_curve(n, seed, margin=1))
-    for curve in curves:
+    # the frame blocks the refined rows 0 and 3n + 1: a curve on the coarse row
+    # y = 1 (refined row 3) leaves rows 1..2 as the only passage under it, and
+    # one that also reaches y = n - 1 splits the outside unless both stay free
+    edge = [rect_curve(1, 1, 2, 2, 3)]  # a unit square one unit in from every border
+    edge += [gen_random_curve(n, seed, margin=1) for n in range(4, 25) for seed in range(3)]
+    rows = [{p.y for p in c.point_set} for c in edge]
+    assert sum(1 in ys for ys in rows) > len(edge) // 2
+    assert rows[0] == {1, 2} and sum(ys >= {1, c.n - 1} for ys, c in zip(rows, edge)) >= 2
+    for curve in curves + edge:
         _, ncomp = flood_components(refine(curve, 3).point_set, 3 * curve.n)
         assert count_regions(curve) == ncomp == 2
     assert count_regions(rect_curve(500, 500, 501, 501, 1000)) == 2
@@ -578,7 +586,8 @@ def test_ring_self_checks_fire(monkeypatch, tmp_path, capsys, name):
 def test_region_connect_checks_the_side_points_homes(monkeypatch):
     # both rings the same: one side point is on neither
     real = jordan._side_rings
-    monkeypatch.setattr(jordan, "_side_rings", lambda *a: (real(*a)[0],) * 2)
+    monkeypatch.setattr(jordan, "_side_rings",
+                        lambda *a: tuple((pair[0],) * 2 for pair in real(*a)))
     with pytest.raises(TheoremViolation, match="not on either ring"):
         region_connect(rect_curve(1, 1, 3, 3, 5), (6, 6), side_pair((6, 2), (6, 4)))
 
@@ -618,10 +627,14 @@ def _mirrored_end_routes(monkeypatch):
 def _patched_rings(monkeypatch, spoil, point):
     """region_connect from ``point`` to the x3 square 3..9 with side points
     (6, 2) outside and (6, 4) inside, its rings spoiled by
-    ``spoil(q1, q2, outer_side_point_code)``."""
+    ``spoil(q1, q2, outer_side_point_code)``, each with its point set."""
     real = jordan._side_rings
-    monkeypatch.setattr(jordan, "_side_rings",
-                        lambda codes, s, on: spoil(*real(codes, s, on), 6 * s + 2))
+
+    def spoiled(codes, s, on):
+        rings = spoil(*real(codes, s, on)[0], 6 * s + 2)
+        return rings, tuple(map(set, rings))
+
+    monkeypatch.setattr(jordan, "_side_rings", spoiled)
     region_connect(rect_curve(1, 1, 3, 3, 5), point, side_pair((6, 2), (6, 4)))
 
 
