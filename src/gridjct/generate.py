@@ -101,8 +101,7 @@ def _trace_boundary(cells: Set[int], n: int) -> EdgeSequence:
         cur = hops[cur]
     if len(codes) != len(hops):
         raise TheoremViolation("polyomino boundary splits into several loops (bug)")
-    xs, ys = [c // m for c in codes], [c % m for c in codes]
-    return EdgeSequence.accept(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1], n, CLOSED)
+    return EdgeSequence.from_codes(codes, m, n, CLOSED)
 
 
 def gen_random_curve(n: int, seed: int, *, margin: int = 0,

@@ -182,6 +182,14 @@ class EdgeSequence:
         return cls.accept(*endpoint_coords(zip(pts, ends)), n, kind)
 
     @classmethod
+    def from_codes(cls, codes: list, stride: int, n: int, kind: str) -> "EdgeSequence":
+        """:meth:`from_points` over points coded ``x * stride + y``, with ``0 <= y < stride``."""
+        xs, ys = [c // stride for c in codes], [c % stride for c in codes]
+        if kind == CLOSED:
+            xs, ys = xs + xs[:1], ys + ys[:1]
+        return cls.accept(xs[:-1], ys[:-1], xs[1:], ys[1:], n, kind)
+
+    @classmethod
     def accept(cls, x1: list, y1: list, x2: list, y2: list, n: int, kind: str) -> "EdgeSequence":
         """The checked sequence whose edges run from (x1, y1) to (x2, y2), each point built
         once and kept in its point set.  Tested in bulk: at least one edge, each starting where

@@ -196,12 +196,6 @@ def _side_rings(codes: List[int], s: int, on: set) -> Tuple[tuple, tuple]:
     return (q1, q2), (set1, set2)
 
 
-def _coded_sequence(path: List[int], s: int, kind: str) -> EdgeSequence:
-    """:meth:`EdgeSequence.accept` along the coded points ``path`` (closed: back at its start)."""
-    xs, ys = [c // s for c in path], [c % s for c in path]
-    return EdgeSequence.accept(xs[:-1], ys[:-1], xs[1:], ys[1:], s - 2, kind)
-
-
 def side_sequences(curve: EdgeSequence) -> SideSequences:
     """Unit-offset rings of the x3-refined curve, one on each side.
 
@@ -212,28 +206,30 @@ def side_sequences(curve: EdgeSequence) -> SideSequences:
     """
     codes, s = _refined_codes(curve)
     rings, _ = _side_rings(codes, s, set(codes))
-    return SideSequences(*(_coded_sequence(ring + ring[:1], s, CLOSED) for ring in rings))
+    return SideSequences(*(EdgeSequence.from_codes(ring, s, s - 2, CLOSED) for ring in rings))
 
 
 def count_regions(curve: EdgeSequence) -> int:
     """Connected components of refined-grid points off the x3-refined curve.
 
-    The curve's columns, a ring and a frame column on each side, are laid out
-    in one ``bytearray`` indexed ``code - base``, columns of the full refined
-    height ``s``, framed by the blocked rows ``y = 0``, ``y = s - 1`` and end
-    columns; :func:`_free_components` counts its free cells by column runs.
-    The curve is off the grid border, so the ring columns and the rows by the
-    frame are free and join every point outside it into one region.
+    The curve's bounding box, grown by a ring and a frame unit on each side, is
+    laid out in one ``bytearray`` of columns of height ``h``, indexed
+    ``(x - x0) * h + y - y0``; the frame cells are blocked, and
+    :func:`_free_components` counts the free cells by column runs.  The curve
+    is off the grid border, so the ring inside the frame lies in the grid, is
+    free, and joins every point outside the curve into one region.  Work and
+    memory follow the box, not ``n``.
     """
     codes, s = _refined_codes(curve)
-    x0 = min(codes) // s - 2  # ring, then frame
-    base, w = x0 * s, max(codes) // s + 3 - x0
-    grid = bytearray(w * s)
-    grid[:s] = grid[-s:] = b"\1" * s
-    grid[::s] = grid[s - 1::s] = b"\1" * w
+    ys = [c % s for c in codes]
+    x0, y0 = min(codes) // s - 2, min(ys) - 2  # ring, then frame
+    w, h = max(codes) // s + 3 - x0, max(ys) + 3 - y0
+    grid = bytearray(w * h)
+    grid[:h] = grid[-h:] = b"\1" * h
+    grid[::h] = grid[h - 1::h] = b"\1" * w
     for c in codes:
-        grid[c - base] = 1
-    return _free_components(grid, s)
+        grid[(c // s - x0) * h + c % s - y0] = 1
+    return _free_components(grid, h)
 
 
 _FREE_RUN = re.compile(b"\0+")
@@ -328,4 +324,4 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
     fwd, bwd = (it - iq) % k, (iq - it) % k
     step = 1 if fwd <= bwd else -1
     path = hop + [ring[(iq + step * t) % k] for t in range(1, min(fwd, bwd) + 1)]
-    return _coded_sequence(path, s, OPEN)
+    return EdgeSequence.from_codes(path, s, n3, OPEN)

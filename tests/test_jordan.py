@@ -407,18 +407,19 @@ def test_count_regions_rectangle_and_random():
     assert count_regions(rect_curve(1, 1, 3, 3, 5)) == 2
     for seed in range(40):
         assert count_regions(gen_random_curve(8, seed, margin=1)) == 2
-    # the flood covers only the curve's columns, its ring's and a sentinel frame:
-    # the whole-grid oracle agrees wherever the curve sits, also at margin 1,
-    # where the frame column lies on the grid line next to the border, and a
-    # small curve on a huge grid is cheap
+    # the flood covers only the curve's bounding box grown by a ring and a frame
+    # unit: the whole-grid oracle agrees wherever the curve sits, also at margin 1,
+    # where the frame lies on the grid line next to the border, and a small curve
+    # on a huge grid is cheap (test_cli runs n = 10**9 under a memory cap)
     curves = [rect_curve(1, 1, 7, 7, 8), pocket_curve()]
     for seed in range(30):
         n = 8 + seed % 9
         curves.append(gen_random_curve(n, seed, margin=1 + seed % (n // 3)))
         curves.append(gen_random_curve(n, seed, margin=1))
-    # the frame blocks the refined rows 0 and 3n + 1: a curve on the coarse row
-    # y = 1 (refined row 3) leaves rows 1..2 as the only passage under it, and
-    # one that also reaches y = n - 1 splits the outside unless both stay free
+    # the frame lies two refined rows past the curve: a curve on the coarse row
+    # y = 1 (refined row 3) puts it on refined row 1 and leaves the ring row 2 as
+    # the only passage under it, and one that also reaches y = n - 1 splits the
+    # outside unless both ring rows stay free
     edge = [rect_curve(1, 1, 2, 2, 3)]  # a unit square one unit in from every border
     edge += [gen_random_curve(n, seed, margin=1) for n in range(4, 25) for seed in range(3)]
     rows = [{p.y for p in c.point_set} for c in edge]
