@@ -184,9 +184,8 @@ class EdgeSequence:
     @classmethod
     def from_codes(cls, codes: list, stride: int, n: int, kind: str) -> "EdgeSequence":
         """:meth:`from_points` over points coded ``x * stride + y``, with ``0 <= y < stride``."""
-        xs, ys = [c // stride for c in codes], [c % stride for c in codes]
-        if kind == CLOSED:
-            xs, ys = xs + xs[:1], ys + ys[:1]
+        pts = codes + codes[:1] if kind == CLOSED else codes
+        xs, ys = [c // stride for c in pts], [c % stride for c in pts]
         return cls.accept(xs[:-1], ys[:-1], xs[1:], ys[1:], n, kind)
 
     @classmethod

@@ -213,12 +213,10 @@ def count_regions(curve: EdgeSequence) -> int:
     """Connected components of refined-grid points off the x3-refined curve.
 
     The curve's bounding box, grown by a ring and a frame unit on each side, is
-    laid out in one ``bytearray`` of columns of height ``h``, indexed
-    ``(x - x0) * h + y - y0``; the frame cells are blocked, and
-    :func:`_free_components` counts the free cells by column runs.  The curve
-    is off the grid border, so the ring inside the frame lies in the grid, is
-    free, and joins every point outside the curve into one region.  Work and
-    memory follow the box, not ``n``.
+    laid out in one ``bytearray`` of columns of height ``h`` with the frame
+    blocked; :func:`_free_components` counts its free cells by column runs.  The
+    curve is off the grid border, so the ring lies in the grid, is free, and joins
+    every point outside the curve into one region.  Work and memory follow the box.
     """
     codes, s = _refined_codes(curve)
     ys = [c % s for c in codes]
