@@ -287,33 +287,31 @@ class _ClauseState:
     """Assignment engine shared by both search modes.
 
     A binary clause (a, b) is two implications: ``imp[-a]`` holds b and
-    ``imp[-b]`` holds a.  Every other clause is counted: ``clauses`` lists
-    them in order, ``n_live[ci]`` counts the literals of ``clauses[ci]`` that
-    are not false, 0 meaning falsified and 1 satisfied or a unit, and ``occ``
-    lists each literal's counted clauses.
+    ``imp[-b]`` holds a.  ``watches[lit]`` lists each other clause once per
+    watched position, 0 or 1, that holds lit (a length-1 clause holds its
+    literal twice).  A watch is false only if the other was made true before
+    it or every unwatched position is false, which undoing keeps true.
     ``trail`` lists the literals made true, in order, so ``undo(mark)`` takes
     back everything assigned since ``len(trail)`` was ``mark``.  ``imp``,
-    ``occ`` and ``truth`` are indexed by a literal: Python puts index ``-v``
+    ``watches`` and ``truth`` are indexed by a literal: Python puts index ``-v``
     at ``2 * num_vars + 1 - v``, so v and -v have their own slots.
     """
 
     def __init__(self, f: CnfFormula):
         self.num_vars = f.num_vars
         self.imp: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
-        self.occ: List[List[int]] = [[] for _ in range(2 * f.num_vars + 1)]
-        self.clauses: List[Tuple[int, ...]] = []
-        imp = self.imp
+        self.watches: List[List[List[int]]] = [[] for _ in range(2 * f.num_vars + 1)]
+        imp, watches = self.imp, self.watches
         for width, cols in f.clauses.columns():  # zipped from list copies of the literal columns
+            lits = ([col.tolist() for col in cols[:width]] * 2)[:max(width, 2)]  # (x,) as (x, x)
             if width == 2:
-                for a, b in zip(cols[0].tolist(), cols[1].tolist()):
+                for a, b in zip(*lits):
                     imp[-a].append(b)
                     imp[-b].append(a)
             else:
-                self.clauses.extend(zip(*[col.tolist() for col in cols[:width]]))
-        for ci, clause in enumerate(self.clauses):
-            for lit in clause:
-                self.occ[lit].append(ci)
-        self.n_live = list(map(len, self.clauses))
+                for clause in map(list, zip(*lits)):
+                    watches[clause[0]].append(clause)
+                    watches[clause[1]].append(clause)
         self.truth: List[Optional[bool]] = [None] * (2 * f.num_vars + 1)
         self.trail: List[int] = []
         self.decisions = 0
@@ -327,46 +325,50 @@ class _ClauseState:
         return self.set_true(lit, units)
 
     def set_true(self, lit: int, units: List[int]) -> bool:
-        """Make lit true and append to ``units`` the literals this implies:
-        the free ones of ``imp[lit]`` and the live one of each counted clause
-        left with one.  False on a falsified clause, that is, an implied
-        literal already false or a counted clause with none live."""
-        truth, n_live, clauses = self.truth, self.n_live, self.clauses
+        """Make lit true and queue in ``units`` the free literals of ``imp[lit]``
+        and the other watch of each clause whose watch on -lit cannot move.
+        False on a falsified clause, at once if an implied literal is false."""
+        truth = self.truth
         truth[lit] = True
         truth[-lit] = False
         self.trail.append(lit)
-        ok = True
         for other in self.imp[lit]:
             x = truth[other]
             if x is None:
                 units.append(other)
             elif not x:
-                ok = False
-        for ci in self.occ[-lit]:
-            left = n_live[ci] - 1
-            n_live[ci] = left
-            if left == 1:
-                for other in clauses[ci]:
-                    if truth[other] is not False:
-                        units.append(other)
-                        break
-            elif not left:
-                ok = False
+                return False
+        lit, watches, kept, ok = -lit, self.watches, [], True
+        for clause in watches[lit]:
+            other, j = clause[0], 1  # j: the position of lit
+            if other == lit:
+                other, j = clause[1], 0
+            x = truth[other]
+            if x:
+                kept.append(clause)
+                continue
+            for new in clause[2:]:
+                if truth[new] is not False:  # watch new in place of lit
+                    clause[j], clause[clause.index(new, 2)] = new, lit
+                    watches[new].append(clause)
+                    break
+            else:
+                kept.append(clause)
+                units.append(other)
+                ok = ok and x is None
+        watches[lit] = kept
         return ok
 
     def undo(self, mark: int):
-        trail, truth, n_live, occ = self.trail, self.truth, self.n_live, self.occ
-        while len(trail) > mark:
-            lit = trail.pop()
+        trail, truth = self.trail, self.truth
+        for lit in trail[mark:]:
             truth[lit] = truth[-lit] = None
-            for ci in occ[-lit]:
-                n_live[ci] += 1
+        del trail[mark:]
 
     def propagate(self, units: List[int]) -> bool:
-        """Make true each literal in ``units`` that is free, and every literal
-        this implies on the way; False on a conflict.  A queued literal that
-        is false needs no test: the ``set_true`` that made it false found its
-        clause falsified and ended the loop."""
+        """Make true each free literal in ``units`` and every literal this
+        implies; False on a conflict.  A queued literal made false needs no
+        test: the ``set_true`` that made it false returned False."""
         truth = self.truth
         for lit in units:
             if truth[lit] is None and not self.set_true(lit, units):
@@ -385,12 +387,10 @@ def _solve_exhaustive(f: CnfFormula) -> Optional[Dict[int, bool]]:
     def recurse(v: int) -> Optional[Dict[int, bool]]:
         if v > state.num_vars:
             return state.model()
+        mark = len(state.trail)
         for lit in (v, -v):
-            mark = len(state.trail)
-            if state.decide(lit, []):
-                found = recurse(v + 1)
-                if found is not None:
-                    return found
+            if state.decide(lit, []) and (found := recurse(v + 1)) is not None:
+                return found
             state.undo(mark)
         return None
 
@@ -401,15 +401,15 @@ def _solve_dpll(f: CnfFormula) -> Optional[Dict[int, bool]]:
     """Unit propagation plus branching, lowest free variable first, true
     branch first, on an explicit stack of (variable, value, trail mark).
 
-    Only the root reads every counted clause, for the length-1 ones.  At a fixpoint
-    no clause is unit, so after a branch the only candidates are the clauses
-    it falsified a literal of, whose literals ``set_true`` queues; unit
-    propagation is confluent, so this reaches the fixpoint and the conflicts
-    a full rescan would, and gives the same search tree.
+    Only the root reads every watched clause, for the length-1 ones.  At a
+    fixpoint no clause is unit, so after a branch the only candidates watch a
+    literal it falsified, and ``set_true`` queues their other watch when it
+    cannot move; unit propagation is confluent, so this reaches the fixpoint
+    and the conflicts a full rescan would, and gives the same search tree.
     """
     state = _ClauseState(f)
     truth = state.truth
-    ok = state.propagate([c[0] for c in state.clauses if len(c) == 1])
+    ok = state.propagate([c[0] for w in state.watches for c in w if len(c) == 2])  # (x, x)
     stack: List[Tuple[int, bool, int]] = []
     v = 1
     while True:
@@ -434,9 +434,9 @@ def _solve_dpll(f: CnfFormula) -> Optional[Dict[int, bool]]:
 
 
 def solve(f: CnfFormula, mode: str = DPLL) -> Optional[Dict[int, bool]]:
-    """Satisfying assignment (complete, free vars false) or None.  A search
-    that needs more than ``MAX_DECISIONS`` branches raises
-    ``SolverBudgetExhausted``."""
+    """A satisfying assignment or None.  Both modes assign every variable
+    before they return a model, so it gives each one a value.  A search that
+    needs more than ``MAX_DECISIONS`` branches raises ``SolverBudgetExhausted``."""
     if mode == EXHAUSTIVE:
         if f.num_vars > _EXHAUSTIVE_CAP:
             raise PreconditionViolation(

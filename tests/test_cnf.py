@@ -353,11 +353,12 @@ def test_dpll_models_and_verdicts_pinned():
 
 
 @pytest.mark.parametrize("family, n, weakened, decisions", [
-    ("stconn", 4, False, 1332), ("stseq", 3, False, 110),
+    ("stconn", 4, False, 1332), ("stseq", 3, False, 110), ("stseq", 4, False, 8072),
     ("stconn", 4, True, 25), ("stseq", 3, True, 69)])
 def test_dpll_decision_counts_pinned(monkeypatch, family, n, weakened, decisions):
-    # the rescanning recursive DPLL made exactly these decisions; a budget one
-    # short of the count stops the search
+    # the rescanning recursive DPLL made exactly these decisions (stseq(4)'s is
+    # the live-literal counting engine's); a budget one short of the count
+    # stops the search
     f = (gen_stconn if family == "stconn" else gen_stseq)(n, intersection_clauses=not weakened)
     monkeypatch.setattr(cnf, "MAX_DECISIONS", decisions)
     assert (solve(f, "dpll") is None) != weakened
@@ -438,6 +439,40 @@ def test_mixed_length_cnfs_pinned():
     verdicts = [lines[0] == "UNSAT" for _, _, lines in transcript]
     assert sum(verdicts) == 105  # of 410: both verdicts are well represented
     assert h.hexdigest() == "c1a2db0604a3bfbb376ba1553b536971a0a2783d6793c9a3dc0eb12504082d53"
+
+
+def _wide_cnf(rng, nv):
+    """A random CNF over nv variables with clauses of 1, 2 or 5-9 literals; about
+    one wide clause in three repeats its first literal and one in five holds a
+    literal and its complement."""
+    clauses = []
+    for _ in range(rng.randint(2, 4 * nv)):
+        k = rng.choices((1, 2, 5, 6, 7, 8, 9), weights=(2, 6, 2, 2, 2, 1, 1))[0]
+        clause = [rng.choice((1, -1)) * rng.randint(1, nv) for _ in range(k)]
+        if k > 2 and rng.random() < 0.3:
+            clause[rng.randrange(1, k)] = clause[0]
+        if k > 2 and rng.random() < 0.2:
+            clause[rng.randrange(1, k)] = -clause[rng.randrange(k)]
+        clauses.append(tuple(clause))
+    return CnfFormula(nv, tuple(clauses), {})
+
+
+def test_wide_clause_cnfs_match_the_truth_table():
+    # clauses of 5-9 literals move their watches past position 2, which the
+    # 1-4-literal CNFs above seldom do: both modes agree with the truth table
+    # and every model satisfies every clause
+    rng = random.Random(9)
+    verdicts = []
+    for k in range(300):
+        f = _wide_cnf(rng, rng.randint(3, 9))
+        unsat = brute_unsat(f)
+        for mode in ("dpll", "exhaustive"):
+            model = solve(f, mode)
+            assert (model is None) == unsat, (k, mode)
+            if model is not None:
+                assert all(any(model[abs(l)] == (l > 0) for l in c) for c in f.clauses), (k, mode)
+        verdicts.append(unsat)
+    assert sum(verdicts) == 90  # of 300: both verdicts are well represented
 
 
 def test_exhaustive_decision_count_pinned(monkeypatch):
