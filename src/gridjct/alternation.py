@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import eq, or_, sub
+from operator import eq, or_
 from typing import Dict, Iterable, List, NamedTuple
 
 from .errors import PreconditionViolation, TheoremViolation
-from .grid import CLOSED, EdgeSequence, endpoint_coords
+from .grid import CLOSED, EdgeSequence, column_marks, column_slice
 
 
 def alternate(xs: Iterable[int], ys: Iterable[int]) -> bool:
@@ -153,19 +153,12 @@ class ColumnAlternation:
         return alternate(self.left_ys, self.right_ys)
 
 
-def _marks(seq: EdgeSequence) -> list:
-    """``(column, row, step)`` of the directed horizontal edges, each once,
-    sorted: ``step`` is -1 for a left-pointing edge and 1 for a right one."""
-    x1, y1, x2, y2 = endpoint_coords(seq.edges)
-    return sorted(set(compress(zip(map(min, x1, x2), y1, map(sub, x2, x1)), map(eq, y1, y2))))
-
-
 def column_sets(seq: EdgeSequence, m: int) -> ColumnAlternation:
-    """Directed horizontal edges in column m, read off the marks
+    """Directed horizontal edges in column m, read off the column index
     :func:`check_edge_alternation` tests."""
-    col = [(y, step) for k, y, step in _marks(seq) if k == m]
-    return ColumnAlternation(m, frozenset(y for y, step in col if step < 0),
-                             frozenset(y for y, step in col if step > 0))
+    col = column_slice(column_marks(seq), m)
+    return ColumnAlternation(m, frozenset(y for _, y, step in col if step < 0),
+                             frozenset(y for _, y, step in col if step > 0))
 
 
 def column_sets_from_segments(seq: EdgeSequence, m: int) -> ColumnAlternation:
@@ -190,7 +183,7 @@ def check_edge_alternation(seq: EdgeSequence) -> bool:
         raise PreconditionViolation("closed sequence")
     seq.check_chain()
     # sorted marks alternate when no two in a column share a row or a step
-    marks = _marks(seq)
+    marks = column_marks(seq)
     cols, rows, steps = zip(*marks) if marks else ((), (), ())
     return not any(compress(map(or_, map(eq, rows[1:], rows), map(eq, steps[1:], steps)),
                             map(eq, cols[1:], cols)))

@@ -10,11 +10,12 @@ the path joins, in either form.  Everything is immutable and pure.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import add, countOf, itemgetter, sub
+from itertools import chain, compress, repeat
+from operator import add, countOf, eq, floordiv, itemgetter, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInstance, PreconditionViolation, TheoremViolation
@@ -284,6 +285,27 @@ def endpoint_coords(edges) -> tuple:
     ends = list(chain.from_iterable(edges))
     xs, ys = list(map(_FIRST, ends)), list(map(_SECOND, ends))
     return xs[0::2], ys[0::2], xs[1::2], ys[1::2]
+
+
+def column_marks(obj: "GridObject") -> list:
+    """The one column index of either form: the sorted ``(column, row, step)`` marks
+    of the horizontal edges, each directed edge once.  ``step`` is -1 for a
+    left-pointing sequence edge and 1 for a right-pointing one, and always 1 for a
+    set edge, whose ends are in lexicographic order.  Column k is the slice between
+    ``(k,)`` and ``(k + 1,)``."""
+    x1, y1, x2, y2 = endpoint_coords(obj.edges)
+    columns = map(floordiv, map(add, x1, x2), repeat(2))  # the lower x, in C
+    return sorted(set(compress(zip(columns, y1, map(sub, x2, x1)), map(eq, y1, y2))))
+
+
+def column_slice(marks: list, k: int) -> list:
+    """Column k's marks, lowest row first."""
+    return marks[bisect_left(marks, (k,)):bisect_left(marks, (k + 1,))]
+
+
+def marks_below(marks: list, k: int, row: int) -> int:
+    """The number of column k's marks strictly below ``row``."""
+    return bisect_left(marks, (k, row)) - bisect_left(marks, (k,))
 
 
 def check_path(edges, n: int, ends=None, name: str = "", *, closed: bool = False,

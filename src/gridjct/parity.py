@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
-from operator import eq
 from typing import NamedTuple
 
 from .errors import PreconditionViolation, TheoremViolation
@@ -25,9 +23,11 @@ from .grid import (
     SidePair,
     _check_same_n,
     check_crossing,
+    column_marks,
+    column_slice,
     connects,
-    endpoint_coords,
     intersects,
+    marks_below,
     on_different_sides,
     pair_code,
     refine,
@@ -68,71 +68,52 @@ class LemmaReport:
         return self.part_a and not self.part_b_violations
 
 
-def is_odd_edge(blue: EdgeSet, r: Edge) -> bool:
-    """Odd number of horizontal blue edges strictly below ``r`` in its column."""
+def is_odd_edge(blue: GridObject, r: Edge) -> bool:
+    """Odd number of horizontal blue edges strictly below ``r`` in its column;
+    ``blue`` in either form."""
     r = Edge.of(r.a, r.b)
     if not r.horizontal:
         raise PreconditionViolation("horizontal edge", "odd-edge test needs a horizontal edge")
-    k, yy = r.column, r.row
-    count = sum(1 for b in blue.edges if b.horizontal and b.column == k and b.row < yy)
-    return count % 2 == 1
+    return marks_below(column_marks(blue), r.column, r.row) % 2 == 1
 
 
-def _horizontal_cells(es: EdgeSet):
-    """``(column, row)`` of each horizontal edge, read off its left end."""
-    x1, y1, _, y2 = endpoint_coords(es.edges)
-    return compress(zip(x1, y1), map(eq, y1, y2))
-
-
-def parity_profile(blue: EdgeSet, red: EdgeSet) -> ParityProfile:
-    """Per-column parities of the odd red edges, with respect to ``blue``."""
+def parity_profile(blue: GridObject, red: GridObject) -> ParityProfile:
+    """Per-column parities of the odd red edges, with respect to ``blue``; both in
+    either form."""
     _check_same_n(blue, red)
-    below = [[] for _ in range(blue.n)]  # each column's blue rows, sorted
-    for k, yy in sorted(_horizontal_cells(blue)):
-        below[k].append(yy)
+    marks = column_marks(blue)
     bits = [0] * blue.n
-    for k, yy in _horizontal_cells(red):
-        bits[k] ^= bisect_left(below[k], yy) & 1
+    for k, row, _ in column_marks(red):
+        bits[k] ^= marks_below(marks, k, row) & 1
     return ParityProfile(tuple(bits))
 
 
-def column_transition_parities(blue: EdgeSet, red: EdgeSet, k: int):
+def column_transition_parities(blue: GridObject, red: GridObject, k: int):
     """Parities of the odd red edges along the staircase lists interpolating
-    between column k and column k+1 (j = 0 .. n+1).
+    between column k and column k+1 (j = 0 .. n+1); both colors in either form.
 
     The j-th list runs up column k+1 for j slots, crosses on the vertical
     edge, then continues up column k; an edge is odd in the list when an odd
-    number of blue edges precede it.
+    number of blue edges precede it.  Read off both colors' column index and
+    the one vertical edge per list.
     """
     _check_same_n(blue, red)
     n = blue.n
     if not 0 <= k <= n - 2:
         raise PreconditionViolation("0 <= k <= n-2")
+    blue_marks, red_marks = column_marks(blue), column_marks(red)
+    blue_edges, red_edges = blue.to_edge_set().edges, red.to_edge_set().edges
 
-    def h(col, yy):
-        return Edge(GridPoint(col, yy), GridPoint(col + 1, yy))
+    def blue_before(c, lo, hi, start):  # summed over column c's red rows in [lo, hi)
+        return sum(start + marks_below(blue_marks, c, yy) - marks_below(blue_marks, c, lo)
+                   for _, yy, _ in column_slice(red_marks, c) if lo <= yy < hi)
 
-    def v(x, yy):
-        return Edge(GridPoint(x, yy), GridPoint(x, yy + 1))
-
-    parities = []
+    parities = []  # the XOR of the red edges' blue-before parities is their sum's parity
     for j in range(n + 2):
-        if j == 0:
-            items = [h(k, yy) for yy in range(n + 1)]
-        elif j == n + 1:
-            items = [h(k + 1, yy) for yy in range(n + 1)]
-        else:
-            items = ([h(k + 1, yy) for yy in range(j)]
-                     + [v(k + 1, j - 1)]
-                     + [h(k, yy) for yy in range(j, n + 1)])
-        blue_prefix = 0
-        odd = 0
-        for e in items:
-            if e in red.edges and blue_prefix & 1:
-                odd ^= 1
-            if e in blue.edges:
-                blue_prefix += 1
-        parities.append(odd)
+        v = Edge(GridPoint(k + 1, j - 1), GridPoint(k + 1, j))  # off the grid at j = 0, n+1
+        up = marks_below(blue_marks, k + 1, j)
+        parities.append((blue_before(k + 1, 0, j, 0) + (v in red_edges) * up
+                         + blue_before(k, j, n + 1, up + (v in blue_edges))) & 1)
     return parities
 
 

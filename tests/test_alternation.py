@@ -209,6 +209,25 @@ def test_column_sets_rectangle_orientation():
     assert empty.alternates()
 
 
+def test_column_sets_on_border_and_empty_columns():
+    wide = rect_curve(0, 1, 4, 3, 4)  # counterclockwise, from border to border
+    for m in (0, 3):  # columns 0 and n - 1
+        assert column_sets(wide, m) == alternation.ColumnAlternation(m, frozenset({3}),
+                                                                     frozenset({1}))
+    inner = rect_curve(1, 1, 3, 3, 4)
+    for m in (0, 3):
+        assert column_sets(inner, m) == alternation.ColumnAlternation(m, frozenset(), frozenset())
+    # every column of seeded curves, against its directed edges read one by one
+    for seed in range(20):
+        curve = gen_random_curve(8, seed)
+        for m in range(8):
+            cols = column_sets(curve, m)
+            assert cols.left_ys == {a.y for a, b in curve.edges if (a.x, b.x) == (m + 1, m)
+                                    and a.y == b.y}
+            assert cols.right_ys == {a.y for a, b in curve.edges if (a.x, b.x) == (m, m + 1)
+                                     and a.y == b.y}
+
+
 def test_column_sets_dual_route():
     for seed in range(30):
         curve = gen_random_curve(10, seed)

@@ -18,9 +18,12 @@ from gridjct.grid import (
     GridPoint,
     Instance,
     check_path,
+    column_marks,
+    column_slice,
     connects,
     intersects,
     is_curve,
+    marks_below,
     on_different_sides,
     pair_code,
     refine,
@@ -428,3 +431,41 @@ def test_grid_objects_reject_bad_input_by_name(call, exc, message):
     with pytest.raises(exc) as info:
         call(gen_crossing_instance(6, 1))
     assert str(info.value) == message
+
+
+def test_column_marks_agree_across_forms():
+    # a checked sequence and its edge set index the same (column, row) pairs; the
+    # sequence's steps give the direction, the set's are all 1
+    for n, seed in [(6, 0), (12, 3), (25, 7), (40, 1)]:
+        for seq in (gen_random_curve(n, seed), gen_crossing_instance(n, seed).red):
+            seq_marks, set_marks = column_marks(seq), column_marks(seq.to_edge_set())
+            assert [m[:2] for m in seq_marks] == [m[:2] for m in set_marks]
+            assert {m[2] for m in set_marks} <= {1}
+            for (x1, y1), (x2, y2) in seq.edges:
+                if y1 == y2:
+                    assert (min(x1, x2), y1, x2 - x1) in seq_marks
+            if seq.kind == CLOSED:
+                assert {m[2] for m in seq_marks} == {-1, 1}
+            assert seq_marks == sorted(seq_marks)
+
+
+def test_column_marks_list_each_directed_edge_once():
+    # a revisiting chain, as the merge diagnostics feed it: (0,0)->(1,0) three times,
+    # (1,0)->(0,0) three times, and a vertical excursion with no mark
+    pts = [(0, 0), (1, 0), (0, 0), (1, 0), (1, 1), (1, 0), (0, 0), (1, 0), (0, 0)]
+    walk = EdgeSequence(tuple(DirectedEdge(GridPoint(*a), GridPoint(*b))
+                              for a, b in zip(pts, pts[1:])), 2, CLOSED)
+    assert column_marks(walk) == [(0, 0, -1), (0, 0, 1)]
+    assert column_marks(walk.to_edge_set()) == [(0, 0, 1)]
+    assert column_marks(EdgeSequence.from_points([(0, 0), (0, 1), (0, 2)], 2, OPEN)) == []
+    assert column_marks(EdgeSet(frozenset(), 2)) == []
+
+
+def test_column_slice_and_marks_below():
+    curve = rect_curve(0, 1, 2, 4, 5)  # columns 0 and 1 hold rows 1 and 4; 2..4 are empty
+    marks = column_marks(curve)
+    assert column_slice(marks, 0) == [(0, 1, 1), (0, 4, -1)]
+    assert column_slice(marks, 1) == [(1, 1, 1), (1, 4, -1)]
+    assert column_slice(marks, 2) == column_slice(marks, 7) == []
+    assert [marks_below(marks, 1, row) for row in range(6)] == [0, 0, 1, 1, 1, 2]
+    assert marks_below(marks, 2, 5) == marks_below([], 0, 3) == 0

@@ -1,5 +1,6 @@
 """Odd edges, parity profiles, the column sweep, normalization, witnesses."""
 
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from gridjct.grid import (
     on_different_sides,
     side_pair,
 )
-from gridjct.generate import gen_crossing_instance
+from gridjct.generate import gen_crossing_instance, gen_random_curve
 from gridjct.parity import (
     approaches_from_left,
     check_parity_lemma,
@@ -78,6 +79,48 @@ def test_figure_configuration_exactly_one_odd():
     r2 = Edge.of((1, 3), (2, 3))
     assert is_odd_edge(blue, r1) != is_odd_edge(blue, r2)
     assert is_odd_edge(blue, r2)
+
+
+def scan_odd(blue, r):
+    """The odd-edge test as a scan of every blue edge, for one horizontal ``r``:
+    the library's body before the column index."""
+    k, yy = r.column, r.row
+    count = sum(1 for b in blue.edges if b.horizontal and b.column == k and b.row < yy)
+    return count % 2 == 1
+
+
+def test_is_odd_edge_matches_the_scan():
+    rng = random.Random(13)
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        blue, _ = random_edge_sets(rng, n)
+        for x in range(n):
+            for y in range(n + 1):
+                r = Edge.of((x, y), (x + 1, y))
+                assert is_odd_edge(blue, r) == scan_odd(blue, r)
+    for n in range(6, 13):  # a sequence-form blue, against the scan of its edge set
+        blue = gen_crossing_instance(n, n).blue
+        for x in range(n):
+            for y in range(n + 1):
+                r = Edge.of((x, y), (x + 1, y))
+                assert is_odd_edge(blue, r) == scan_odd(blue.to_edge_set(), r)
+
+
+def _seq_pairs():
+    """Sequence-form (blue, red) pairs for n = 6..40: each crossing instance, and
+    two random curves, the second read as red."""
+    for n in range(6, 41):
+        inst = gen_crossing_instance(n, n)
+        yield inst.blue, inst.red
+        yield gen_random_curve(n, n), gen_random_curve(n, n + 1)
+
+
+def test_profile_is_the_same_in_both_forms():
+    for blue, red in _seq_pairs():
+        bits = parity_profile(blue, red).bits
+        assert bits == parity_profile(blue.to_edge_set(), red.to_edge_set()).bits
+        if blue.n <= 16:
+            assert bits == brute_profile(blue.to_edge_set(), red.to_edge_set())
 
 
 def test_profile_empty_red_and_margins():
@@ -171,16 +214,25 @@ def brute_sweep(blue, red, k):
 
 def test_column_sweep_matches_profile_transitions():
     rng = random.Random(3)
+    cases = []
     for _ in range(40):
         n = rng.randint(2, 7)
         blue, red = random_edge_sets(rng, n)
+        cases += [(blue, red, k) for k in sorted({rng.randrange(n - 1), 0, n - 2})]
+    for n in range(6, 10):  # every boundary of normalized crossing instances
+        for seed in range(3):
+            inst = gen_crossing_instance(n, seed)
+            blue, red, _ = normalize_instance(*_as_sets(inst), inst.sides)
+            cases += [(blue, red, k) for k in range(blue.n - 1)]
+    for blue, red in itertools.islice(_seq_pairs(), 6):  # sequence form
+        cases += [(blue, red, k) for k in range(blue.n - 1)]
+    for blue, red, k in cases:
         bits = parity_profile(blue, red).bits
-        k = rng.randrange(n - 1)
         sweep = column_transition_parities(blue, red, k)
-        assert len(sweep) == n + 2
+        assert len(sweep) == blue.n + 2
         assert sweep[0] == bits[k]
         assert sweep[-1] == bits[k + 1]
-        assert sweep == brute_sweep(blue, red, k)
+        assert sweep == brute_sweep(blue.to_edge_set(), red.to_edge_set(), k)
 
 
 def _as_sets(inst):
