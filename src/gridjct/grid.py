@@ -287,14 +287,14 @@ def endpoint_coords(edges) -> tuple:
     return xs[0::2], ys[0::2], xs[1::2], ys[1::2]
 
 
-def column_marks(obj: "GridObject") -> list:
+def column_marks(obj: GridObject) -> list:
     """The one column index of either form: the sorted ``(column, row, step)`` marks
     of the horizontal edges, each directed edge once.  ``step`` is -1 for a
     left-pointing sequence edge and 1 for a right-pointing one, and always 1 for a
     set edge, whose ends are in lexicographic order.  Column k is the slice between
     ``(k,)`` and ``(k + 1,)``."""
     x1, y1, x2, y2 = endpoint_coords(obj.edges)
-    columns = map(floordiv, map(add, x1, x2), repeat(2))  # the lower x, in C
+    columns = map(floordiv, map(add, x1, x2), repeat(2))  # the lower x, faster than min
     return sorted(set(compress(zip(columns, y1, map(sub, x2, x1)), map(eq, y1, y2))))
 
 

@@ -104,7 +104,7 @@ def column_transition_parities(blue: GridObject, red: GridObject, k: int):
     blue_marks, red_marks = column_marks(blue), column_marks(red)
     blue_edges, red_edges = blue.to_edge_set().edges, red.to_edge_set().edges
 
-    def blue_before(c, lo, hi, start):  # summed over column c's red rows in [lo, hi)
+    def blue_before(c, lo, hi, start):  # summed over column c's red rows in [lo, hi), after start
         return sum(start + marks_below(blue_marks, c, yy) - marks_below(blue_marks, c, lo)
                    for _, yy, _ in column_slice(red_marks, c) if lo <= yy < hi)
 

@@ -207,25 +207,10 @@ def test_column_sets_rectangle_orientation():
     empty = column_sets(seq, 5)
     assert empty.left_ys == empty.right_ys == frozenset()
     assert empty.alternates()
-
-
-def test_column_sets_on_border_and_empty_columns():
-    wide = rect_curve(0, 1, 4, 3, 4)  # counterclockwise, from border to border
-    for m in (0, 3):  # columns 0 and n - 1
+    wide = rect_curve(0, 1, 4, 3, 4)  # from border to border: columns 0 and n - 1
+    for m in (0, 3):
         assert column_sets(wide, m) == alternation.ColumnAlternation(m, frozenset({3}),
                                                                      frozenset({1}))
-    inner = rect_curve(1, 1, 3, 3, 4)
-    for m in (0, 3):
-        assert column_sets(inner, m) == alternation.ColumnAlternation(m, frozenset(), frozenset())
-    # every column of seeded curves, against its directed edges read one by one
-    for seed in range(20):
-        curve = gen_random_curve(8, seed)
-        for m in range(8):
-            cols = column_sets(curve, m)
-            assert cols.left_ys == {a.y for a, b in curve.edges if (a.x, b.x) == (m + 1, m)
-                                    and a.y == b.y}
-            assert cols.right_ys == {a.y for a, b in curve.edges if (a.x, b.x) == (m, m + 1)
-                                     and a.y == b.y}
 
 
 def test_column_sets_dual_route():
@@ -236,6 +221,10 @@ def test_column_sets_dual_route():
             via_segments = column_sets_from_segments(curve, m)
             assert direct.left_ys == via_segments.left_ys
             assert direct.right_ys == via_segments.right_ys
+            # and the column's directed edges, read one by one
+            flat = [(a.x, b.x, a.y) for a, b in curve.edges if a.y == b.y]
+            assert direct.left_ys == {y for xa, xb, y in flat if (xa, xb) == (m + 1, m)}
+            assert direct.right_ys == {y for xa, xb, y in flat if (xa, xb) == (m, m + 1)}
 
 
 def test_edge_alternation_rectangles_and_random():
