@@ -192,18 +192,14 @@ class EdgeSequence:
     @classmethod
     def accept(cls, x1: list, y1: list, x2: list, y2: list, n: int, kind: str) -> "EdgeSequence":
         """The checked sequence whose edges run from (x1, y1) to (x2, y2), each point built
-        once and kept in its point set.  Tested in bulk: at least one edge, each starting where
-        the last ends, in [0, n]^2, unit steps, a closed chain back at its start after 4 or
-        more, no point twice.  A rejected chain is walked by :func:`check_path`, which raises
-        its first fault; a walk that finds none raises :class:`TheoremViolation`."""
+        once and kept in its point set.  Tested in bulk: :func:`chained`, and no point twice.
+        A rejected chain is walked by :func:`check_path`, which raises its first fault; a
+        walk that finds none raises :class:`TheoremViolation`."""
         if kind not in (CLOSED, OPEN):
             raise InvalidInstance(f"unknown sequence kind {kind!r}")
         closed = kind == CLOSED
         tx, ty = (x1, y1) if closed else (x1 + x2[-1:], y1 + y2[-1:])  # a closed start once
-        if (x1 and x1[1:] == x2[:-1] and y1[1:] == y2[:-1]
-                and 0 <= min(tx) and max(tx) <= n and 0 <= min(ty) and max(ty) <= n
-                and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) == {1}
-                and (not closed or (len(x1) >= 4 and x2[-1] == x1[0] and y2[-1] == y1[0]))):
+        if chained(x1, y1, x2, y2, n, closed):
             pts = list(make_all(GridPoint, zip(tx, ty)))
             point_set = frozenset(pts)
             if len(point_set) == len(pts):
@@ -278,6 +274,15 @@ class EdgeSequence:
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def chained(x1: list, y1: list, x2: list, y2: list, n: int, closed: bool) -> bool:
+    """`accept`'s bulk test, repeats allowed: 1+ chained unit steps in [0, n]^2, 4+ if closed."""
+    return bool(x1 and x1[1:] == x2[:-1] and y1[1:] == y2[:-1]
+                and 0 <= min(x1) and max(x1) <= n and 0 <= min(y1) and max(y1) <= n
+                and 0 <= x2[-1] <= n and 0 <= y2[-1] <= n
+                and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) == {1}
+                and (not closed or (len(x1) >= 4 and x2[-1] == x1[0] and y2[-1] == y1[0])))
 
 
 def endpoint_coords(edges) -> tuple:

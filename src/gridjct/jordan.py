@@ -6,8 +6,8 @@ edges at adjacent heights: the merged chain always fails the edge-alternation
 check, which is why point-disjoint valid inputs cannot exist.
 
 ``side_sequences`` builds the two unit-offset rings of a refined (x3) curve;
-``region_connect`` routes any free refined point to whichever side point
-shares its region, and ``count_regions`` counts the regions by joining
+``region_connect`` routes any free refined point along its own ring to the
+side point in its region, and ``count_regions`` counts the regions by joining
 column runs, checking the two-region statement.  All three work on refined
 points coded as ints.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import sub
+from operator import itemgetter, sub
 from typing import List, Tuple
 
 from .errors import InvalidInstance, PreconditionViolation, TheoremViolation
@@ -29,6 +29,7 @@ from .grid import (
     GridPoint,
     SidePair,
     _check_same_n,
+    column_marks,
     pair_code,
     refine,
     side_pair,
@@ -189,24 +190,20 @@ def _offset_ring(codes: List[int], s: int, side: int, on: set) -> Tuple[List[int
     return ring, seen
 
 
-def _side_rings(codes: List[int], s: int, on: set) -> Tuple[tuple, tuple]:
-    (q1, set1), (q2, set2) = _offset_ring(codes, s, +1, on), _offset_ring(codes, s, -1, on)
-    if not set1.isdisjoint(set2):
-        raise TheoremViolation("offset rings overlap (bug)")
-    return (q1, q2), (set1, set2)
-
-
 def side_sequences(curve: EdgeSequence) -> SideSequences:
     """Unit-offset rings of the x3-refined curve, one on each side.
 
     Requires a simple closed curve with no point on the grid border.  The
-    rings come from the same checked builder :func:`region_connect` uses.
+    rings come from the same checked builder :func:`connect_codes` uses.
     Corner fill-in points of the outward ring sit at Manhattan distance 2
     from the curve; every other ring point is at distance exactly 1.
     """
     codes, s = _refined_codes(curve)
-    rings, _ = _side_rings(codes, s, set(codes))
-    return SideSequences(*(EdgeSequence.from_codes(ring, s, s - 2, CLOSED) for ring in rings))
+    on = set(codes)
+    (q1, set1), (q2, set2) = _offset_ring(codes, s, +1, on), _offset_ring(codes, s, -1, on)
+    if not set1.isdisjoint(set2):
+        raise TheoremViolation("offset rings overlap (bug)")
+    return SideSequences(*(EdgeSequence.from_codes(ring, s, s - 2, CLOSED) for ring in (q1, q2)))
 
 
 def count_regions(curve: EdgeSequence) -> int:
@@ -259,17 +256,21 @@ def _free_components(grid: bytearray, h: int) -> int:
     return comps
 
 
-def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
-    """Path on the x3-refined grid from ``p`` to whichever side point shares
-    its region, never touching the refined curve.
+def ring_side(marks: list, x: int, y: int) -> int:
+    """The x3 curve's ring in the free refined point (x, y)'s region, +1 left of travel or -1
+    right: the step of the last ``column_marks`` mark below it in coarse column x // 3 (at
+    x = 3k, its free right neighbour's), or none below: outside, minus a lowest mark's step."""
+    i = bisect_left(marks, (x // 3, (y + 2) // 3)) - 1
+    return marks[i][2] if i >= 0 and marks[i][0] == x // 3 else -min(marks, key=itemgetter(1))[2]
 
-    Works on int-coded refined points.  Builds both offset rings once with
-    the checked builder behind :func:`side_sequences`, hops to the
-    Manhattan-nearest ring point (x-moves first; pair-code ties), then
-    follows the shorter arc of that ring to its side point.  The nearest
-    point is found by bisection in the sorted ring codes, one column at a
-    time outward from ``p``.  ``p`` and ``sides`` live on the refined grid.
-    """
+
+def connect_codes(curve: EdgeSequence, p, sides: SidePair) -> Tuple[List[int], int]:
+    """:func:`region_connect`'s path as points coded ``x * s + y`` (none if trivial), and the
+    stride ``s``.  It builds p's ring alone, on the side :func:`ring_side` reads, with
+    :func:`side_sequences`' checked builder (a path to the other ring crosses the curve just
+    after a nearer point of p's ring), hops to the Manhattan-nearest ring point (x-moves first;
+    pair-code ties; by bisection in the sorted ring codes, one column at a time outward from
+    ``p``) and follows the shorter arc to the side point, all on the refined grid."""
     codes, s = _refined_codes(curve)
     n3, on = s - 2, set(codes)
 
@@ -287,18 +288,15 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
             or code((p1.x, (p1.y + p2.y) // 2)) not in on):
         raise PreconditionViolation("on_different_sides(P', p1, p2)")
     if pc in (c1, c2):
-        return EdgeSequence((), n3, OPEN)  # trivial zero-length connection
+        return [], s  # trivial zero-length connection
 
-    rings, sets = _side_rings(codes, s, on)
-    homes = [next((i for i in (0, 1) if c in sets[i]), None) for c in (c1, c2)]
-    if None in homes:
-        raise TheoremViolation("side point not on either ring (bug)")
-    if homes[0] == homes[1]:
-        raise TheoremViolation("side points landed on the same ring (bug)")
+    ring, seen = _offset_ring(codes, s, ring_side(column_marks(curve), p.x, p.y), on)
+    if (c1 in seen) == (c2 in seen):
+        raise TheoremViolation("the point's ring holds both side points or neither (bug)")
 
     # codes sort column by column: in each column the nearest ring points
     # flank p's height; columns farther off than the best hop cannot win
-    ordered = sorted(rings[0] + rings[1])
+    ordered = sorted(ring)
     best = (2 * s,)  # (distance, pair code, code); starts farther off than any grid point
     for dx in range(n3 + 1):
         if dx > best[0]:
@@ -310,16 +308,18 @@ def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
                 if lo <= c < lo + s:
                     best = min(best, (dx + abs(c - lo - p.y), pair_code(x, c - lo), c))
     qc = best[2]
-    ring_idx = 0 if qc in sets[0] else 1
     corner = qc - qc % s + p.y  # in q's column at p's height
     hop = [*range(pc, corner, s if corner > pc else -s),  # x-moves, then y-moves
            *range(corner, qc, 1 if qc > corner else -1), qc]
     if not on.isdisjoint(hop):
         raise TheoremViolation("shortest hop crossed the curve (bug)")
-    ring = rings[ring_idx]
-    k = len(ring)
-    iq, it = ring.index(qc), ring.index((c1, c2)[homes.index(ring_idx)])
-    fwd, bwd = (it - iq) % k, (iq - it) % k
-    step = 1 if fwd <= bwd else -1
-    path = hop + [ring[(iq + step * t) % k] for t in range(1, min(fwd, bwd) + 1)]
-    return EdgeSequence.from_codes(path, s, n3, OPEN)
+    iq = ring.index(qc)  # the shorter arc from q, forward on a tie
+    ring, fwd = ring[iq:] + ring[:iq], (ring.index(c1 if c1 in seen else c2) - iq) % len(ring)
+    return hop + (ring[1:fwd + 1] if 2 * fwd <= len(ring) else ring[:fwd - 1:-1]), s
+
+
+def region_connect(curve: EdgeSequence, p, sides: SidePair) -> EdgeSequence:
+    """Path on the x3-refined grid from ``p`` to whichever side point shares its region,
+    off the refined curve: :func:`connect_codes` through :meth:`EdgeSequence.from_codes`."""
+    path, s = connect_codes(curve, p, sides)
+    return EdgeSequence.from_codes(path, s, s - 2, OPEN) if path else EdgeSequence((), s - 2, OPEN)

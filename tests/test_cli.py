@@ -13,9 +13,12 @@ from gridjct import reduce as reductions
 from gridjct.cli import main
 from gridjct.errors import TheoremViolation
 from gridjct.generate import gen_crossing_instance
-from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, GridPoint
+from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, GridPoint, side_pair
 from gridjct.jsonio import Instance, edge_sequence_from_json, edge_sequence_to_json, save_instance
 from gridjct.parity import IntersectionWitness
+from gridjct.render import render_svg
+
+from conftest import rect_curve
 
 
 @pytest.fixture
@@ -94,20 +97,44 @@ def test_a_chain_the_walk_passes_but_the_bulk_test_rejects_is_a_theorem_violatio
 
 
 def test_connect_subcommand(tmp_path, capsys):
+    # the path is written from its codes and prints the same bytes with --svg, which
+    # alone builds the sequence: one <line per path edge, none for a side point
     inst = gen_crossing_instance(8, 7)
     mid = inst.sides.mid
-    refined_sides = [[3 * mid.x, 3 * mid.y - 1], [3 * mid.x, 3 * mid.y + 1]]
-    blob = {"n": inst.n, "form": "seq",
-            "blue": edge_sequence_to_json(inst.blue), "sides": refined_sides}
-    path = tmp_path / "curve.json"
+    sides = side_pair((3 * mid.x, 3 * mid.y - 1), (3 * mid.x, 3 * mid.y + 1))
+    blob = {"n": inst.n, "form": "seq", "blue": edge_sequence_to_json(inst.blue),
+            "sides": [list(sides.p1), list(sides.p2)]}
+    path, svg = tmp_path / "curve.json", tmp_path / "conn.svg"
     path.write_text(json.dumps(blob))
-    svg = tmp_path / "conn.svg"
-    assert main(["connect", "--instance", str(path), "--point", "1,1",
-                 "--svg", str(svg)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["kind"] == "open" and out["n"] == 3 * inst.n
-    assert svg.exists()
+    for x, y in ((1, 1), (24, 24), (14, 19), (20, 11), sides.p2):  # two outside, two inside
+        argv = ["connect", "--instance", str(path), "--point", f"{x},{y}"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--svg", str(svg)]) == 0
+        assert capsys.readouterr().out == plain
+        out = json.loads(plain)
+        assert out["kind"] == "open" and out["n"] == 3 * inst.n
+        want = jordan.region_connect(inst.blue, (x, y), sides)
+        assert out == edge_sequence_to_json(want)
+        assert svg.read_text().count("<line") == len(out["seq"]) == len(want)
+        assert svg.read_text() == render_svg(Instance(n=want.n, form="seq", red=want or None))
+    assert len(want) == 0
 
+
+
+@pytest.mark.parametrize("spoil", [lambda c: c[:1] + c[2:], lambda c: c + c[-2:-1]],
+                         ids=["jump", "revisit"])
+def test_connect_checks_its_codes(monkeypatch, tmp_path, capsys, spoil):
+    # codes that are not a simple unit-step path are a bug: exit 2, one stderr line, no stdout
+    real = jordan.connect_codes
+    monkeypatch.setattr(jordan, "connect_codes",
+                        lambda *a: (lambda codes, s: (spoil(codes), s))(*real(*a)))
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"n": 5, "form": "seq", "sides": [[6, 2], [6, 4]],
+                                "blue": edge_sequence_to_json(rect_curve(1, 1, 3, 3, 5))}))
+    assert main(["connect", "--instance", str(path), "--point", "6,6"]) == 2
+    assert capsys.readouterr() == (
+        "", "theorem violation: connect path is not a simple open path (bug)\n")
 
 def test_merge_subcommand(tmp_path, capsys):
     n = 8

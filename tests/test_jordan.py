@@ -30,7 +30,7 @@ from gridjct.jordan import (
 from gridjct.jsonio import edge_sequence_to_json
 from gridjct.parity import find_intersection_set
 
-from conftest import flood_components, rect_curve
+from conftest import flood_components, rect_curve, rect_points
 
 
 def retraced_arc(xs, y, n):
@@ -558,6 +558,9 @@ BAD_RINGS = {
     # the right-hand ring for both sides: the patched lookup passes side -1 through
     "overlap": ("offset rings overlap", lambda ring, codes, s: jordan._ring_points(codes, s, -1)),
 }
+# connect builds (6, 6)'s left ring alone, so nothing overlaps: the right-hand ring in
+# its place is on the wrong side of the curve, which the hop guard catches
+CONNECT_SAYS = {"overlap": "shortest hop crossed the curve"}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_RINGS))
@@ -571,7 +574,7 @@ def test_ring_self_checks_fire(monkeypatch, tmp_path, capsys, name):
 
     monkeypatch.setattr(jordan, "_ring_points", bad)
     curve = rect_curve(1, 1, 3, 3, 5)
-    with pytest.raises(TheoremViolation, match=what):
+    with pytest.raises(TheoremViolation, match=CONNECT_SAYS.get(name, what)):
         region_connect(curve, (6, 6), side_pair((6, 2), (6, 4)))
     with pytest.raises(TheoremViolation, match=what):
         side_sequences(curve)
@@ -585,11 +588,12 @@ def test_ring_self_checks_fire(monkeypatch, tmp_path, capsys, name):
 
 
 def test_region_connect_checks_the_side_points_homes(monkeypatch):
-    # both rings the same: one side point is on neither
-    real = jordan._side_rings
-    monkeypatch.setattr(jordan, "_side_rings",
-                        lambda *a: tuple((pair[0],) * 2 for pair in real(*a)))
-    with pytest.raises(TheoremViolation, match="not on either ring"):
+    # (6, 6)'s left ring shrunk to the square 5..7: a ring off the curve that passes
+    # every ring check, holding neither side point
+    real = jordan._ring_points
+    monkeypatch.setattr(jordan, "_ring_points", lambda codes, s, side: [
+        x * s + y for x, y in rect_points(5, 5, 7, 7)] if side > 0 else real(codes, s, side))
+    with pytest.raises(TheoremViolation, match="holds both side points or neither"):
         region_connect(rect_curve(1, 1, 3, 3, 5), (6, 6), side_pair((6, 2), (6, 4)))
 
 
@@ -625,30 +629,32 @@ def _mirrored_end_routes(monkeypatch):
     merge_paths(retraced_arc(range(5, 0, -1), 2, 8), red)
 
 
-def _patched_rings(monkeypatch, spoil, point):
+def _spoiled_connect(monkeypatch, name, spoil, point):
     """region_connect from ``point`` to the x3 square 3..9 with side points
-    (6, 2) outside and (6, 4) inside, its rings spoiled by
-    ``spoil(q1, q2, outer_side_point_code)``, each with its point set."""
-    real = jordan._side_rings
-
-    def spoiled(codes, s, on):
-        rings = spoil(*real(codes, s, on)[0], 6 * s + 2)
-        return rings, tuple(map(set, rings))
-
-    monkeypatch.setattr(jordan, "_side_rings", spoiled)
+    (6, 2) outside and (6, 4) inside, ``jordan.<name>`` replaced by
+    ``spoil(the real one)``."""
+    monkeypatch.setattr(jordan, name, spoil(getattr(jordan, name)))
     region_connect(rect_curve(1, 1, 3, 3, 5), point, side_pair((6, 2), (6, 4)))
+
+
+def _with_the_other_ring(real):
+    """The checked ring builder with the other side's ring and points appended."""
+    def build(codes, s, side, on):
+        (ring, seen), (other, other_seen) = real(codes, s, side, on), real(codes, s, -side, on)
+        return ring + other, seen | other_seen
+    return build
 
 
 # name -> (trigger, message of the TheoremViolation it raises)
 BUG_GUARDS = {
     "end-fix": (_mirrored_end_routes, "end fix failed to establish left approach"),
-    # one ring holding both: both side points' homes are ring 0
-    "same-ring": (lambda mp: _patched_rings(mp, lambda q1, q2, c: (q1 + q2, q2), (6, 6)),
-                  "side points landed on the same ring"),
-    # the outer ring cut down to its side point: from (6, 12) the nearest ring
-    # point is (6, 8) on the inner ring, across the curve's top side y = 9
-    "hop-crosses-curve": (lambda mp: _patched_rings(
-        mp, lambda q1, q2, c: ([c], q2) if c in q1 else (q1, [c]), (6, 12)),
+    # (6, 6)'s ring joined by the other one: it holds both side points
+    "same-ring": (lambda mp: _spoiled_connect(mp, "_offset_ring", _with_the_other_ring, (6, 6)),
+                  "holds both side points or neither"),
+    # the side read flipped, so (6, 12) outside gets the inner ring: its nearest
+    # point (6, 8) lies across the curve's top side y = 9
+    "hop-crosses-curve": (lambda mp: _spoiled_connect(
+        mp, "ring_side", lambda real: lambda *a: -real(*a), (6, 12)),
                           "shortest hop crossed the curve"),
 }
 

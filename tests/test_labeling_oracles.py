@@ -1,15 +1,16 @@
 """The labeling's fast paths against plain oracles: the column-run region
 count against a cell flood, the per-vertex ring builder against the
-per-point one, and the bisection hop against a full scan of both rings."""
+per-point one, the side read off the nearest mark below against a flood, and
+the bisection hop against a full scan of both rings."""
 
 import random
 
 from gridjct import jordan
 from gridjct.generate import gen_random_curve
-from gridjct.grid import GridPoint, pair_code, refine, side_pair
-from gridjct.jordan import region_connect, side_sequences
+from gridjct.grid import GridPoint, column_marks, pair_code, refine, side_pair
+from gridjct.jordan import region_connect, ring_side, side_sequences
 
-from conftest import rect_curve
+from conftest import flood_components, rect_curve
 
 
 # --------------------------------------------------------------------------
@@ -139,6 +140,32 @@ def test_ring_builder_matches_the_per_point_oracle():
                 assert jordan._ring_points(codes, s, side) == per_point_ring_points(codes, s, side)
                 seen.add((side, first_turn(codes, s, side)))
     assert seen == {(side, turn) for side in (1, -1) for turn in ("straight", "toward", "away")}
+
+
+# --------------------------------------------------------------------------
+# the side read: the step of the nearest mark below vs a flood
+# --------------------------------------------------------------------------
+
+def test_side_read_matches_the_flood():
+    on_line_inside = border = no_mark_below = 0
+    for n in range(4, 9):
+        for seed in range(6):
+            ccw = gen_random_curve(n, seed, margin=1, min_cells=1 + seed % (n - 2) ** 2)
+            blocked = refine(ccw, 3).point_set
+            comp, count = flood_components(blocked, 3 * n)
+            assert count == 2
+            outside = comp[GridPoint(0, 0)]
+            for curve in (ccw, ccw.reverse()):  # the generator's curves run counterclockwise
+                marks = column_marks(curve)
+                left = comp[side_sequences(curve).q1.start]  # the region of side +1
+                for p, c in comp.items():
+                    assert ring_side(marks, p.x, p.y) == (1 if c == left else -1), (n, seed, p)
+            for p, c in comp.items():
+                on_line_inside += p.x % 3 == 0 and c != outside
+                border += p.x == 3 * n
+                # a mark in coarse column k at row r is the refined point (3k + 1, 3r)
+                no_mark_below += all((p.x - p.x % 3 + 1, y) not in blocked for y in range(p.y))
+    assert on_line_inside and border and no_mark_below > border
 
 
 # --------------------------------------------------------------------------
