@@ -14,7 +14,7 @@ from operator import eq, or_
 from typing import Dict, Iterable, List, NamedTuple
 
 from .errors import PreconditionViolation, TheoremViolation
-from .grid import CLOSED, EdgeSequence, column_marks, column_slice
+from .grid import CLOSED, EdgeSequence, column_marks, column_slice, columns
 
 
 def alternate(xs: Iterable[int], ys: Iterable[int]) -> bool:
@@ -107,10 +107,9 @@ def reindex_canonical(seq: EdgeSequence) -> EdgeSequence:
     """
     if seq.validate().kind != CLOSED:
         raise PreconditionViolation("closed sequence")
-    xmax = max(p.x for p in seq.points())
-    vertical = [i for i, e in enumerate(seq.edges)
-                if e.src.x == xmax and e.dst.x == xmax]
-    k = min(vertical, key=lambda i: min(seq.edges[i].src.y, seq.edges[i].dst.y))
+    cols = columns(seq)
+    xmax = max(cols[0])  # every point of a closed curve starts an edge
+    k = min((min(b, d), i) for i, (a, b, c, d) in enumerate(zip(*cols)) if a == c == xmax)[1]
     return seq.rotate(k + 1)  # edge k becomes the wrap edge <p_{t-1}, p_0>
 
 
@@ -179,7 +178,7 @@ def check_edge_alternation(seq: EdgeSequence) -> bool:
     an implementation bug.  ``check_chain`` requires chaining, not simplicity,
     so the merge diagnostics can feed deliberately broken sequences through.
     """
-    if seq.kind != CLOSED or not seq.edges:
+    if seq.kind != CLOSED or len(seq) == 0:
         raise PreconditionViolation("closed sequence")
     seq.check_chain()
     # sorted marks alternate when no two in a column share a row or a step

@@ -15,7 +15,7 @@ import sys
 from . import cnf, generate, jordan, parity, reduce as reductions
 from .alternation import check_edge_alternation
 from .errors import GridJctError, InvalidInstance, PreconditionViolation, TheoremViolation
-from .grid import OPEN, EdgeSequence, GridPoint, Instance, chained
+from .grid import EdgeSequence, GridPoint, Instance
 from .jsonio import (
     edge_sequence_from_json,
     edge_sequence_to_json,
@@ -106,16 +106,14 @@ def cmd_connect(args) -> int:
     except ValueError:
         raise InvalidInstance(
             f"--point must be X,Y with integer coordinates: {args.point!r}") from None
-    codes, s = jordan.connect_codes(inst.blue, GridPoint(x, y), inst.sides)
-    xs, ys = [c // s for c in codes], [c % s for c in codes]
-    if codes and not (chained(xs[:-1], ys[:-1], xs[1:], ys[1:], s - 2, False)
-                      and len(set(codes)) == len(codes)):
-        raise TheoremViolation("connect path is not a simple open path (bug)")
+    try:  # the path is checked as it is built: a fault in it is a bug
+        path = jordan.region_connect(inst.blue, GridPoint(x, y), inst.sides)
+    except InvalidInstance:
+        raise TheoremViolation("connect path is not a simple open path (bug)") from None
     if args.svg:
-        red = EdgeSequence.from_codes(codes, s, s - 2, OPEN) if codes else None
-        _write_svg(args.svg, Instance(n=s - 2, form="seq", red=red))
+        _write_svg(args.svg, Instance(n=path.n, form="seq", red=path or None))
     with sink(None) as fh:  # the --json text and the plain text are the same
-        write_json(fh, {"kind": OPEN, "n": s - 2, "seq": list(zip(xs, ys, xs[1:], ys[1:]))}, None)
+        write_json(fh, edge_sequence_to_json(path), None)
     return 0
 
 

@@ -120,10 +120,10 @@ def gen_random_curve(n: int, seed: int, *, margin: int = 0,
 
 
 def _side_candidates(curve: EdgeSequence) -> List[GridPoint]:
-    """Curve points whose neighbors above and below are off the curve."""
-    pts = curve.point_set
-    return [w for w in sorted(pts)
-            if 0 < w.y < curve.n and (w.x, w.y - 1) not in pts and (w.x, w.y + 1) not in pts]
+    """Sorted curve points with both vertical neighbors (codes 1 apart) off the curve."""
+    on, n = curve._codes, curve.n
+    return [GridPoint(*divmod(c, n + 1)) for c in sorted(on)
+            if 0 < c % (n + 1) < n and c - 1 not in on and c + 1 not in on]
 
 
 def _bfs_path(n: int, src: GridPoint, dst: GridPoint, rng: random.Random,

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import add, countOf, eq, floordiv, itemgetter, sub
+from operator import add, countOf, eq, floordiv, itemgetter, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidInstance, PreconditionViolation, TheoremViolation
@@ -158,54 +158,60 @@ class EdgeSet:
 
 CLOSED = "closed"
 OPEN = "open"
-_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EdgeSequence:
     """Ordered chained directed edges: a closed curve or an open path.
 
-    The plain constructor performs no validation (diagnostic work needs
-    sequences that revisit points); use :meth:`from_points` or call
-    :meth:`validate` when the spec invariants are required.  The
-    object is frozen, so :meth:`validate` checks it once and
-    :meth:`to_edge_set` builds its set once; a failed check raises again.
+    The plain constructor ``EdgeSequence(edges, n, kind)`` checks nothing (diagnostic
+    work needs sequences that revisit points); :meth:`accept` checks int columns and keeps
+    them, building ``edges`` and ``point_set`` from them on first read.  The object is
+    frozen, so :meth:`validate` checks it once and :meth:`to_edge_set` builds its set
+    once; a failed check raises again.
     """
 
-    edges: tuple
+    edges: tuple  # the field is the cached property below, which the plain constructor fills
     n: int
     kind: str
+    _columns = None  # x1, y1, x2, y2 of a sequence accept checked, with its point codes _codes
+
+    def __init__(self, edges: tuple, n: int, kind: str):
+        self.__dict__.update(edges=edges, n=n, kind=kind)
 
     @classmethod
     def from_points(cls, pts: Sequence, n: int, kind: str) -> "EdgeSequence":
         pts = list(pts)
-        ends = pts[1:] + pts[:1] if kind == CLOSED else pts[1:]
-        return cls.accept(*endpoint_coords(zip(pts, ends)), n, kind)
+        pts += pts[:1] if kind == CLOSED else ()  # back to the start
+        xs, ys = list(map(itemgetter(0), pts)), list(map(itemgetter(1), pts))
+        return cls.accept(xs[:-1], ys[:-1], xs[1:], ys[1:], n, kind)
 
     @classmethod
     def from_codes(cls, codes: list, stride: int, n: int, kind: str) -> "EdgeSequence":
         """:meth:`from_points` over points coded ``x * stride + y``, with ``0 <= y < stride``."""
-        pts = codes + codes[:1] if kind == CLOSED else codes
-        xs, ys = [c // stride for c in pts], [c % stride for c in pts]
-        return cls.accept(xs[:-1], ys[:-1], xs[1:], ys[1:], n, kind)
+        return cls.from_points(map(divmod, codes, repeat(stride)), n, kind)
 
     @classmethod
     def accept(cls, x1: list, y1: list, x2: list, y2: list, n: int, kind: str) -> "EdgeSequence":
-        """The checked sequence whose edges run from (x1, y1) to (x2, y2), each point built
-        once and kept in its point set.  Tested in bulk: :func:`chained`, and no point twice.
-        A rejected chain is walked by :func:`check_path`, which raises its first fault; a
-        walk that finds none raises :class:`TheoremViolation`."""
+        """The checked sequence whose edges run from (x1, y1) to (x2, y2), kept as these
+        columns (as tuples) and the set of its point codes ``x * (n + 1) + y``.  Tested in
+        bulk: 1+ chained unit steps in [0, n]^2, 4+ if closed, and no code twice.  A rejected
+        chain is walked by :func:`check_path`, which raises its first fault; a walk that
+        finds none raises :class:`TheoremViolation`."""
         if kind not in (CLOSED, OPEN):
             raise InvalidInstance(f"unknown sequence kind {kind!r}")
         closed = kind == CLOSED
-        tx, ty = (x1, y1) if closed else (x1 + x2[-1:], y1 + y2[-1:])  # a closed start once
-        if chained(x1, y1, x2, y2, n, closed):
-            pts = list(make_all(GridPoint, zip(tx, ty)))
-            point_set = frozenset(pts)
-            if len(point_set) == len(pts):
-                ends = pts[1:] + pts[:1] if closed else pts[1:]
-                seq = cls(tuple(make_all(DirectedEdge, zip(pts, ends))), n, kind)
-                seq.__dict__.update(_checked=True, point_set=point_set)
+        if (x1 and x1[1:] == x2[:-1] and y1[1:] == y2[:-1]
+                and 0 <= min(x1) and max(x1) <= n and 0 <= min(y1) and max(y1) <= n
+                and 0 <= x2[-1] <= n and 0 <= y2[-1] <= n
+                and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) == {1}
+                and (not closed or (len(x1) >= 4 and x2[-1] == x1[0] and y2[-1] == y1[0]))):
+            tx, ty = (x1, y1) if closed else (x1 + x2[-1:], y1 + y2[-1:])  # a closed start once
+            codes = list(map(add, map(mul, tx, repeat(n + 1)), ty))
+            if len(on := set(codes)) == len(codes):
+                seq = cls.__new__(cls)
+                seq.__dict__.update(n=n, kind=kind, _columns=tuple(map(tuple, (x1, y1, x2, y2))),
+                                    _codes=on, _checked=True)
                 return seq
         check_path(zip(x1, y1, x2, y2), n, closed=closed)
         raise TheoremViolation("check_path passed a chain the bulk test rejects (bug)")
@@ -231,10 +237,19 @@ class EdgeSequence:
 
     def points(self) -> list:
         """Visited points: t points for a closed curve, t+1 for an open path."""
-        pts = list(map(_FIRST, self.edges))
-        if self.kind == OPEN and self.edges:
-            pts.append(self.edges[-1].dst)
-        return pts
+        x1, y1, x2, y2 = columns(self)
+        last = zip(x2[-1:], y2[-1:]) if self.kind == OPEN else ()
+        return list(make_all(GridPoint, chain(zip(x1, y1), last)))
+
+    def _pairs(self, pts: list):
+        """The edges once built, else the points ``pts`` paired up, each in two edges."""
+        if "edges" in self.__dict__:
+            return self.edges
+        return zip(pts, pts[1:] + pts[:1] if self.kind == CLOSED else pts[1:])
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(make_all(DirectedEdge, self._pairs(self.points())))
 
     @cached_property
     def point_set(self) -> frozenset:
@@ -242,11 +257,11 @@ class EdgeSequence:
 
     @property
     def start(self) -> GridPoint:
-        return self.edges[0].src
+        return GridPoint(c[0][0], c[1][0]) if (c := self._columns) else self.edges[0].src
 
     @property
     def end(self) -> GridPoint:
-        return self.edges[-1].dst
+        return GridPoint(c[2][-1], c[3][-1]) if (c := self._columns) else self.edges[-1].dst
 
     def reverse(self) -> "EdgeSequence":
         return EdgeSequence(tuple(e.reversed() for e in reversed(self.edges)), self.n, self.kind)
@@ -264,32 +279,26 @@ class EdgeSequence:
     @cached_property
     def _edge_set(self) -> EdgeSet:
         # each edge's bounds and unit step were checked where it was parsed or built
-        es = EdgeSet(frozenset(make_all(Edge, map(sorted, self.edges))), self.n)
+        pts = self.points()
+        es = EdgeSet(frozenset(make_all(Edge, map(sorted, self._pairs(pts)))), self.n)
         if "_checked" in self.__dict__:  # simple: degree 2, and 1 at an open path's ends
-            degrees = dict.fromkeys(self.point_set, 2)
+            degrees = dict.fromkeys(pts, 2)
             if self.kind == OPEN:
-                degrees[self.start] = degrees[self.end] = 1
-            es.__dict__.update(degree_map=degrees, points=self.point_set)
+                degrees[pts[0]] = degrees[pts[-1]] = 1
+            es.__dict__.update(degree_map=degrees, points=frozenset(degrees))
         return es
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self._columns[0]) if self._columns else len(self.edges)
 
 
-def chained(x1: list, y1: list, x2: list, y2: list, n: int, closed: bool) -> bool:
-    """`accept`'s bulk test, repeats allowed: 1+ chained unit steps in [0, n]^2, 4+ if closed."""
-    return bool(x1 and x1[1:] == x2[:-1] and y1[1:] == y2[:-1]
-                and 0 <= min(x1) and max(x1) <= n and 0 <= min(y1) and max(y1) <= n
-                and 0 <= x2[-1] <= n and 0 <= y2[-1] <= n
-                and set(map(add, map(abs, map(sub, x2, x1)), map(abs, map(sub, y2, y1)))) == {1}
-                and (not closed or (len(x1) >= 4 and x2[-1] == x1[0] and y2[-1] == y1[0])))
-
-
-def endpoint_coords(edges) -> tuple:
-    """Lists x1, y1, x2, y2 of the edges' coordinates, each edge a pair of points."""
-    ends = list(chain.from_iterable(edges))
-    xs, ys = list(map(_FIRST, ends)), list(map(_SECOND, ends))
-    return xs[0::2], ys[0::2], xs[1::2], ys[1::2]
+def columns(obj: GridObject) -> tuple:
+    """x1, y1, x2, y2 of either form's edges: the columns a checked sequence keeps, else
+    read off the edges (a set edge's ends in lexicographic order) and not kept."""
+    if getattr(obj, "_columns", None):
+        return obj._columns
+    flat = list(chain.from_iterable(chain.from_iterable(obj.edges)))
+    return flat[0::4], flat[1::4], flat[2::4], flat[3::4]
 
 
 def column_marks(obj: GridObject) -> list:
@@ -298,9 +307,9 @@ def column_marks(obj: GridObject) -> list:
     left-pointing sequence edge and 1 for a right-pointing one, and always 1 for a
     set edge, whose ends are in lexicographic order.  Column k is the slice between
     ``(k,)`` and ``(k + 1,)``."""
-    x1, y1, x2, y2 = endpoint_coords(obj.edges)
-    columns = map(floordiv, map(add, x1, x2), repeat(2))  # the lower x, faster than min
-    return sorted(set(compress(zip(columns, y1, map(sub, x2, x1)), map(eq, y1, y2))))
+    x1, y1, x2, y2 = columns(obj)
+    cols = map(floordiv, map(add, x1, x2), repeat(2))  # the lower x, faster than min
+    return sorted(set(compress(zip(cols, y1, map(sub, x2, x1)), map(eq, y1, y2))))
 
 
 def column_slice(marks: list, k: int) -> list:
@@ -371,7 +380,7 @@ def _check_same_n(a: GridObject, b: GridObject):
 
 def is_curve(edge_set: EdgeSet) -> bool:
     """True iff the set is nonempty and every point has degree 0 or 2."""
-    return bool(edge_set.edges) and set(edge_set.degree_map.values()) == {2}
+    return len(edge_set) > 0 and set(edge_set.degree_map.values()) == {2}
 
 
 def connects(edge_set: EdgeSet, p1, p2) -> bool:
@@ -399,9 +408,11 @@ def on_different_sides(obj: GridObject, p1, p2) -> bool:
     if p1.x != p2.x or abs(p1.y - p2.y) != 2:
         return False
     mid = GridPoint(p1.x, (p1.y + p2.y) // 2)
-    if isinstance(obj, EdgeSequence) and obj.kind == CLOSED:
-        on = obj.validate().point_set
-        return p1 not in on and p2 not in on and mid in on
+    if isinstance(obj, EdgeSequence) and obj.kind == CLOSED and obj.validate()._columns:
+        on, n = obj._codes, obj.n
+        c1, c2, cm = (p.x * (n + 1) + p.y if 0 <= p.x <= n and 0 <= p.y <= n else -1
+                      for p in (p1, p2, mid))
+        return c1 not in on and c2 not in on and cm in on
     dm = obj.to_edge_set().degree_map
     return dm.get(p1, 0) == 0 and dm.get(p2, 0) == 0 and dm.get(mid, 0) == 2
 

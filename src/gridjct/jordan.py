@@ -30,6 +30,7 @@ from .grid import (
     SidePair,
     _check_same_n,
     column_marks,
+    columns,
     pair_code,
     refine,
     side_pair,
@@ -135,12 +136,12 @@ def _refined_codes(curve: EdgeSequence) -> Tuple[List[int], int]:
     point has."""
     if curve.validate().kind != CLOSED:
         raise PreconditionViolation("closed curve")
-    n = curve.n
+    n, (x1, y1, x2, y2) = curve.n, columns(curve)
+    if not (0 < min(x1) and max(x1) < n and 0 < min(y1) and max(y1) < n):
+        p = next(p for p in zip(x1, y1) if p[0] in (0, n) or p[1] in (0, n))
+        raise PreconditionViolation("curve off the grid border", f"curve touches the border at {p}")
     s, codes = 3 * n + 2, []
-    for (px, py), (qx, qy) in curve.edges:
-        if px in (0, n) or py in (0, n):
-            raise PreconditionViolation(
-                "curve off the grid border", f"curve touches the border at {(px, py)}")
+    for px, py, qx, qy in zip(x1, y1, x2, y2):
         c, d = 3 * (px * s + py), (qx - px) * s + qy - py
         codes += (c, c + d, c + 2 * d)
     return codes, s

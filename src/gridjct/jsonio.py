@@ -28,6 +28,7 @@ from .grid import (
     EdgeSet,
     GridPoint,
     Instance,
+    columns,
     side_pair,
 )
 
@@ -85,14 +86,8 @@ def edge_set_from_json(obj) -> EdgeSet:
     return EdgeSet(frozenset(_parse_edges(entries, n, Edge)), n)
 
 
-def _coordinates(edges) -> list:
-    """The edges, each a pair of points, as ``[x1, y1, x2, y2]`` lists."""
-    flat = iter(chain.from_iterable(chain.from_iterable(edges)))
-    return list(map(list, zip(flat, flat, flat, flat)))
-
-
 def edge_set_to_json(es: EdgeSet) -> dict:
-    return {"n": es.n, "set": _coordinates(es.sorted_edges())}
+    return {"n": es.n, "set": [[*a, *b] for a, b in es.sorted_edges()]}
 
 
 def edge_sequence_from_json(obj, *, validate: bool = True) -> EdgeSequence:
@@ -118,11 +113,7 @@ def edge_sequence_from_json(obj, *, validate: bool = True) -> EdgeSequence:
 
 
 def edge_sequence_to_json(seq: EdgeSequence) -> dict:
-    return {
-        "n": seq.n,
-        "seq": _coordinates(seq.edges),
-        "kind": seq.kind,
-    }
+    return {"n": seq.n, "seq": list(map(list, zip(*columns(seq)))), "kind": seq.kind}
 
 
 def _parse_int_pair(raw, what) -> tuple:

@@ -10,7 +10,6 @@ curve without touching it would contradict that invariant, which is how
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 

@@ -5,13 +5,14 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 from .errors import PreconditionViolation
-from .grid import MAX_N, EdgeSet, GridPoint, Instance
+from .grid import MAX_N, EdgeSet, GridPoint, Instance, columns
 
 
-def _edges_of(payload) -> Iterable[Tuple[GridPoint, GridPoint]]:
-    if payload is None:
-        return ()
-    return payload.sorted_edges() if isinstance(payload, EdgeSet) else payload.edges
+def _edges_of(payload) -> Iterable[Tuple[int, int, int, int]]:
+    """The payload's edges as ``(x1, y1, x2, y2)``, a set's in canonical order."""
+    if isinstance(payload, EdgeSet):
+        return [(*a, *b) for a, b in payload.sorted_edges()]
+    return () if payload is None else zip(*columns(payload))
 
 
 def render_svg(inst: Instance, witnesses=()) -> str:
@@ -45,8 +46,8 @@ def render_svg(inst: Instance, witnesses=()) -> str:
         tail = f'" cy="{cy}{dot}'
         parts.append('<circle cx="' + f'{tail}\n<circle cx="'.join(xs.values()) + tail)
     for payload, tail in ((inst.blue, curve), (inst.red, path)):
-        parts += [f'<line x1="{xs[a.x]}" y1="{ys[a.y]}" x2="{xs[b.x]}" y2="{ys[b.y]}{tail}'
-                  for a, b in _edges_of(payload)]
+        parts += [f'<line x1="{xs[x1]}" y1="{ys[y1]}" x2="{xs[x2]}" y2="{ys[y2]}{tail}'
+                  for x1, y1, x2, y2 in _edges_of(payload)]
     if inst.sides is not None:
         for label, p in (("p1", inst.sides.p1), ("p2", inst.sides.p2)):
             parts.append(f'<circle cx="{sx(p.x)}" cy="{sy(p.y)}" r="4" fill="#222222"/>')

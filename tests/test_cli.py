@@ -14,7 +14,8 @@ from gridjct.cli import main
 from gridjct.errors import TheoremViolation
 from gridjct.generate import gen_crossing_instance
 from gridjct.grid import CLOSED, OPEN, DirectedEdge, EdgeSequence, GridPoint, side_pair
-from gridjct.jsonio import Instance, edge_sequence_from_json, edge_sequence_to_json, save_instance
+from gridjct.jsonio import (Instance, edge_sequence_from_json, edge_sequence_to_json,
+                            load_instance, save_instance)
 from gridjct.parity import IntersectionWitness
 from gridjct.render import render_svg
 
@@ -97,8 +98,8 @@ def test_a_chain_the_walk_passes_but_the_bulk_test_rejects_is_a_theorem_violatio
 
 
 def test_connect_subcommand(tmp_path, capsys):
-    # the path is written from its codes and prints the same bytes with --svg, which
-    # alone builds the sequence: one <line per path edge, none for a side point
+    # the path prints the same bytes with --svg, which draws one <line per path edge,
+    # none for a side point
     inst = gen_crossing_instance(8, 7)
     mid = inst.sides.mid
     sides = side_pair((3 * mid.x, 3 * mid.y - 1), (3 * mid.x, 3 * mid.y + 1))
@@ -120,6 +121,31 @@ def test_connect_subcommand(tmp_path, capsys):
         assert svg.read_text() == render_svg(Instance(n=want.n, form="seq", red=want or None))
     assert len(want) == 0
 
+
+
+def test_sequence_subcommands_read_columns_not_edges(tmp_path, capsys, monkeypatch):
+    # a loaded payload keeps the int columns it was checked as: these subcommands read
+    # them and never build the edge objects a checked sequence makes when asked
+    inst = gen_crossing_instance(12, 3)
+    mid = inst.sides.mid
+    path, conn, svg = (str(tmp_path / name) for name in ("inst.json", "conn.json", "out.svg"))
+    save_instance(Instance(n=inst.n, form="seq", blue=inst.blue, red=inst.red,
+                           sides=inst.sides), path)
+    save_instance(Instance(n=inst.n, form="seq", blue=inst.blue,
+                           sides=side_pair((3 * mid.x, 3 * mid.y - 1),
+                                           (3 * mid.x, 3 * mid.y + 1))), conn)
+    reads, edges = [], EdgeSequence.edges
+    monkeypatch.setattr(EdgeSequence, "edges",
+                        property(lambda seq: reads.append(seq) or edges.__get__(seq)))
+    for argv in (["validate", "--instance", path], ["parity", "--witness", "--instance", path],
+                 ["alternation", "--instance", path], ["regions", "--instance", path],
+                 ["connect", "--instance", conn, "--point", "1,1"],
+                 ["connect", "--instance", conn, "--point", f"{3 * mid.x},{3 * mid.y + 2}"],
+                 ["render", "--instance", path, "--svg", svg]):
+        assert main(argv) == 0, argv
+        assert reads == [], argv
+    capsys.readouterr()
+    assert load_instance(path).blue.edges == inst.blue.edges and len(reads) == 2  # still readable
 
 
 @pytest.mark.parametrize("spoil", [lambda c: c[:1] + c[2:], lambda c: c + c[-2:-1]],

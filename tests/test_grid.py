@@ -32,6 +32,7 @@ from gridjct.grid import (
     translate,
 )
 from gridjct.generate import gen_crossing_instance, gen_random_curve
+from gridjct.jsonio import edge_sequence_to_json, save_instance
 
 from conftest import edge_set, rect_curve, rect_points, rect_set
 
@@ -282,6 +283,50 @@ def test_sequence_edge_set_matches_edge_set_of():
         inst = gen_crossing_instance(6 + seed % 27, seed)
         for seq in (inst.blue, inst.red):
             assert seq.to_edge_set() == EdgeSet.of((e.undirected() for e in seq.edges), seq.n)
+
+
+def _both_routes(seq):
+    """A fresh accept-built copy of ``seq`` (its own columns, nothing read yet), and the
+    plain-constructed sequence of the same edges."""
+    quads = [(e.src.x, e.src.y, e.dst.x, e.dst.y) for e in seq.edges]
+    accepted = EdgeSequence.accept(*map(list, zip(*quads)), seq.n, seq.kind)
+    plain = EdgeSequence(tuple(DirectedEdge(GridPoint(a, b), GridPoint(c, d))
+                               for a, b, c, d in quads), seq.n, seq.kind)
+    return accepted, plain
+
+
+def test_accepted_and_plain_sequences_read_alike(tmp_path):
+    # accept keeps a sequence's int columns and builds its objects when read; a plain
+    # sequence holds its edges.  Seeded curves and paths read the same either way, and
+    # the column readers build no edge on the accepted one.
+    seqs = []
+    for seed in range(24):
+        inst = gen_crossing_instance(6 + seed % 27, seed)
+        seqs += [inst.blue, inst.red]
+    seqs.append(EdgeSequence.from_points([(2, 0), (1, 0), (1, 1)], 2, OPEN))
+    for seq in seqs:
+        accepted, plain = _both_routes(seq)
+        assert (accepted.start, accepted.end, len(accepted)) == (plain.start, plain.end, len(plain))
+        assert accepted.point_set == plain.point_set
+        mine, theirs = accepted.to_edge_set(), plain.to_edge_set()
+        assert mine.edges == theirs.edges and mine.points == theirs.points
+        assert mine.degree_map == theirs.degree_map == plain.validate().to_edge_set().degree_map
+        assert column_marks(accepted) == column_marks(plain)
+        assert edge_sequence_to_json(accepted) == edge_sequence_to_json(plain)
+        assert "edges" not in accepted.__dict__  # every reader above read the columns
+        assert accepted == plain and plain == accepted and hash(accepted) == hash(plain)
+        assert accepted == _both_routes(seq)[0] and accepted != _both_routes(seq.reverse())[0]
+        for name, route in (("accepted", accepted), ("plain", plain)):
+            save_instance(Instance(n=seq.n, form="seq", blue=route, red=route),
+                          tmp_path / f"{name}.json")
+        assert (tmp_path / "accepted.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        assert accepted.edges == plain.edges
+        assert all(type(e) is DirectedEdge and type(e.src) is type(e.dst) is GridPoint
+                   for e in accepted.edges)
+        assert accepted.reverse() == plain.reverse()
+        if seq.kind == CLOSED:
+            for k in (0, 1, len(seq) // 2, -1):
+                assert accepted.rotate(k) == plain.rotate(k)
 
 
 def _count_chain_checks(monkeypatch):
